@@ -2,28 +2,34 @@
 """Benchmark for commcert: one closed-loop client over one workload.
 
     python3 perfbench/run.py --workload {up,down,normal-form} --seed N \
-        --seconds S --trace {0,1} [--expect perfbench/baseline.json]
+        --seconds S --trace {0,1}
 
 Set-up imports the library from ``src/`` and makes the workload's
 instance list from the seed; it runs several times and ``setup_s`` is
-the median.  Then one client (one process, one thread) runs operations
-back to back.  An operation is
+the median.  After it, untimed, the checker works out with its own
+arithmetic the element each instance's output must multiply out to.
+
+Then one client (one process, one thread) makes exactly one pass over
+the instance list, one operation per instance, back to back.  An
+operation is
 
   build   the pipeline call, with its own self-verification,
   emit    serialize.*_to_json + json.dumps, the document a user receives,
   verify  decode and the independent check in checker.py.
 
-An operation fails when a step raises or a check is false, or when its
-document differs from the one the same instance gave earlier in the
-run.  A run measures whole passes over the instance list: the first
-pass always runs and another starts while it still fits in --seconds.
+An operation fails when a step raises or a check is false.  The lists
+are sized so that a pass takes about --seconds on a 2-core x86-64 host
+with Python 3.11; the pass is never cut short or repeated, so every
+version of the program runs the same operations and the tail latency is
+taken at the same percentile.
 
---trace 0 reports the end-to-end metrics.  --trace 1 runs one pass
-with every layer wrapped (tracer.py), reports per-layer metrics and
-writes the spans to perfbench/out/.  Both modes first make sure the
-checker rejects a forged certificate, and write a record of output
-digests and counts to perfbench/out/; --expect compares that record
-with the one stored for the same workload and seed in a baseline file.
+--trace 0 reports the end-to-end metrics.  --trace 1 runs the pass
+once as is and once with every layer wrapped (tracer.py), reports
+per-layer metrics and writes the spans to perfbench/out/.  Both modes
+first make sure the checker rejects forged certificates, and write a
+record of output digests and counts to perfbench/out/.  When
+perfbench/baseline.json holds a record for the same workload and seed,
+the run's record must equal it: a difference makes the run incorrect.
 The last line of output is one JSON object.
 """
 
@@ -48,8 +54,12 @@ import library
 from tracer import Tracer
 from workloads import WORKLOADS
 
-OUT = Path(__file__).resolve().parent / "out"
-SETUP_REPS = 5
+HERE = Path(__file__).resolve().parent
+OUT = HERE / "out"
+BASELINE = HERE / "baseline.json"
+# set-up repeats at least SETUP_REPS times and for at least SETUP_S
+# seconds, at most SETUP_MAX_REPS times
+SETUP_REPS, SETUP_S, SETUP_MAX_REPS = 5, 2.0, 40
 DIGITS = re.compile(r"\d+")
 
 
@@ -91,7 +101,7 @@ class Steps:
             op.build_s = t1 - t0
             op.text = self.emit(lib, inst, result)
             t2 = clock()
-            op.verdict = self.check(lib, inst, self.decode(lib, wl.name, op.text))
+            op.verdict = self.check(inst, self.decode(lib, wl.name, op.text))
             op.verify_s = clock() - t2
         except Exception as exc:  # a failed operation is counted, never dropped
             op.error = f"{type(exc).__name__}: {exc}"
@@ -120,9 +130,8 @@ def tail(values: list[float]) -> tuple[int, float, int]:
 
 
 class Ledger:
-    """Per-instance facts of a run: output digest, size, height and
-    pairs against bound, taken from the first pass; later passes must
-    reproduce the digest."""
+    """Per-instance facts of the pass: output digest, size, height and
+    pairs against bound.  Each document is dropped once it is noted."""
 
     def __init__(self, instances):
         self.instances = instances
@@ -132,16 +141,12 @@ class Ledger:
         self.pairs: dict[int, tuple[int, int]] = {}
 
     def add(self, op: Op) -> None:
-        if op.text is None:
-            return
-        digest = hashlib.sha256(op.text.encode()).hexdigest()
-        first = self.digest.setdefault(op.index, digest)
-        if digest != first:
-            op.error = "output differs from the earlier pass on the same instance"
-        if op.index not in self.size:
+        if op.text is not None:
+            self.digest[op.index] = hashlib.sha256(op.text.encode()).hexdigest()
             self.size[op.index] = len(op.text)
             self.bits[op.index] = max_bits(op.text)
-        if op.verdict is not None and op.index not in self.pairs:
+            op.text = None
+        if op.verdict is not None:
             self.pairs[op.index] = (op.verdict.achieved, op.verdict.bound)
 
     def record(self) -> dict:
@@ -159,7 +164,7 @@ class Ledger:
 def set_up(wl, seed: int):
     times = []
     lib = instances = None
-    for _ in range(SETUP_REPS):
+    while len(times) < SETUP_MAX_REPS and (len(times) < SETUP_REPS or sum(times) < SETUP_S):
         # free the previous repetition first, so that its garbage is not
         # collected inside this one's timing
         lib = instances = None
@@ -168,51 +173,52 @@ def set_up(wl, seed: int):
         lib = library.load()
         instances = wl.generate(lib, seed)
         times.append(time.perf_counter() - t0)
+    for inst in instances:
+        inst.expected = checker.expected(wl.name, inst)
+    # the library and the instances live for the whole run: keep them
+    # out of the collector's scans, so operations pay only for their own
+    # garbage
+    gc.collect()
+    gc.freeze()
     return lib, instances, statistics.median(times)
 
 
-def checker_rejects_forgeries(lib, wl, instances, steps: Steps) -> list[str]:
+def checker_rejects_forgeries(lib, wl, instances) -> list[str]:
     """Problems found when the checker is shown forged documents."""
-    op = steps.run(lib, wl, instances[0], 0)
+    op = Steps(wl).run(lib, wl, instances[0], 0)
     if not op.ok:
         return [f"first instance failed: {op.error or op.verdict.problems}"]
     return [
         f"checker accepted a forged document ({label})"
-        for label, text in checker.forgeries(lib, wl.name, op.text).items()
+        for label, text in checker.forgeries(wl.name, op.text).items()
         if not checker.rejects(lib, wl.name, instances[0], text)
     ]
 
 
-def measure(lib, wl, instances, seconds: float, ledger: Ledger):
-    """Whole passes until the next would overrun --seconds; the wall
-    time returned is the sum of the operations' own times, so the
+def one_pass(lib, wl, instances, steps: Steps, ledger: Ledger, tracer: Tracer | None = None):
+    ops = []
+    for i, inst in enumerate(instances):
+        op = steps.run(lib, wl, inst, i)
+        if tracer is not None:
+            tracer.bytes_out += len(op.text or "")
+        ledger.add(op)
+        ops.append(op)
+    return ops
+
+
+def end_to_end(ops: list[Op], setup_s: float, record: dict):
+    """Times are sums and quantiles of the operations' own times, so the
     bookkeeping between operations is not counted."""
-    steps = Steps(wl)
-    ops: list[Op] = []
-    passes = 0
-    start = time.perf_counter()
-    while True:
-        p0 = time.perf_counter()
-        for i, inst in enumerate(instances):
-            op = steps.run(lib, wl, inst, i)
-            ledger.add(op)
-            op.text = None
-            ops.append(op)
-        passes += 1
-        now = time.perf_counter()
-        if now - start + (now - p0) > seconds:
-            break
-    return ops, passes, sum(op.wall_s for op in ops)
-
-
-def end_to_end(ops: list[Op], wall: float, setup_s: float, record: dict):
     ok = [op for op in ops if op.ok]
-    builds = [op.build_s for op in ops if op.build_s is not None]
-    verifies = [op.verify_s for op in ops if op.verify_s is not None]
+    # a run in which no build or no verify step completed is incorrect;
+    # the operations' wall times stand in so that it still reports
+    walls = [op.wall_s for op in ops]
+    builds = [op.build_s for op in ops if op.build_s is not None] or walls
+    verifies = [op.verify_s for op in ops if op.verify_s is not None] or walls
     q, tail_value, beyond = tail(builds)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "ops_per_s": (len(ok) / wall, "op/s"),
+        "ops_per_s": (len(ok) / sum(op.wall_s for op in ops), "op/s"),
         "build_p50_s": (statistics.median(builds), "s"),
         "build_tail_s": (tail_value, "s"),
         "verify_p50_s": (statistics.median(verifies), "s"),
@@ -227,37 +233,27 @@ def end_to_end(ops: list[Op], wall: float, setup_s: float, record: dict):
 
 
 def traced(lib, wl, instances, ledger: Ledger):
-    # untraced reference: the first instance of each cell
-    plain = Steps(wl)
-    firsts = sorted({inst.cell: i for i, inst in reversed(list(enumerate(instances)))}.values())
-    ref = {i: plain.run(lib, wl, instances[i], i).wall_s for i in firsts}
-
+    """A traced pass, after an untraced one whose time is the reference
+    for trace.overhead_ratio; the untraced outputs are not recorded."""
+    plain = one_pass(lib, wl, instances, Steps(wl), Ledger(instances))
     tracer = Tracer()
     tracer.install(lib)
-    steps = Steps(wl, tracer)
-    ops = []
-    for i, inst in enumerate(instances):
-        op = steps.run(lib, wl, inst, i)
-        tracer.bytes_out += len(op.text or "")
-        ledger.add(op)
-        op.text = None
-        ops.append(op)
-    overhead = sum(ops[i].wall_s for i in firsts) / sum(ref.values())
+    ops = one_pass(lib, wl, instances, Steps(wl, tracer), ledger, tracer)
+    overhead = sum(op.wall_s for op in ops) / sum(op.wall_s for op in plain)
     return tracer, ops, overhead
 
 
-def compare(record: dict, expect_path: str, workload: str, seed: int) -> list[str]:
-    with open(expect_path) as fh:
-        stored = json.load(fh)["records"].get(workload, {}).get(str(seed))
+def compare_with_baseline(record: dict, workload: str, seed: int) -> tuple[list[str], str]:
+    """(problems, note): the keys of the run's record that differ from
+    the baseline's record for this workload and seed."""
+    stored = None
+    if BASELINE.is_file():
+        stored = json.loads(BASELINE.read_text())["records"].get(workload, {}).get(str(seed))
     if stored is None:
-        return [f"{expect_path} holds no record for {workload} seed {seed}"]
-    problems = []
-    for key, value in record.items():
-        if key == "calls" and "calls" not in stored:
-            continue
-        if stored.get(key) != value:
-            problems.append(f"{key} differs from {expect_path}")
-    return problems
+        return [], f"no baseline record for {workload} seed {seed}; outputs not compared"
+    keys = [k for k in record if k != "calls" or "calls" in stored]
+    problems = [f"{key} differs from the baseline record" for key in keys if stored.get(key) != record[key]]
+    return problems, f"outputs compared with the baseline record: {', '.join(keys)}"
 
 
 def print_cells(instances, ops: list[Op]) -> None:
@@ -281,9 +277,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seconds", type=float, required=True, help="the time a pass is sized for")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--expect", metavar="FILE", help="baseline file to compare the record with")
     args = ap.parse_args(argv)
     wl = WORKLOADS[args.workload]
 
@@ -293,33 +288,34 @@ def main(argv=None) -> int:
         print(f"cannot run: {exc}", file=sys.stderr)
         return 2
 
-    problems = checker_rejects_forgeries(lib, wl, instances, Steps(wl))
+    problems = checker_rejects_forgeries(lib, wl, instances)
     ledger = Ledger(instances)
     if args.trace:
         tracer, ops, overhead = traced(lib, wl, instances, ledger)
         record = ledger.record()
         record["calls"] = {k: v for k, (v, unit) in tracer.metrics(0.0).items() if unit == "count"}
         metrics, notes = tracer.metrics(overhead), {}
-        passes, wall = 1, sum(op.wall_s for op in ops)
         trace_path = OUT / f"trace-{wl.name}-seed{args.seed}.json"
         tracer.write(trace_path)
     else:
-        ops, passes, wall = measure(lib, wl, instances, args.seconds, ledger)
+        ops = one_pass(lib, wl, instances, Steps(wl), ledger)
         record = ledger.record()
-        metrics, notes = end_to_end(ops, wall, setup_s, record)
+        metrics, notes = end_to_end(ops, setup_s, record)
 
     OUT.mkdir(parents=True, exist_ok=True)
     with open(OUT / f"record-{wl.name}-seed{args.seed}-trace{args.trace}.json", "w") as fh:
         json.dump(record, fh, indent=1)
-    if args.expect:
-        problems += compare(record, args.expect, wl.name, args.seed)
+    mismatches, compared = compare_with_baseline(record, wl.name, args.seed)
+    problems += mismatches
 
     failed = [op for op in ops if not op.ok]
+    wall = sum(op.wall_s for op in ops)
     print(f"workload {wl.name}")
     print(
-        f"seed {args.seed}, {len(instances)} instances, {passes} pass(es), "
-        f"{len(ops)} ops in {wall:.2f} s, {len(failed)} failed"
+        f"seed {args.seed}, {len(instances)} instances, one pass of {len(ops)} ops "
+        f"in {wall:.2f} s (sized for {args.seconds:g} s), {len(failed)} failed"
     )
+    print(f"  {compared}")
     for op in failed[:10]:
         why = op.error or "; ".join(op.verdict.problems)
         print(f"  FAILED {instances[op.index].cell} #{op.index}: {why}")

@@ -40,8 +40,6 @@ class Tracer:
     def __init__(self):
         self.calls = defaultdict(int)
         self.self_ns = defaultdict(int)  # by span name
-        self.incl_ns = defaultdict(int)  # by layer, outermost spans only
-        self.depth = defaultdict(int)  # by layer
         self.stack = [[0, -1]]  # frames: [child ns, id of nearest kept span]
         self.spans: list = []
         self.stats = defaultdict(int)  # observer tallies
@@ -50,8 +48,7 @@ class Tracer:
     # -- spans ---------------------------------------------------------
 
     def wrap(self, name: str, fn, keep: bool = True, observe=None):
-        layer = name.split(".", 1)[0]
-        calls, self_ns, incl_ns, depth = self.calls, self.self_ns, self.incl_ns, self.depth
+        calls, self_ns = self.calls, self.self_ns
         stack, spans = self.stack, self.spans
         clock = time.perf_counter_ns
 
@@ -65,7 +62,6 @@ class Tracer:
             else:
                 frame = [0, parent[1]]
             stack.append(frame)
-            depth[layer] += 1
             t0 = clock()
             try:
                 try:
@@ -73,12 +69,8 @@ class Tracer:
                 finally:
                     t1 = clock()
                     stack.pop()
-                    depth[layer] -= 1
-                    dur = t1 - t0
-                    self_ns[name] += dur - frame[0]
+                    self_ns[name] += t1 - t0 - frame[0]
                     calls[name] += 1
-                    if not depth[layer]:
-                        incl_ns[layer] += dur
                     if keep:
                         spans[sid] = (name, t0, t1, parent[1])
                 if observe is not None:
@@ -134,7 +126,6 @@ class Tracer:
         # function covers both without nesting two spans per inversion.
         functions = [
             ("quaternion.solve_twisted", q, "solve_twisted", True, None),
-            ("quaternion.commutator", q, "commutator", False, None),
             ("matrix.inv", m, "mat_inv", True, None),
             ("matrix.det", m, "dieudonne_det", True, None),
             ("budget.hcf", b, "h_commutator_factors", True, None),
@@ -144,13 +135,10 @@ class Tracer:
             ("normalform.absorb", nf, "absorb_upper", True, None),
             ("normalform.decompose", nf, "decompose_huvu", True, None),
             ("normalform.lower_factor", nf, "factor_lower_unitriangular", True, None),
-            ("normalform.extract_H", nf, "extract_H", True, None),
             ("wordcalc.move", wc, "move_letter_front", True, move),
             ("wordcalc.move", wc, "move_letter_end", True, move),
             ("wordcalc.transfer", wc, "transfer_cert", True, None),
             ("wordcalc.inverse_product", wc, "cert_inverse_product", True, None),
-            ("wordcalc.comm", wc, "comm", True, None),
-            ("wordcalc.product", wc, "product", True, None),
             ("certify.gauss", cf, "prescribed_gauss", True, None),
             ("certify.gauss", cf, "prescribed_gauss_base", True, None),
             ("certify.single_comm", cf, "single_commutator", True, None),
@@ -236,7 +224,6 @@ class Tracer:
         }
         for layer in ("quaternion", "matrix", "normalform", "wordcalc", "certify"):
             out[f"{layer}.self_s"] = (self.layer_self_s(layer), "s")
-            out[f"{layer}.incl_s"] = (self.incl_ns[layer] / 1e9, "s")
         out["trace.overhead_ratio"] = (overhead_ratio, "ratio")
         return out
 

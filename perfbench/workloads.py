@@ -39,6 +39,7 @@ class UpInstance:
     alg: object
     element: object  # the instance element, in GL(n, D)
     based: object  # the BasedInstance handed to the pipeline
+    expected: object = None  # the checker's value of the element
 
 
 class Up:
@@ -100,6 +101,7 @@ class DownInstance:
     alg: object
     delta: object  # the certified element of D*
     based: object
+    expected: object = None  # the checker's value of delta
 
 
 class Down:
@@ -165,6 +167,7 @@ class NormalFormInstance:
     alg: object
     pairs: tuple  # p pairs (x, y) in GL(n, D)
     element: object  # product of the commutators [x, y]
+    expected: object = None  # the checker's value of the element
 
 
 class NormalForm:
