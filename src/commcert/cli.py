@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import serialize as ser
@@ -44,9 +45,27 @@ EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
 
 
+@contextmanager
+def _decoding():
+    """Report unreadable or malformed input (a missing key, a bad or
+    zero-denominator rational, a wrongly shaped array) as a
+    precondition violation."""
+    try:
+        yield
+    except OSError as exc:
+        raise PreconditionError(f"cannot read input: {exc}") from None
+    except KeyError as exc:
+        raise PreconditionError(f"malformed input: missing key {exc}") from None
+    except ZeroDivisionError as exc:
+        raise PreconditionError(f"malformed input: zero denominator in {exc}") from None
+    except (LookupError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed input: {exc}") from None
+
+
 def _parse_algebra(text: str) -> QuaternionAlgebra:
-    a, b = text.split(",")
-    return QuaternionAlgebra(Fraction(a.strip()), Fraction(b.strip()))
+    with _decoding():
+        a, b = text.split(",")
+        return QuaternionAlgebra(Fraction(a.strip()), Fraction(b.strip()))
 
 
 def _load_json(path: str) -> dict:
@@ -65,12 +84,13 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def cmd_selftest(args) -> int:
     if args.verify:
-        data = _load_json(args.verify)
-        alg = ser.algebra_from_json(data["algebra"])
-        cert = cert_from_json(data["certificate"], alg)
+        with _decoding():
+            data = _load_json(args.verify)
+            alg = ser.algebra_from_json(data["algebra"])
+            cert = cert_from_json(data["certificate"], alg)
+            bound = data.get("bound")
         ok = cert.verify()
         achieved = len(cert)
-        bound = data.get("bound")
         within = bound is None or achieved <= bound
         print(json.dumps({"verified": ok and within, "achieved": achieved, "bound": bound}))
         return EXIT_OK if ok and within else EXIT_VERIFICATION
@@ -79,9 +99,10 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    data = _load_json(args.path)
-    alg = ser.algebra_from_json(data["algebra"])
-    g = ser.mat_from_json(data["matrix"], alg)
+    with _decoding():
+        data = _load_json(args.path)
+        alg = ser.algebra_from_json(data["algebra"])
+        g = ser.mat_from_json(data["matrix"], alg)
     head, form = decompose_huvu(g)
     ok = head * form.u1 * form.v * form.u2 == g
     _emit(
@@ -97,12 +118,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_certify_lower(args) -> int:
-    data = _load_json(args.path)
-    alg = ser.algebra_from_json(data["algebra"])
-    pairs = [
-        (ser.mat_from_json(x, alg), ser.mat_from_json(y, alg)) for x, y in data["pairs"]
-    ]
-    tau = ser.quat_from_json(data["tau"], alg)
+    with _decoding():
+        data = _load_json(args.path)
+        alg = ser.algebra_from_json(data["algebra"])
+        pairs = [
+            (ser.mat_from_json(x, alg), ser.mat_from_json(y, alg)) for x, y in data["pairs"]
+        ]
+        tau = ser.quat_from_json(data["tau"], alg)
     cert = lower_extract(pairs, tau)
     n = pairs[0][0].n if pairs else 2
     d = max(1, len(pairs))
@@ -122,8 +144,8 @@ def cmd_certify_lower(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    data = _load_json(args.path)
-    inst = ser.instance_from_json(data)
+    with _decoding():
+        inst = ser.instance_from_json(_load_json(args.path))
     if args.mode == "gl":
         cert = factor_commutators_gl(inst)
         bound = _ceil_div(inst.c, inst.n)

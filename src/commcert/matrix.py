@@ -91,7 +91,7 @@ class MatD:
     # -- arithmetic -----------------------------------------------------
 
     def __mul__(self, other: "MatD") -> "MatD":
-        if self.alg != other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise AlgebraMismatchError("matrix product across different algebras")
         if self.n != other.n:
             raise PreconditionError("dimension mismatch")
@@ -122,7 +122,7 @@ class MatD:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatD)
-            and self.alg == other.alg
+            and (self.alg is other.alg or self.alg == other.alg)
             and self.n == other.n
             and self.rows == other.rows
         )
@@ -144,15 +144,22 @@ class MatD:
     def conjugate_by_diagonal(self, d: Sequence[Quat]) -> "MatD":
         """Entrywise d_i^-1 * x_ij * d_j; preserves triangular shape
         exactly, which generic triple products would only do up to a
-        re-check."""
-        inv = [e.inverse() for e in d]
-        return MatD(
-            self.alg,
-            [
-                [inv[i] * self.rows[i][j] * d[j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-        )
+        re-check.  Factors equal to 1 and zero entries are passed
+        through without a product."""
+        inv = [None if e.is_one() else e.inverse() for e in d]
+        right = [None if e.is_one() else e for e in d]
+        rows = []
+        for di, row in zip(inv, self.rows):
+            out = []
+            for dj, q in zip(right, row):
+                if not q.is_zero():
+                    if di is not None:
+                        q = di * q
+                    if dj is not None:
+                        q = q * dj
+                out.append(q)
+            rows.append(out)
+        return MatD(self.alg, rows)
 
     def scale_rows(self, d: Sequence[Quat]) -> "MatD":
         """diag(d) * self."""

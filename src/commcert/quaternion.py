@@ -165,7 +165,8 @@ class Quat:
     # -- ring structure ----------------------------------------------------
 
     def _check_same_algebra(self, other: "Quat") -> None:
-        if self.alg != other.alg:
+        # operands almost always share one algebra object
+        if self.alg is not other.alg and self.alg != other.alg:
             raise AlgebraMismatchError(f"{self.alg!r} vs {other.alg!r}")
 
     def __add__(self, other: "Quat") -> "Quat":
@@ -232,17 +233,21 @@ class Quat:
         )
         return q
 
-    def nrd(self) -> Fraction:
-        """Reduced norm q * conj(q); multiplicative, lands in Q."""
+    def _nrd_num(self) -> int:
+        """Numerator of nrd over the denominator ad * bd * den^2."""
         alg = self.alg
         an, ad, bn, bd = alg._an, alg._ad, alg._bn, alg._bd
-        num = (
+        return (
             ad * bd * self.wn * self.wn
             - an * bd * self.xn * self.xn
             - bn * ad * self.yn * self.yn
             + an * bn * self.zn * self.zn
         )
-        return Fraction(num, ad * bd * self.den * self.den)
+
+    def nrd(self) -> Fraction:
+        """Reduced norm q * conj(q); multiplicative, lands in Q."""
+        alg = self.alg
+        return Fraction(self._nrd_num(), alg._ad * alg._bd * self.den * self.den)
 
     def trd(self) -> Fraction:
         """Reduced trace q + conj(q)."""
@@ -251,13 +256,15 @@ class Quat:
     def inverse(self) -> "Quat":
         if self.is_zero():
             raise ZeroInputError("zero quaternion has no inverse")
-        n = self.nrd()
-        if n == 0:
+        num = self._nrd_num()
+        if num == 0:
             raise NotDivisionAlgebraError(
                 f"nonzero element with nrd = 0: parameters {self.alg!r} do not "
                 "give a division algebra"
             )
-        return self.conj().scale(1 / n)
+        # conj(q) / nrd(q) = (w, -x, -y, -z) * (ad * bd * den) / num
+        m = self.alg._ad * self.alg._bd * self.den
+        return Quat(self.alg, self.wn * m, -self.xn * m, -self.yn * m, -self.zn * m, num)
 
     def __pow__(self, e: int) -> "Quat":
         if e < 0:
@@ -274,7 +281,7 @@ class Quat:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Quat)
-            and self.alg == other.alg
+            and (self.alg is other.alg or self.alg == other.alg)
             and self.wn == other.wn
             and self.xn == other.xn
             and self.yn == other.yn

@@ -9,6 +9,7 @@ algebra parameters alongside the payload so they re-verify standalone.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .budget import HFactor, HFactorList
@@ -20,12 +21,45 @@ from .quaternion import Quat, QuaternionAlgebra
 from .wordcalc import CommutatorCert
 
 
+# Python caps int <-> str conversion at 4300 decimal digits by default.
+# Longer integers are split at a power of ten into pieces under the cap
+# rather than lifting the interpreter-wide limit.
+_SHORT_DIGITS = 3000
+_SHORT_BITS = 9900  # 2^9900 < 10^3000
+_LONG_RAT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_to_str(v: int) -> str:
+    if v.bit_length() <= _SHORT_BITS:
+        return str(v)
+    if v < 0:
+        return "-" + _int_to_str(-v)
+    k = v.bit_length() * 3 // 20  # about half of the decimal digits
+    hi, lo = divmod(v, 10**k)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(k)
+
+
+def _int_from_digits(s: str) -> int:
+    if len(s) <= _SHORT_DIGITS:
+        return int(s)
+    k = len(s) // 2
+    return _int_from_digits(s[:-k]) * 10**k + _int_from_digits(s[-k:])
+
+
 def rat_to_json(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    num = _int_to_str(r.numerator)
+    return num if r.denominator == 1 else f"{num}/{_int_to_str(r.denominator)}"
 
 
 def rat_from_json(s: str) -> Fraction:
-    return Fraction(s)
+    if len(s) <= _SHORT_DIGITS:
+        return Fraction(s)
+    m = _LONG_RAT.fullmatch(s)
+    if m is None:
+        raise ValueError(f"invalid rational literal of {len(s)} characters")
+    sign, num, den = m.groups()
+    value = Fraction(_int_from_digits(num), _int_from_digits(den) if den else 1)
+    return -value if sign == "-" else value
 
 
 def algebra_to_json(alg: QuaternionAlgebra) -> dict:

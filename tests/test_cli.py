@@ -142,3 +142,47 @@ def test_selftest_small(capsys):
     assert rc == 0
     lines = out.strip().splitlines()
     assert all(line.startswith("ok ") for line in lines)
+
+
+def _verify_payload(tmp_path, capsys, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["selftest", "--verify", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def _valid_payload():
+    g, inst = make_instance(3, 3, 1)
+    from commcert import factor_commutators_gl
+
+    cert = factor_commutators_gl(inst)
+    return {
+        "algebra": ser.algebra_to_json(inst.alg),
+        "certificate": ser.cert_to_json(cert),
+        "bound": 1,
+    }
+
+
+def test_zero_denominator_parameter_exits_3(tmp_path, capsys):
+    payload = _valid_payload()
+    payload["algebra"]["a"] = "1/0"
+    rc, err = _verify_payload(tmp_path, capsys, payload)
+    assert rc == 3
+    assert err.startswith("precondition violation: malformed input")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_key_exits_3(tmp_path, capsys):
+    payload = _valid_payload()
+    del payload["certificate"]
+    rc, err = _verify_payload(tmp_path, capsys, payload)
+    assert rc == 3
+    assert "missing key 'certificate'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_input_file_exits_3(tmp_path, capsys):
+    rc = main(["selftest", "--verify", str(tmp_path / "absent.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("precondition violation: cannot read input")

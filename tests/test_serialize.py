@@ -71,3 +71,26 @@ def test_matrix_cert_elements_distinguished(alg, rng):
     data = json.loads(json.dumps(ser.cert_to_json(cert)))
     back = ser.cert_from_json(data, alg)
     assert back == cert and back.verify()
+
+
+def test_cert_roundtrip_past_the_int_str_limit(alg):
+    # 5000 decimal digits: over the interpreter's default 4300-digit cap
+    from commcert import CommutatorCert, commutator
+
+    big = 10**4999 + 3
+    g = alg.quat(Fraction(big, 7), 1, -2, 0)
+    h = alg.basis()[2]
+    cert = CommutatorCert(((g, h),), commutator(g, h))
+    text = json.dumps(ser.cert_to_json(cert))
+    assert '"' + "1" + "0" * 4998 + "3/7" + '"' in text
+    back = ser.cert_from_json(json.loads(text), alg)
+    assert back == cert and back.verify()
+
+
+def test_long_rational_strings_roundtrip():
+    for num, den in ((-(10**6000) - 1, 1), (10**4400 + 9, 10**5000 + 1), (7, 10**9000 + 3)):
+        r = Fraction(num, den)
+        s = ser.rat_to_json(r)
+        assert s.split("/")[0].lstrip("-").isdigit()
+        assert ser.rat_from_json(s) == r
+    assert ser.rat_to_json(Fraction(-(10**5000))) == "-1" + "0" * 5000

@@ -5,6 +5,7 @@ from commcert import (
     Letter,
     MatD,
     PreconditionError,
+    VerificationError,
     Word,
     cert_inverse_product,
     cert_verify,
@@ -13,7 +14,7 @@ from commcert import (
     move_letter_front,
     transfer_cert,
 )
-from commcert.wordcalc import comm, product
+from commcert.wordcalc import _move_pair, comm, group_identity, product
 
 from conftest import rand_invertible, rand_unit
 
@@ -213,3 +214,98 @@ class TestTransferCert:
         letters = (Letter("b", 1, alg.scalar(2)),)
         with pytest.raises(PreconditionError):
             transfer_cert(Word(letters), CommutatorCert((), alg.one))
+
+
+def reference_inverse_product(elements):
+    """The O(k^2) construction: every end-move goes through
+    move_letter_end on an explicit word."""
+    k = len(elements)
+    word = Word(tuple(Letter("a", i + 1, a) for i, a in enumerate(elements)))
+    pairs = []
+    for step in range(1, k - 1):
+        pos = next(p for p, l in enumerate(word.letters) if l.idx == k - step)
+        word, pair = move_letter_end(word, pos)
+        pairs.append(pair)
+    rotated = CommutatorCert(tuple((h, g) for g, h in pairs), word.evaluate())
+    return rotated.conjugated(elements[0]).inverse()
+
+
+def reference_transfer(w, cert_a):
+    """The O(k^2) construction: every front move goes through
+    move_letter_front on an explicit word."""
+    letters = w.letters
+    e = group_identity(letters[0].value)
+    r = next(p for p, l in enumerate(letters) if l.role == "b" and l.idx == 1)
+    prefix_a = product((l.value for l in letters[:r] if l.role == "a"), e)
+    word = Word(letters[r:] + letters[:r])
+    q = sum(1 for l in letters if l.role == "b")
+    pairs = []
+    for bidx in range(2, q + 1):
+        pos = next(p for p, l in enumerate(word.letters) if l.role == "b" and l.idx == bidx)
+        word, pair = move_letter_front(word, pos)
+        pairs.append(pair)
+    return cert_a.conjugated(prefix_a).pairs + tuple(reversed(pairs))
+
+
+class TestCachedMovesMatchReference:
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    def test_inverse_product_quats(self, alg, rng, k):
+        for _ in range(10):
+            elems = identity_product_list(alg, rng, k)
+            cert = cert_inverse_product(elems)
+            ref = reference_inverse_product(elems)
+            assert cert.pairs == ref.pairs and cert.target == ref.target
+
+    def test_inverse_product_matrices(self, alg, rng):
+        for k in (3, 5):
+            elems = identity_product_list(alg, rng, k, matrices=True)
+            assert cert_inverse_product(elems).pairs == reference_inverse_product(elems).pairs
+
+    @pytest.mark.parametrize("p,q", [(0, 3), (2, 4), (3, 6), (5, 8)])
+    def test_transfer_quats_shuffled(self, alg, rng, p, q):
+        orders = set()
+        for _ in range(10):
+            w, cert_a = make_interleaved_word(alg, rng, p, q)
+            orders.add(tuple(l.idx for l in w.letters if l.role == "b"))
+            assert transfer_cert(w, cert_a).pairs == reference_transfer(w, cert_a)
+        # the shuffle puts b letters out of index order, which the
+        # cached loop handles by rebuilding its products
+        assert any(list(o) != sorted(o) for o in orders)
+
+    def test_transfer_quats_in_order(self, alg, rng):
+        for _ in range(10):
+            w, cert_a = make_interleaved_word(alg, rng, 3, 5)
+            # relabel the b letters by position; the word keeps its value
+            nb = iter(range(1, 6))
+            ordered = Word(
+                tuple(Letter("b", next(nb), l.value) if l.role == "b" else l for l in w.letters)
+            )
+            assert transfer_cert(ordered, cert_a).pairs == reference_transfer(ordered, cert_a)
+
+    @pytest.mark.parametrize("p,q", [(1, 3), (2, 4)])
+    def test_transfer_matrices_shuffled(self, alg, rng, p, q):
+        for _ in range(3):
+            w, cert_a = make_interleaved_word(alg, rng, p, q, matrices=True)
+            assert transfer_cert(w, cert_a).pairs == reference_transfer(w, cert_a)
+
+
+class TestMoveCheck:
+    @pytest.mark.parametrize("front", [True, False])
+    def test_running_value_passes(self, alg, rng, front):
+        u, x, v = (rand_unit(alg, rng) for _ in range(3))
+        (g, h), moved = _move_pair(u, x, v, u * x * v, front)
+        assert moved * comm(g, h) == u * x * v
+        assert moved == (x * u * v if front else u * v * x)
+
+    @pytest.mark.parametrize("front", [True, False])
+    def test_wrong_prefix_fails(self, alg, rng, front):
+        u, x, v = (rand_unit(alg, rng) for _ in range(3))
+        wrong_u = u * alg.basis()[1]
+        with pytest.raises(VerificationError):
+            _move_pair(wrong_u, x, v, u * x * v, front)
+
+    def test_wrong_running_value_fails(self, alg, rng):
+        mats = [rand_invertible(alg, 3, rng) for _ in range(3)]
+        u, x, v = mats
+        with pytest.raises(VerificationError):
+            _move_pair(u, x, v, u * v * x, front=True)
