@@ -54,23 +54,17 @@ from .normalform import (
     factor_lower_unitriangular,
 )
 from .quaternion import (
-    HAMILTON,
     Quat,
     QuaternionAlgebra,
     commutator,
-    nrd,
-    quat_inv,
-    quat_mul,
     random_quat,
     solve_twisted,
-    trd,
 )
 from .wordcalc import (
     CommutatorCert,
     Letter,
     Word,
     cert_inverse_product,
-    cert_verify,
     move_letter_end,
     move_letter_front,
     transfer_cert,

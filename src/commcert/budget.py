@@ -67,10 +67,6 @@ class HFactorList:
         return MatD.diagonal(self.alg, self.diagonal())
 
 
-def kappa_of(hf: HFactorList) -> KappaVec:
-    return hf.kappa()
-
-
 def vec_add(u: KappaVec, v: KappaVec) -> KappaVec:
     return tuple(a + b for a, b in zip(u, v))
 

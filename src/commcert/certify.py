@@ -22,8 +22,8 @@ from .errors import (
     VerificationError,
     ZeroInputError,
 )
-from .matrix import MatD, is_central_in_E, is_elementary, transvection
-from .normalform import commutator_normal_form, extract_H
+from .matrix import MatD, is_central_in_E, is_elementary
+from .normalform import commutator_normal_form, extract_H, rewrite_relation3
 from .quaternion import Quat, QuaternionAlgebra, commutator, random_quat, solve_twisted
 from .wordcalc import (
     CommutatorCert,
@@ -232,73 +232,49 @@ def _move_u_side(alg, n, v, diag, u, k, xi):
     """Conjugate by t_{k+1,k}(xi); requires zeta = u[k,k+1] in D* and
     1 + zeta*xi != 0.  Slot k is multiplied by 1 + zeta*xi and slot k+1
     by its zeta-conjugated inverse."""
-    one = alg.one
-
-    def t(i, j, arg):
-        return transvection(alg, n, i, j, arg)
-
     zeta = u.entry(k, k + 1)
-    s_k = one + zeta * xi
-    s_k1 = zeta.inverse() * s_k.inverse() * zeta
-    xi2 = (one + xi * zeta) * xi
-    zeta2 = s_k.inverse() * zeta
-    u_prime = u * t(k, k + 1, -zeta)
-    v_tilde = t(k + 1, k, -xi) * v
-    h2 = [one] * n
-    h2[k - 1], h2[k] = s_k, s_k1
+    r, xi2, zeta2 = rewrite_relation3(zeta, xi)
+    h2 = [alg.one] * n
+    # zeta r = 1 + zeta xi and zeta^-1 zeta2 = zeta^-1 (1 + zeta xi)^-1 zeta
+    h2[k - 1], h2[k] = zeta * r, zeta.inverse() * zeta2
     new_diag = [diag[i] * h2[i] for i in range(n)]
-    u_hat = u_prime.conjugate_by_diagonal(h2)
-    tl = t(k + 1, k, xi2)
-    u_hat = tl.inverse() * u_hat * tl
+    u_hat = u.add_col(k, k + 1, -zeta).conjugate_by_diagonal(h2).conj_t(k + 1, k, xi2)
     chi = new_diag[k] * xi2 * new_diag[k - 1].inverse()
-    new_v = v_tilde * t(k + 1, k, chi)
-    new_u = u_hat * t(k, k + 1, zeta2)
-    return new_v, new_diag, new_u
+    new_v = v.add_row(k + 1, k, -xi).add_col(k + 1, k, chi)
+    return new_v, new_diag, u_hat.add_col(k, k + 1, zeta2)
 
 
 def _move_v_side(alg, n, v, diag, u, k, xi):
-    """Conjugate by t_{k,k+1}(xi); requires zeta = v[k+1,k] in D* and
-    1 - xi*zeta != 0.  Slot k is multiplied on the left by 1 - xi*zeta
-    and slot k+1 by (1 - zeta*xi)^-1."""
-    one = alg.one
-
-    def t(i, j, arg):
-        return transvection(alg, n, i, j, arg)
-
+    """Conjugate by t_{k,k+1}(xi); requires zeta = v[k+1,k] in D*, xi != 0
+    and 1 - xi*zeta != 0.  Slot k is multiplied on the left by
+    1 - xi*zeta and slot k+1 by (1 - zeta*xi)^-1."""
     zeta = v.entry(k + 1, k)
-    s_k = one - xi * zeta
-    s_k1 = (one - zeta * xi).inverse()
-    zeta2 = (one - zeta * xi) * zeta
-    xi2 = s_k.inverse() * (-xi)
-    v_prime = t(k + 1, k, -zeta) * v
-    tv = t(k, k + 1, -xi2)
-    v_hat = tv.inverse() * v_prime * tv
-    v_mid = t(k + 1, k, zeta2) * v_hat
-    h2 = [one] * n
-    h2[k - 1], h2[k] = s_k, s_k1
-    h2_inv = [e.inverse() for e in h2]
-    new_v = v_mid.conjugate_by_diagonal(h2_inv)
+    # relation 3 for t_{k,k+1}(-xi) t_{k+1,k}(zeta)
+    r, zeta2, xi2 = rewrite_relation3(-xi, zeta)
+    h2 = [alg.one] * n
+    # -xi r = 1 - xi zeta and (-xi)^-1 xi2 = (1 - zeta xi)^-1
+    h2[k - 1], h2[k] = -xi * r, -(xi.inverse() * xi2)
+    v_hat = v.add_row(k + 1, k, -zeta).conj_t(k, k + 1, -xi2).add_row(k + 1, k, zeta2)
+    new_v = v_hat.conjugate_by_diagonal([e.inverse() for e in h2])
     new_diag = [h2[i] * diag[i] for i in range(n)]
     u_arg = diag[k - 1].inverse() * xi2 * diag[k]
-    new_u = t(k, k + 1, u_arg) * u * t(k, k + 1, xi)
+    new_u = u.add_row(k, k + 1, u_arg).add_col(k, k + 1, xi)
     return new_v, new_diag, new_u
 
 
-def _manufacture_unit(alg, n, v, diag, u, k):
+def _manufacture_unit(alg, v, diag, u, k):
     """When both adjacent entries at index k vanish, conjugate by
     t_{k,k+1}(s) so that u picks up the unit s - d_k^-1 s d_{k+1} at
     (k, k+1); s runs over 1, i, j, k and fails for all of them only if
-    d_k = d_{k+1} is central.  Returns (v, u, t1) or None."""
-    one = alg.one
+    d_k = d_{k+1} is central.  Returns (v, u, s) or None."""
     dk_inv = diag[k - 1].inverse()
     dk1 = diag[k]
     for s in alg.basis():
         shift = s - dk_inv * s * dk1
         if not shift.is_zero():
-            t1 = transvection(alg, n, k, k + 1, s)
-            v2 = t1.inverse() * v * t1
-            u2 = transvection(alg, n, k, k + 1, shift) * (t1.inverse() * u * t1)
-            return v2, u2, t1
+            v2 = v.conj_t(k, k + 1, s)
+            u2 = u.conj_t(k, k + 1, s).add_row(k, k + 1, shift)
+            return v2, u2, s
     return None
 
 
@@ -355,7 +331,7 @@ def prescribed_gauss(
                     break
                 xi = (theta - one) * zeta.inverse()
                 v, diag, u = _move_u_side(alg, n, v, diag, u, k, xi)
-                accum = accum * transvection(alg, n, k + 1, k, xi)
+                accum = accum.add_col(k + 1, k, xi)
                 certs[k] = prefix
                 certs[k - 1] = suffix.conjugated(zeta.inverse())
             elif not eta.is_zero():
@@ -367,17 +343,17 @@ def prescribed_gauss(
                     break
                 xi = eta.inverse() * (one - theta)
                 v, diag, u = _move_v_side(alg, n, v, diag, u, k, xi)
-                accum = accum * transvection(alg, n, k, k + 1, xi)
+                accum = accum.add_col(k, k + 1, xi)
                 certs[k] = suffix
                 certs[k - 1] = prefix.conjugated(eta)
             else:
-                made = _manufacture_unit(alg, n, v, diag, u, k)
+                made = _manufacture_unit(alg, v, diag, u, k)
                 if made is None:
                     raise InternalInvariantError(
                         "cannot manufacture a unit although the slot value is not 1"
                     )
-                v, u, t1 = made
-                accum = accum * t1
+                v, u, s = made
+                accum = accum.add_col(k, k + 1, s)
                 continue
             if diag[k] != certs[k].target or diag[k - 1] != certs[k - 1].target:
                 raise InternalInvariantError("moved certificates disagree with the diagonal")
@@ -449,17 +425,17 @@ def prescribed_gauss_base(
                 if not zeta.is_zero():
                     xi = zeta.inverse() * (d_k.inverse() - one)
                     v, diag, u = _move_u_side(alg, n, v, diag, u, k, xi)
-                    extra = extra * transvection(alg, n, k + 1, k, xi)
+                    extra = extra.add_col(k + 1, k, xi)
                 elif not eta.is_zero():
                     xi = (one - d_k.inverse()) * eta.inverse()
                     v, diag, u = _move_v_side(alg, n, v, diag, u, k, xi)
-                    extra = extra * transvection(alg, n, k, k + 1, xi)
+                    extra = extra.add_col(k, k + 1, xi)
                 else:
-                    made = _manufacture_unit(alg, n, v, diag, u, k)
+                    made = _manufacture_unit(alg, v, diag, u, k)
                     if made is None:
                         return None
-                    v, u, t1 = made
-                    extra = extra * t1
+                    v, u, s = made
+                    extra = extra.add_col(k, k + 1, s)
         return v, diag, u, extra
 
     gamma = MatD.identity(alg, n)
@@ -482,7 +458,7 @@ def prescribed_gauss_base(
             i = rng.randrange(1, n + 1)
             j = rng.randrange(1, n + 1)
             if i != j:
-                gamma = gamma * transvection(alg, n, i, j, random_quat(alg, rng, span=1))
+                gamma = gamma.add_col(i, j, random_quat(alg, rng, span=1))
     raise VerificationError("no pivot-free decomposition found within the retry budget")
 
 
@@ -846,6 +822,6 @@ def make_instance(
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j:
-            gamma = gamma * transvection(alg, n, i, j, random_quat(alg, rng, span=1))
+            gamma = gamma.add_col(i, j, random_quat(alg, rng, span=1))
     inst = BasedInstance(alg, n, v, u, delta, cert, gamma)
     return inst.element(), inst

@@ -76,8 +76,11 @@ def _load_json(path: str) -> dict:
 def _emit(obj: dict, out: str | None) -> None:
     line = json.dumps(obj, separators=(",", ":"))
     if out:
-        with open(out, "w") as fh:
-            fh.write(line + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise PreconditionError(f"cannot write output: {exc}") from None
     else:
         print(line)
 

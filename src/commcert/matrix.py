@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AlgebraMismatchError,
@@ -137,10 +137,6 @@ class MatD:
     def inverse(self) -> "MatD":
         return mat_inv(self)
 
-    def conjugate_by(self, c: "MatD") -> "MatD":
-        """c^-1 * self * c."""
-        return c.inverse() * self * c
-
     def conjugate_by_diagonal(self, d: Sequence[Quat]) -> "MatD":
         """Entrywise d_i^-1 * x_ij * d_j; preserves triangular shape
         exactly, which generic triple products would only do up to a
@@ -161,12 +157,45 @@ class MatD:
             rows.append(out)
         return MatD(self.alg, rows)
 
-    def scale_rows(self, d: Sequence[Quat]) -> "MatD":
-        """diag(d) * self."""
-        return MatD(
-            self.alg,
-            [[d[i] * q for q in row] for i, row in enumerate(self.rows)],
-        )
+    # -- sparse transvection kernel -----------------------------------
+
+    def _check_pair(self, i: int, j: int) -> None:
+        if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise PreconditionError(f"no transvection index pair ({i}, {j}) for n={self.n}")
+
+    def add_row(self, i: int, j: int, xi: Quat) -> "MatD":
+        """t_{i,j}(xi) * self: row i gains xi * row j, O(n) products."""
+        self._check_pair(i, j)
+        if xi.is_zero():
+            return self
+        rows = list(self.rows)
+        row = list(rows[i - 1])
+        for c, q in enumerate(rows[j - 1]):
+            if not q.is_zero():
+                term, cur = xi * q, row[c]
+                row[c] = term if cur.is_zero() else cur + term
+        rows[i - 1] = row
+        return MatD(self.alg, rows)
+
+    def add_col(self, i: int, j: int, xi: Quat) -> "MatD":
+        """self * t_{i,j}(xi): column j gains column i * xi, O(n) products."""
+        self._check_pair(i, j)
+        if xi.is_zero():
+            return self
+        i, j = i - 1, j - 1
+        rows = []
+        for row in self.rows:
+            q = row[i]
+            if not q.is_zero():
+                row = list(row)
+                term, cur = q * xi, row[j]
+                row[j] = term if cur.is_zero() else cur + term
+            rows.append(row)
+        return MatD(self.alg, rows)
+
+    def conj_t(self, i: int, j: int, xi: Quat) -> "MatD":
+        """t_{i,j}(xi)^-1 * self * t_{i,j}(xi), using t_{i,j}(xi)^-1 = t_{i,j}(-xi)."""
+        return self.add_row(i, j, -xi).add_col(i, j, xi)
 
 
 def transvection(alg: QuaternionAlgebra, n: int, i: int, j: int, xi: Quat) -> MatD:
@@ -332,13 +361,6 @@ def verify_relation(rel: int, alg: QuaternionAlgebra, n: int, **params) -> bool:
     raise PreconditionError(f"unknown relation {rel}")
 
 
-def product(alg: QuaternionAlgebra, n: int, factors: Iterable[MatD]) -> MatD:
-    out = MatD.identity(alg, n)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def random_invertible(
     alg: QuaternionAlgebra,
     n: int,
@@ -356,5 +378,5 @@ def random_invertible(
         j = rng.randrange(1, n + 1)
         if i == j:
             continue
-        g = g * transvection(alg, n, i, j, random_quat(alg, rng))
+        g = g.add_col(i, j, random_quat(alg, rng))
     return g

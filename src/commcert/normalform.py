@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .budget import HFactor, HFactorList, h_commutator_factors, kappa_p, lambda_vec, vec_leq
 from .errors import InternalInvariantError, PreconditionError, SingularMatrixError
-from .matrix import MatD, transvection
+from .matrix import MatD
 from .quaternion import Quat, QuaternionAlgebra
 
 
@@ -46,30 +46,21 @@ class UVUForm:
             raise InternalInvariantError("u2 is not upper unitriangular")
 
 
-def _t(alg, n, i, j, xi) -> MatD:
-    return transvection(alg, n, i, j, xi)
+def rewrite_relation3(zeta: Quat, xi: Quat) -> tuple[Quat, Quat, Quat]:
+    """Right-hand side of relation 3,
 
+        t_{i,j}(zeta) t_{j,i}(xi) =
+            h_{i,j}(zeta) h_{i,j}(zeta^-1 + xi) t_{j,i}(xi2) t_{i,j}(zeta2),
 
-def _conj(m: MatD, t: MatD, t_inv: MatD) -> MatD:
-    return t_inv * m * t
-
-
-def _upper_split(u: MatD, k: int) -> tuple[MatD, Quat]:
-    """u = u' * t_{k,k+1}(zeta) with u' having a zero (k, k+1) entry."""
-    zeta = u.entry(k, k + 1)
-    if zeta.is_zero():
-        return u, zeta
-    u_prime = u * _t(u.alg, u.n, k, k + 1, -zeta)
-    return u_prime, zeta
-
-
-def _lower_split(v: MatD, k: int) -> tuple[MatD, Quat]:
-    """v = v' * t_{k+1,k}(eta) with v' having a zero (k+1, k) entry."""
-    eta = v.entry(k + 1, k)
-    if eta.is_zero():
-        return v, eta
-    v_prime = v * _t(v.alg, v.n, k + 1, k, -eta)
-    return v_prime, eta
+    as (zeta^-1 + xi, xi2, zeta2) with xi2 = (1 + xi zeta) xi and
+    zeta2 = (1 + zeta xi)^-1 zeta.  Needs zeta and 1 + zeta xi in D*;
+    `verify_relation(3, ...)` checks the identity with dense matrices."""
+    one = zeta.alg.one
+    return (
+        zeta.inverse() + xi,
+        (one + xi * zeta) * xi,
+        (one + zeta * xi).inverse() * zeta,
+    )
 
 
 def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
@@ -97,84 +88,60 @@ def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
     one = alg.one
     u1, v, u2, hf = form.u1, form.v, form.u2, form.hfactors
 
-    t_lower = _t(alg, n, k + 1, k, xi)
-    t_lower_inv = _t(alg, n, k + 1, k, -xi)
-
-    u2_prime, zeta = _upper_split(u2, k)
-
+    zeta = u2.entry(k, k + 1)
     if zeta.is_zero():
         # Case 1: u2 already misses the (k, k+1) slot.
-        new_v = v * t_lower
-        new_u2 = _conj(u2, t_lower, t_lower_inv)
-        out = UVUForm(alg, n, hf, u1, new_v, new_u2)
+        out = UVUForm(alg, n, hf, u1, v.add_col(k + 1, k, xi), u2.conj_t(k + 1, k, xi))
         out.shape_check()
         return out
+
+    # u2 = u2' * t_{k,k+1}(zeta) with u2' having a zero (k, k+1) entry
+    u2_prime = u2.add_col(k, k + 1, -zeta)
 
     if not (one + zeta * xi).is_zero():
         # Case 2.
-        h2 = HFactorList(
-            alg, n, (HFactor(k, zeta), HFactor(k, zeta.inverse() + xi))
-        )
+        h_second, xi2, zeta2 = rewrite_relation3(zeta, xi)
+        h2 = HFactorList(alg, n, (HFactor(k, zeta), HFactor(k, h_second)))
         d2 = h2.diagonal()
-        xi2 = (one + xi * zeta) * xi
-        zeta2 = (one + zeta * xi).inverse() * zeta
-        u1_c = u1.conjugate_by_diagonal(d2)
-        v_c = v.conjugate_by_diagonal(d2)
-        u2_c = u2_prime.conjugate_by_diagonal(d2)
-        t2 = _t(alg, n, k + 1, k, xi2)
-        t2_inv = _t(alg, n, k + 1, k, -xi2)
-        new_v = v_c * t2
-        new_u2 = _conj(u2_c, t2, t2_inv) * _t(alg, n, k, k + 1, zeta2)
-        out = UVUForm(alg, n, hf.concat(h2), u1_c, new_v, new_u2)
+        u1_c, v_c, u2_c = (m.conjugate_by_diagonal(d2) for m in (u1, v, u2_prime))
+        new_u2 = u2_c.conj_t(k + 1, k, xi2).add_col(k, k + 1, zeta2)
+        out = UVUForm(alg, n, hf.concat(h2), u1_c, v_c.add_col(k + 1, k, xi2), new_u2)
         out.shape_check()
         return out
 
-    # zeta * xi = -1 from here on.
-    v_prime, eta = _lower_split(v, k)
-    t_up = _t(alg, n, k, k + 1, zeta)
-    t_up_inv = _t(alg, n, k, k + 1, -zeta)
-    u2_dd = _conj(u2_prime, t_up, t_up_inv)
+    # zeta * xi = -1 from here on; v = v' * t_{k+1,k}(eta) with v'
+    # having a zero (k+1, k) entry.
+    eta = v.entry(k + 1, k)
+    v_prime = v.add_col(k + 1, k, -eta)
+    u2_dd = u2_prime.conj_t(k, k + 1, zeta)
 
     if not (one + eta * zeta).is_zero():
         # Case 3.
         if eta.is_zero():
-            u1_mid = u1 * t_up
-            v_mid = _conj(v, t_up, t_up_inv)
+            u1_mid = u1.add_col(k, k + 1, zeta)
+            v_mid = v.conj_t(k, k + 1, zeta)
             hf_new = hf
         else:
-            h2 = HFactorList(
-                alg,
-                n,
-                (
-                    HFactor(k, eta.inverse()),
-                    HFactor(k, (eta.inverse() + zeta).inverse()),
-                ),
-            )
+            # relation 3 mirrored: t_{k+1,k}(eta) t_{k,k+1}(zeta)
+            h_second, zeta3, eta3 = rewrite_relation3(eta, zeta)
+            h2 = HFactorList(alg, n, (HFactor(k, eta.inverse()), HFactor(k, h_second.inverse())))
             d2 = h2.diagonal()
-            zeta3 = (one + zeta * eta) * zeta
-            eta3 = (one + eta * zeta).inverse() * eta
-            u1_c = u1.conjugate_by_diagonal(d2)
-            vp_c = v_prime.conjugate_by_diagonal(d2)
-            t3 = _t(alg, n, k, k + 1, zeta3)
-            t3_inv = _t(alg, n, k, k + 1, -zeta3)
-            v_hat = _conj(vp_c, t3, t3_inv)
-            u1_mid = u1_c * t3
-            v_mid = v_hat * _t(alg, n, k + 1, k, eta3)
+            u1_mid = u1.conjugate_by_diagonal(d2).add_col(k, k + 1, zeta3)
+            v_hat = v_prime.conjugate_by_diagonal(d2).conj_t(k, k + 1, zeta3)
+            v_mid = v_hat.add_col(k + 1, k, eta3)
             hf_new = hf.concat(h2)
-        new_v = v_mid * t_lower
-        new_u2 = _conj(u2_dd, t_lower, t_lower_inv)
-        out = UVUForm(alg, n, hf_new, u1_mid, new_v, new_u2)
+        new_v = v_mid.add_col(k + 1, k, xi)
+        out = UVUForm(alg, n, hf_new, u1_mid, new_v, u2_dd.conj_t(k + 1, k, xi))
         out.shape_check()
         return out
 
     # Case 4: eta = xi and zeta = -xi^-1.
     if zeta != -xi.inverse() or eta != xi:
         raise InternalInvariantError("case split for lower absorption is broken")
-    t_neg = _t(alg, n, k, k + 1, -xi.inverse())
-    t_neg_inv = _t(alg, n, k, k + 1, xi.inverse())
-    u2_ddd = _conj(u2_dd, t_lower, t_lower_inv)
-    v_hat = _conj(v_prime, t_neg, t_neg_inv)
-    out = UVUForm(alg, n, hf, u1 * t_neg, v_hat * t_lower, t_neg * u2_ddd)
+    neg = -xi.inverse()
+    new_v = v_prime.conj_t(k, k + 1, neg).add_col(k + 1, k, xi)
+    new_u2 = u2_dd.conj_t(k + 1, k, xi).add_row(k, k + 1, neg)
+    out = UVUForm(alg, n, hf, u1.add_col(k, k + 1, neg), new_v, new_u2)
     out.shape_check()
     return out
 
@@ -296,7 +263,7 @@ def decompose_huvu(g: MatD) -> tuple[MatD, UVUForm]:
                 raise SingularMatrixError("matrix is singular")
             # left multiply by t_{t,src}(1)
             work[t - 1] = [a + b for a, b in zip(work[t - 1], work[src - 1])]
-            p_inv = p_inv * _t(alg, n, t, src, -alg.one)
+            p_inv = p_inv.add_col(t, src, -alg.one)
         pivot_inv = work[t - 1][t - 1].inverse()
         for j in range(t + 1, n + 1):
             entry = work[t - 1][j - 1]
@@ -307,7 +274,7 @@ def decompose_huvu(g: MatD) -> tuple[MatD, UVUForm]:
             for r in range(n):
                 if not work[r][t - 1].is_zero():
                     work[r][j - 1] = work[r][j - 1] + work[r][t - 1] * xi
-            r_inv = _t(alg, n, t, j, -xi) * r_inv
+            r_inv = r_inv.add_row(t, j, -xi)
 
     d = [work[i][i] for i in range(n)]
     d_inv = [e.inverse() for e in d]

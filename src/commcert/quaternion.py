@@ -266,18 +266,6 @@ class Quat:
         m = self.alg._ad * self.alg._bd * self.den
         return Quat(self.alg, self.wn * m, -self.xn * m, -self.yn * m, -self.zn * m, num)
 
-    def __pow__(self, e: int) -> "Quat":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.alg.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Quat)
@@ -299,25 +287,6 @@ class Quat:
                 continue
             parts.append(f"{coef}{sym}" if sym else str(coef))
         return "Quat(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-HAMILTON = QuaternionAlgebra(-1, -1)
-
-
-def quat_mul(p: Quat, q: Quat) -> Quat:
-    return p * q
-
-
-def quat_inv(q: Quat) -> Quat:
-    return q.inverse()
-
-
-def nrd(q: Quat) -> Fraction:
-    return q.nrd()
-
-
-def trd(q: Quat) -> Fraction:
-    return q.trd()
 
 
 def commutator(x: Quat, y: Quat) -> Quat:

@@ -96,10 +96,6 @@ class CommutatorCert:
         return CommutatorCert(self.pairs + other.pairs, self.target * other.target)
 
 
-def cert_verify(cert: CommutatorCert) -> bool:
-    return cert.verify()
-
-
 def _move_pair(u, x, v, value, front: bool):
     """One letter move on a word that evaluates to u x v.
 

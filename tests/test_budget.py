@@ -7,7 +7,6 @@ from commcert.budget import (
     HFactor,
     HFactorList,
     h_commutator_factors,
-    kappa_of,
     vec_add,
     vec_leq,
 )
@@ -66,17 +65,17 @@ class TestSOf:
 
 class TestKappaOf:
     def test_empty(self, alg):
-        assert kappa_of(HFactorList(alg, 3)) == (0, 0)
+        assert HFactorList(alg, 3).kappa() == (0, 0)
 
     def test_counts(self, alg):
         two, three = alg.scalar(2), alg.scalar(3)
         hf = HFactorList(alg, 3, (HFactor(1, two), HFactor(1, three)))
-        assert kappa_of(hf) == (2, 0)
+        assert hf.kappa() == (2, 0)
 
     def test_concat_adds(self, alg, rng):
         f1 = HFactorList(alg, 4, (HFactor(1, rand_unit(alg, rng)), HFactor(3, rand_unit(alg, rng))))
         f2 = HFactorList(alg, 4, (HFactor(2, rand_unit(alg, rng)),))
-        assert kappa_of(f1.concat(f2)) == vec_add(kappa_of(f1), kappa_of(f2))
+        assert f1.concat(f2).kappa() == vec_add(f1.kappa(), f2.kappa())
 
     def test_evaluation_order(self, alg, rng):
         # slot products multiply in list order, which matters over D
@@ -111,7 +110,7 @@ class TestHCommutatorFactors:
             h1 = MatD.diagonal(alg, [rand_unit(alg, rng) for _ in range(3)])
             h2 = MatD.diagonal(alg, [rand_unit(alg, rng) for _ in range(3)])
             hf = h_commutator_factors(h1, h2)
-            assert vec_leq(kappa_of(hf), (6, 3))
+            assert vec_leq(hf.kappa(), (6, 3))
             assert hf.evaluate() == mat_comm(h1, h2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -121,4 +120,4 @@ class TestHCommutatorFactors:
             h2 = MatD.diagonal(alg, [rand_unit(alg, rng) for _ in range(n)])
             hf = h_commutator_factors(h1, h2)
             assert hf.evaluate() == mat_comm(h1, h2)
-            assert vec_leq(kappa_of(hf), mu_vec(n))
+            assert vec_leq(hf.kappa(), mu_vec(n))

@@ -171,9 +171,9 @@ class TestPrescribedGaussBase:
         gamma, v, delta, u = prescribed_gauss_base(g)
         h = MatD.diagonal(alg, [alg.one, delta])
         assert gamma.inverse() * g * gamma == v * h * u
-        from commcert import dieudonne_det, nrd
+        from commcert import dieudonne_det
 
-        assert nrd(delta) == dieudonne_det(g).invariant
+        assert delta.nrd() == dieudonne_det(g).invariant
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_seeded_random_elementary(self, alg, rng, n):

@@ -186,3 +186,11 @@ def test_missing_input_file_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("precondition violation: cannot read input")
+
+
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    rc = main(["bounds", "--n", "3", "--out", str(tmp_path / "absent" / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("precondition violation: cannot write output")
+    assert len(err.strip().splitlines()) == 1

@@ -12,11 +12,12 @@ from commcert import (
     is_central_in_E,
     is_elementary,
     mat_inv,
-    nrd,
     random_quat,
     transvection,
     verify_relation,
 )
+
+from commcert.normalform import rewrite_relation3
 
 from conftest import mat_comm, rand_invertible, rand_unit
 
@@ -40,6 +41,68 @@ class TestTransvection:
     def test_equal_indices_rejected(self, alg):
         with pytest.raises(PreconditionError):
             transvection(alg, 3, 2, 2, alg.one)
+
+
+def _with_zero_line(m, index, row):
+    rows = [list(r) for r in m.rows]
+    for c in range(m.n):
+        if row:
+            rows[index][c] = m.alg.zero
+        else:
+            rows[c][index] = m.alg.zero
+    return MatD(m.alg, rows)
+
+
+class TestTransvectionKernel:
+    """add_row, add_col and conj_t against dense products."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_products(self, alg, rng, n):
+        base = rand_invertible(alg, n, rng)
+        mats = [base, _with_zero_line(base, n - 1, True), _with_zero_line(base, 0, False)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for xi in (alg.zero, rand_unit(alg, rng)):
+                    t = transvection(alg, n, i, j, xi)
+                    t_inv = transvection(alg, n, i, j, -xi)
+                    for m in mats:
+                        assert m.add_row(i, j, xi) == t * m
+                        assert m.add_col(i, j, xi) == m * t
+                        assert m.conj_t(i, j, xi) == t_inv * m * t
+
+    def test_zero_argument_returns_same_matrix(self, alg, rng):
+        m = rand_invertible(alg, 3, rng)
+        assert m.add_row(1, 2, alg.zero) is m
+        assert m.add_col(3, 1, alg.zero) is m
+
+    @pytest.mark.parametrize("i, j", [(2, 2), (0, 1), (1, 4)])
+    def test_bad_index_pairs_rejected(self, alg, i, j):
+        m = MatD.identity(alg, 3)
+        with pytest.raises(PreconditionError):
+            m.add_row(i, j, alg.one)
+        with pytest.raises(PreconditionError):
+            m.add_col(i, j, alg.one)
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (1, 3), (3, 2)])
+    def test_relation3_helper_matches_dense_identity(self, alg, rng, i, j):
+        n = 3
+        done = 0
+        while done < 15:
+            xi, zeta = random_quat(alg, rng), rand_unit(alg, rng)
+            if (alg.one + zeta * xi).is_zero():
+                continue
+            r, xi2, zeta2 = rewrite_relation3(zeta, xi)
+            lhs = transvection(alg, n, i, j, zeta) * transvection(alg, n, j, i, xi)
+            rhs = (
+                h_elem(alg, n, i, j, zeta)
+                * h_elem(alg, n, i, j, r)
+                * transvection(alg, n, j, i, xi2)
+                * transvection(alg, n, i, j, zeta2)
+            )
+            assert lhs == rhs
+            done += 1
 
 
 class TestHElem:
@@ -95,7 +158,7 @@ class TestDieudonneDet:
                 rep = rep * e
             cls = dieudonne_det(MatD.diagonal(alg, entries))
             assert cls.representative == rep
-            assert cls.invariant == nrd(rep)
+            assert cls.invariant == rep.nrd()
 
     def test_multiplicative_on_invariants(self, alg, rng):
         for _ in range(40):

@@ -18,7 +18,7 @@ from commcert import (
     random_quat,
     transvection,
 )
-from commcert.budget import HFactorList, vec_leq
+from commcert.budget import HFactor, HFactorList, vec_leq
 
 from conftest import mat_comm, rand_invertible, rand_lower, rand_unit, rand_upper
 
@@ -86,6 +86,54 @@ class TestAbsorbLowerTransvection:
         out = absorb_lower_transvection(form, 1, xi)
         assert len(out.hfactors) == 0
         assert out.evaluate() == form.evaluate() * transvection(alg, n, 2, 1, xi)
+
+
+def _with_entry(m, i, j, q):
+    rows = [list(r) for r in m.rows]
+    rows[i - 1][j - 1] = q
+    return MatD(m.alg, rows)
+
+
+class TestAbsorptionCase3:
+    """zeta = u2[k, k+1] a unit and xi = -zeta^-1 make 1 + zeta xi = 0,
+    so with 1 + eta zeta != 0 (eta = v[k+1, k]) the absorption has to
+    fold u2's t_{k,k+1}(zeta) into the v side first."""
+
+    def _absorb(self, alg, rng, n, eta_zero):
+        form = build_form(alg, n, rng)
+        k = rng.randrange(1, n)
+        zeta = rand_unit(alg, rng)
+        eta = alg.zero
+        while not eta_zero and (eta.is_zero() or (alg.one + eta * zeta).is_zero()):
+            eta = rand_unit(alg, rng)
+        form = UVUForm(
+            alg,
+            n,
+            form.hfactors,
+            form.u1,
+            _with_entry(form.v, k + 1, k, eta),
+            _with_entry(form.u2, k, k + 1, zeta),
+        )
+        xi = -zeta.inverse()
+        out = absorb_lower_transvection(form, k, xi)
+        assert out.evaluate() == form.evaluate() * transvection(alg, n, k + 1, k, xi)
+        growth = tuple(a - b for a, b in zip(out.hfactors.kappa(), form.hfactors.kappa()))
+        assert all(g <= (2 if i == k - 1 else 0) for i, g in enumerate(growth))
+        assert out.hfactors.factors[: len(form.hfactors)] == form.hfactors.factors
+        return out.hfactors.factors[len(form.hfactors) :], k, eta, zeta
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_eta_zero_is_free(self, alg, rng, n, trials=30):
+        for _ in range(trials):
+            new, _, _, _ = self._absorb(alg, rng, n, eta_zero=True)
+            assert new == ()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_eta_unit_costs_two_h_factors(self, alg, rng, n, trials=30):
+        for _ in range(trials):
+            new, k, eta, zeta = self._absorb(alg, rng, n, eta_zero=False)
+            eta_inv = eta.inverse()
+            assert new == (HFactor(k, eta_inv), HFactor(k, (eta_inv + zeta).inverse()))
 
 
 class TestFactorLowerUnitriangular:
