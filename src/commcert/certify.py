@@ -62,15 +62,15 @@ def dstar_length_bound(n: int, d: int) -> int:
 def width_ratio_lower_bound(n: int, c: int) -> Fraction:
     """(c + 2n^2 - 3n + 1) / (8n^2 - 13n + 8): lower bound for the
     GL-commutator width of E(n, D) given width c in D*."""
-    if c < 1:
-        raise PreconditionError("need c >= 1")
+    if n < 2 or c < 1:
+        raise PreconditionError("need n >= 2 and c >= 1")
     return Fraction(c + 2 * n * n - 3 * n + 1, 8 * n * n - 13 * n + 8)
 
 
 def width_upper_bounds(n: int, c: int) -> tuple[int, int | None]:
     """(ceil(c/n), ceil(c/(n-2))); the second component only for n >= 3."""
-    if c < 1:
-        raise PreconditionError("need c >= 1")
+    if n < 2 or c < 1:
+        raise PreconditionError("need n >= 2 and c >= 1")
     second = _ceil_div(c, n - 2) if n >= 3 else None
     return _ceil_div(c, n), second
 
@@ -78,6 +78,8 @@ def width_upper_bounds(n: int, c: int) -> tuple[int, int | None]:
 def single_commutator_necessary_bound(n: int) -> int:
     """6n^2 - 10n + 7: the width of D* may not exceed this if every
     noncentral element of E(n, D) is one commutator in GL(n, D)."""
+    if n < 2:
+        raise PreconditionError("need n >= 2")
     return 6 * n * n - 10 * n + 7
 
 
@@ -801,6 +803,8 @@ def make_instance(
     """Seeded random based instance: v, u, gamma random with small
     entries, delta a product of c random quaternion commutators with the
     witnesses recorded as its certificate."""
+    if c < 0:
+        raise PreconditionError("need c >= 0")
     if alg is None:
         alg = QuaternionAlgebra()
     rng = random.Random(seed)

@@ -221,16 +221,30 @@ def h_elem(alg: QuaternionAlgebra, n: int, i: int, j: int, eps: Quat) -> MatD:
     return MatD.diagonal(alg, entries)
 
 
+def _sub_multiple(row: list[Quat], f: Quat, pivot_row: list[Quat], cols: list[int]) -> None:
+    """row[c] -= f * pivot_row[c] in place, for the columns in cols (the
+    caller passes only the nonzero entries of pivot_row)."""
+    unit = f.is_one()
+    for c in cols:
+        t = pivot_row[c] if unit else f * pivot_row[c]
+        cur = row[c]
+        row[c] = -t if cur.is_zero() else cur - t
+
+
 def mat_inv(g: MatD) -> MatD:
     """Inverse by row elimination over the skew-field.
 
     All multiplications act on the left of rows, so the order of scalar
     factors is respected; a zero pivot column certifies singularity.
+    Only the nonzero entries of the pivot row are propagated, and the
+    columns left of the pivot are already eliminated in every row, so
+    the work follows the sparsity of the matrix.
     """
     n = g.n
     alg = g.alg
+    one, zero = alg.one, alg.zero
     work = [list(row) for row in g.rows]
-    aug = [list(MatD.identity(alg, n).rows[i]) for i in range(n)]
+    aug = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
         if piv is None:
@@ -238,14 +252,22 @@ def mat_inv(g: MatD) -> MatD:
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
             aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = work[col][col].inverse()
-        work[col] = [pinv * v for v in work[col]]
-        aug[col] = [pinv * v for v in aug[col]]
+        prow, paug = work[col], aug[col]
+        wcols = [c for c in range(col + 1, n) if not prow[c].is_zero()]
+        acols = [c for c in range(n) if not paug[c].is_zero()]
+        if not prow[col].is_one():
+            pinv = prow[col].inverse()
+            prow[col] = one
+            for c in wcols:
+                prow[c] = pinv * prow[c]
+            for c in acols:
+                paug[c] = pinv * paug[c]
         for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
+            f = work[r][col]
+            if r != col and not f.is_zero():
+                work[r][col] = zero
+                _sub_multiple(work[r], f, prow, wcols)
+                _sub_multiple(aug[r], f, paug, acols)
     return MatD(alg, aug)
 
 
@@ -274,6 +296,7 @@ def dieudonne_det(g: MatD) -> DetClass:
     so every operation is t_{i,j}(xi) and the class is untouched.
     """
     n = g.n
+    zero = g.alg.zero
     work = [list(row) for row in g.rows]
     for col in range(n):
         if work[col][col].is_zero():
@@ -281,11 +304,15 @@ def dieudonne_det(g: MatD) -> DetClass:
             if src is None:
                 raise SingularMatrixError("matrix is singular")
             work[col] = [a + b for a, b in zip(work[col], work[src])]
-        pinv = work[col][col].inverse()
+        prow = work[col]
+        pinv = prow[col].inverse()
+        # columns left of col are zero in every row but their pivot's
+        cols = [c for c in range(col + 1, n) if not prow[c].is_zero()]
         for r in range(n):
             if r != col and not work[r][col].is_zero():
                 f = work[r][col] * pinv
-                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
+                work[r][col] = zero
+                _sub_multiple(work[r], f, prow, cols)
     rep = g.alg.one
     for i in range(n):
         rep = rep * work[i][i]

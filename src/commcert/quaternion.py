@@ -301,46 +301,58 @@ def solve_twisted(p: Quat, q: Quat, r: Quat) -> Quat:
     """Solve x - p*x*q = r exactly.
 
     The map x -> x - p*x*q is Q-linear on the 4-dimensional algebra, so
-    this is one dense 4x4 rational solve.  It is invertible whenever
-    nrd(p)*nrd(q) != 1; a singular system raises so the caller can
-    rescale.  The returned x is checked by substitution.
+    this is one 4x4 rational system.  Column c holds the coordinates of
+    e_c - p*e_c*q; scaling it by their common denominator den_c and the
+    right-hand side by r.den leaves an integer system A y = b with
+    x_c = den_c * y_c / r.den, solved by Cramer's rule with fraction-free
+    determinants.  It is invertible whenever nrd(p)*nrd(q) != 1; a
+    singular system raises so the caller can rescale.  The returned x is
+    checked by substitution.
     """
     p._check_same_algebra(q)
     p._check_same_algebra(r)
     alg = p.alg
-    basis = alg.basis()
-    cols = []
-    for e in basis:
-        img = e - p * e * q
-        cols.append(img.coords())
+    imgs = [e - p * e * q for e in alg.basis()]
     # rows index the coordinate, columns the basis element
-    mat = [[cols[c][ro] for c in range(4)] for ro in range(4)]
-    rhs = list(r.coords())
-    sol = _solve4(mat, rhs)
-    x = alg.quat(*sol)
+    a = [[img.wn for img in imgs], [img.xn for img in imgs],
+         [img.yn for img in imgs], [img.zn for img in imgs]]
+    det = _det4(a)
+    if det == 0:
+        raise SingularTwistedSystemError(
+            "singular twisted system: reduced norms are not separated"
+        )
+    b = (r.wn, r.xn, r.yn, r.zn)
+    num = []
+    for c, img in enumerate(imgs):
+        cramer = [row[:c] + [b[ro]] + row[c + 1:] for ro, row in enumerate(a)]
+        num.append(img.den * _det4(cramer))
+    x = Quat(alg, num[0], num[1], num[2], num[3], r.den * det)
     if x - p * x * q != r:
         raise SingularTwistedSystemError("twisted solve verification failed")
     return x
 
 
-def _solve4(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with exact pivoting on a 4x4 system."""
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    n = 4
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularTwistedSystemError(
-                "singular twisted system: reduced norms are not separated"
-            )
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
-    return [m[r][4] for r in range(n)]
+def _det4(m: list[list[int]]) -> int:
+    """Determinant of a 4x4 integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so entries stay integers of
+    the size of the minors."""
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(3):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, 4) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk, mkk = m[k], m[k][k]
+        for r in range(k + 1, 4):
+            mr = m[r]
+            mrk = mr[k]
+            for j in range(k + 1, 4):
+                mr[j] = (mkk * mr[j] - mrk * pk[j]) // prev
+        prev = mkk
+    return sign * m[3][3]
 
 
 def random_quat(

@@ -20,6 +20,7 @@ from .certify import (
     make_instance,
     width_upper_bounds,
 )
+from .errors import PreconditionError
 from .matrix import (
     MatD,
     dieudonne_det,
@@ -239,6 +240,9 @@ def run_selftest(
     emit: Callable[[str], None] = print,
 ) -> int:
     """Run every check; returns the number of failures."""
+    sizes = tuple(sizes)
+    if any(n < 2 for n in sizes):
+        raise PreconditionError("selftest sizes must be n >= 2")
     alg = algebra or QuaternionAlgebra()
     checks: list[tuple[str, Callable[[], None]]] = [
         ("scalar-arithmetic", lambda: check_scalar_arithmetic(alg, seed)),

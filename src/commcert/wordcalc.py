@@ -8,7 +8,7 @@ are built by construction and re-verified before they are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -57,20 +57,33 @@ class Word:
 
 @dataclass(frozen=True)
 class CommutatorCert:
-    """Ordered witness pairs whose commutator product equals target."""
+    """Ordered witness pairs whose commutator product equals target.
+
+    The object is immutable, so a successful verify() is recorded on it
+    and later calls on the same object return at once.  A failure is
+    never recorded, and every new object (conjugated, inverse, concat,
+    dataclasses.replace, decoding) starts unverified.  The flag takes no
+    part in equality or hashing.
+    """
 
     pairs: tuple[tuple[object, object], ...]
     target: object
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def verify(self) -> bool:
+        if self._verified:
+            return True
         e = group_identity(self.target)
         acc = e
         for g, h in self.pairs:
             acc = acc * comm(g, h)
-        return acc == self.target
+        ok = acc == self.target
+        if ok:
+            object.__setattr__(self, "_verified", True)
+        return ok
 
     def check(self) -> "CommutatorCert":
         if not self.verify():

@@ -82,6 +82,21 @@ class TestBoundFormulas:
         for n in range(2, 8):
             assert single_commutator_necessary_bound(n) == dstar_length_bound(n, 1)
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_sizes_below_two_rejected(self, n):
+        for bound in (
+            lambda: single_commutator_necessary_bound(n),
+            lambda: width_upper_bounds(n, 3),
+            lambda: width_ratio_lower_bound(n, 3),
+            lambda: dstar_length_bound(n, 1),
+        ):
+            with pytest.raises(PreconditionError):
+                bound()
+
+    def test_negative_c_rejected(self):
+        with pytest.raises(PreconditionError):
+            make_instance(0, 3, -1)
+
 
 class TestScalarCertExtraction:
     def test_empty_list(self, alg):

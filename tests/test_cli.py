@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from commcert import MatD, commutator, make_instance
 from commcert import serialize as ser
 from commcert.cli import main
@@ -194,3 +196,21 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     assert rc == 3
     assert err.startswith("precondition violation: cannot write output")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "0", "--c", "3"],
+        ["selftest", "--n", "1"],
+        ["bounds", "--n", "-3"],
+        ["gen", "--n", "3", "--c", "-2"],
+    ],
+)
+def test_out_of_range_sizes_exit_3(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violation: ")

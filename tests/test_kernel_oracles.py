@@ -1,0 +1,336 @@
+"""The zero-aware eliminations and the integer twisted solve against the
+dense and Fraction algorithms they replaced, kept here as oracles.
+
+Every case runs over five algebras, the last of them indefinite, where
+twisted systems with nrd(p) * nrd(q) != 1 can still be singular.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from commcert import (
+    MatD,
+    QuaternionAlgebra,
+    SingularMatrixError,
+    dieudonne_det,
+    mat_inv,
+    random_quat,
+    solve_twisted,
+)
+from commcert.certify import random_unitriangular
+from commcert.errors import NotDivisionAlgebraError, SingularTwistedSystemError
+from commcert.matrix import random_invertible
+from commcert.quaternion import _det4
+
+PARAMS = [(-1, -1), (-1, -3), (-2, -5), (Fraction(-1, 2), Fraction(-3, 7)),
+          (Fraction(3, 2), Fraction(-5, 3))]
+ALGEBRAS = [QuaternionAlgebra(a, b) for a, b in PARAMS]
+IDS = [f"({a},{b})" for a, b in PARAMS]
+
+
+@pytest.fixture(params=ALGEBRAS, ids=IDS)
+def any_alg(request):
+    return request.param
+
+
+# -- oracles: the algorithms before the zero-aware rewrite -------------------
+
+
+def dense_mat_inv(g):
+    n, alg = g.n, g.alg
+    work = [list(row) for row in g.rows]
+    aug = [list(MatD.identity(alg, n).rows[i]) for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            aug[col], aug[piv] = aug[piv], aug[col]
+        pinv = work[col][col].inverse()
+        work[col] = [pinv * v for v in work[col]]
+        aug[col] = [pinv * v for v in aug[col]]
+        for r in range(n):
+            if r != col and not work[r][col].is_zero():
+                f = work[r][col]
+                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
+                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
+    return MatD(alg, aug)
+
+
+def dense_det(g):
+    """(representative, reduced norm) by the full row-update loop."""
+    n = g.n
+    work = [list(row) for row in g.rows]
+    for col in range(n):
+        if work[col][col].is_zero():
+            src = next((r for r in range(col + 1, n) if not work[r][col].is_zero()), None)
+            if src is None:
+                raise SingularMatrixError("matrix is singular")
+            work[col] = [a + b for a, b in zip(work[col], work[src])]
+        pinv = work[col][col].inverse()
+        for r in range(n):
+            if r != col and not work[r][col].is_zero():
+                f = work[r][col] * pinv
+                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
+    rep = g.alg.one
+    for i in range(n):
+        rep = rep * work[i][i]
+    return rep, rep.nrd()
+
+
+def _solve4(mat, rhs):
+    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(4):
+        piv = next((r for r in range(col, 4) if m[r][col] != 0), None)
+        if piv is None:
+            raise SingularTwistedSystemError(
+                "singular twisted system: reduced norms are not separated"
+            )
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(4):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
+    return [m[r][4] for r in range(4)]
+
+
+def fraction_solve_twisted(p, q, r):
+    alg = p.alg
+    cols = [(e - p * e * q).coords() for e in alg.basis()]
+    mat = [[cols[c][ro] for c in range(4)] for ro in range(4)]
+    x = alg.quat(*_solve4(mat, list(r.coords())))
+    if x - p * x * q != r:
+        raise SingularTwistedSystemError("twisted solve verification failed")
+    return x
+
+
+def leibniz_det4(m):
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def outcome(fn, *args):
+    """The value, or the exception class and message, of fn(*args)."""
+    try:
+        return fn(*args)
+    except (SingularMatrixError, SingularTwistedSystemError, NotDivisionAlgebraError) as exc:
+        return type(exc), str(exc)
+
+
+def det_outcome(g):
+    try:
+        d = dieudonne_det(g)
+    except (SingularMatrixError, NotDivisionAlgebraError) as exc:
+        return type(exc), str(exc)
+    return d.representative, d.invariant
+
+
+# -- matrix families ---------------------------------------------------------
+
+
+def unit(alg, rng):
+    """A random unit; the indefinite algebra has zero divisors too."""
+    while True:
+        q = random_quat(alg, rng, span=2, nonzero=True)
+        if q.nrd() != 0:
+            return q
+
+
+def permutation_matrix(alg, perm, entries=None):
+    n = len(perm)
+    rows = [[alg.zero] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = entries[i] if entries else alg.one
+    return MatD(alg, rows)
+
+
+def ldu(alg, n, rng, perm=None):
+    """L * P * U with L lower and U upper unitriangular and P a
+    permutation (identity by default) with unit entries."""
+    perm = perm or list(range(n))
+    p = permutation_matrix(alg, perm, [unit(alg, rng) for _ in range(n)])
+    lower = random_unitriangular(alg, n, rng, lower=True, span=2)
+    upper = random_unitriangular(alg, n, rng, lower=False, span=2)
+    return lower * p * upper
+
+
+def with_zero_leading_pivots(alg, n, rng):
+    """Invertible, with row 1 of L P U equal to a multiple of row 2 of
+    U, so the (1, 1) entry is zero and elimination must swap or repair."""
+    return ldu(alg, n, rng, list(range(1, n)) + [0])
+
+
+def singular_in_last_column(alg, n, rng):
+    """Invertible leading (n-1) x (n-1) block, last row a left
+    combination of the others: elimination meets a zero pivot only in
+    column n."""
+    rows = [list(r) for r in ldu(alg, n, rng).rows[:-1]]
+    last = [alg.zero] * n
+    for row in rows:
+        c = random_quat(alg, rng)
+        last = [v + c * w for v, w in zip(last, row)]
+    return MatD(alg, rows + [last])
+
+
+def matrix_cases(alg, seed):
+    rng = random.Random(seed)
+    cases = []
+    for n in range(1, 6):
+        cases.append(random_invertible(alg, n, rng, random_quat))
+        cases.append(random_invertible(alg, n, rng, random_quat, extra_factors=3 * n))
+        cases.append(MatD.diagonal(alg, [unit(alg, rng) for _ in range(n)]))
+        cases.append(random_unitriangular(alg, n, rng, lower=True, span=2))
+        cases.append(random_unitriangular(alg, n, rng, lower=False, span=2))
+        cases.append(ldu(alg, n, rng))
+        if n >= 2:
+            cases.append(with_zero_leading_pivots(alg, n, rng))
+            cases.append(singular_in_last_column(alg, n, rng))
+    for perm in itertools.permutations(range(3)):
+        cases.append(permutation_matrix(alg, perm))
+        cases.append(permutation_matrix(alg, perm, [unit(alg, rng) for _ in range(3)]))
+    for perm in ((3, 2, 1, 0), (1, 0, 3, 2), (1, 2, 3, 0)):
+        cases.append(permutation_matrix(alg, perm, [unit(alg, rng) for _ in range(4)]))
+    return cases
+
+
+# -- Gauss-Jordan inverse and Dieudonne determinant --------------------------
+
+
+class TestEliminationsMatchDenseOracles:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mat_inv(self, any_alg, seed):
+        for g in matrix_cases(any_alg, seed):
+            assert outcome(mat_inv, g) == outcome(dense_mat_inv, g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dieudonne_det(self, any_alg, seed):
+        for g in matrix_cases(any_alg, seed):
+            assert det_outcome(g) == outcome(dense_det, g)
+
+    def test_zero_leading_pivot_needs_a_swap(self, any_alg):
+        g = with_zero_leading_pivots(any_alg, 3, random.Random(1))
+        assert g.entry(1, 1).is_zero()
+        # in the indefinite algebra a pivot may be a zero divisor: both raise
+        assert outcome(mat_inv, g) == outcome(dense_mat_inv, g)
+        assert det_outcome(g) == outcome(dense_det, g)
+
+    def test_singular_only_in_last_column(self, any_alg):
+        rng = random.Random(2)
+        for n in (2, 3, 4):
+            g = singular_in_last_column(any_alg, n, rng)
+            head = MatD(any_alg, [row[:-1] for row in g.rows[:-1]])
+            assert mat_inv(head) == dense_mat_inv(head)  # the block is invertible
+            with pytest.raises(SingularMatrixError):
+                mat_inv(g)
+            with pytest.raises(SingularMatrixError):
+                dieudonne_det(g)
+            with pytest.raises(SingularMatrixError):
+                dense_mat_inv(g)
+
+    @pytest.mark.parametrize("perm", [(1, 0), (2, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0)])
+    def test_pivot_repair(self, any_alg, perm):
+        """The (1, 1) entry of these is zero, so dieudonne_det repairs the
+        pivot by adding a lower row; the class of a permutation matrix
+        with unit entries has the product of the entries' norms."""
+        rng = random.Random(3)
+        entries = [unit(any_alg, rng) for _ in perm]
+        g = permutation_matrix(any_alg, perm, entries)
+        assert det_outcome(g) == dense_det(g)
+        norm = 1
+        for e in entries:
+            norm *= e.nrd()
+        assert dieudonne_det(g).invariant == norm
+
+
+# -- integer twisted solve ---------------------------------------------------
+
+
+def integer_matrices(rng, count):
+    """Random 4x4 integer matrices, including zero leading entries,
+    repeated rows and large values."""
+    out = []
+    for t in range(count):
+        span = 10 ** (t % 40) if t % 3 == 0 else 3
+        m = [[rng.randint(-span, span) for _ in range(4)] for _ in range(4)]
+        if t % 4 == 1:
+            m[0][0] = 0
+            m[1][0] = 0
+        if t % 5 == 2:
+            m[3] = m[1][:]
+        if t % 7 == 3:
+            m[2] = [2 * a - b for a, b in zip(m[0], m[1])]
+        if t % 6 == 4:
+            for row in m:
+                row[t % 4] = 0
+        out.append(m)
+    return out
+
+
+class TestIntegerTwistedSolve:
+    def test_bareiss_matches_leibniz(self):
+        rng = random.Random(5)
+        singular = 0
+        for m in integer_matrices(rng, 400):
+            copy = [row[:] for row in m]
+            assert _det4(m) == leibniz_det4(m)
+            assert m == copy  # the input is not modified
+            singular += leibniz_det4(m) == 0
+        assert singular > 50
+
+    def test_bareiss_on_permutations(self):
+        for perm in itertools.permutations(range(4)):
+            m = [[7 if perm[r] == c else 0 for c in range(4)] for r in range(4)]
+            assert _det4(m) == leibniz_det4(m) in (7 ** 4, -(7 ** 4))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_fraction_oracle(self, any_alg, seed):
+        rng = random.Random(seed)
+        for t in range(80):
+            span = 1 if t % 2 else 3
+            dens = (1, 1, 2, 3)
+            p = random_quat(any_alg, rng, span=span, denominators=dens)
+            q = random_quat(any_alg, rng, span=span, denominators=dens)
+            r = random_quat(any_alg, rng, span=span, denominators=dens)
+            assert outcome(solve_twisted, p, q, r) == outcome(fraction_solve_twisted, p, q, r)
+
+    def test_singular_systems_raise(self, any_alg):
+        """x - i x i^-1 vanishes on the centre, whatever the algebra."""
+        i = any_alg.basis()[1]
+        for r in (any_alg.one, any_alg.quat(2, 1, 0, 3)):
+            with pytest.raises(SingularTwistedSystemError, match="not separated"):
+                solve_twisted(i, i.inverse(), r)
+            assert outcome(fraction_solve_twisted, i, i.inverse(), r) == outcome(
+                solve_twisted, i, i.inverse(), r
+            )
+
+    def test_indefinite_singular_beyond_unit_norms(self):
+        """In the indefinite algebra the system is singular for some p, q
+        with nrd(p) * nrd(q) != 1; both solvers must refuse them."""
+        alg = ALGEBRAS[-1]
+        assert not alg.is_definite()
+        rng = random.Random(11)
+        found = 0
+        for _ in range(3000):
+            p = random_quat(alg, rng, span=2)
+            q = random_quat(alg, rng, span=2)
+            if p.nrd() * q.nrd() == 1:
+                continue
+            got = outcome(solve_twisted, p, q, alg.one)
+            if isinstance(got, tuple):
+                found += 1
+                assert got == (SingularTwistedSystemError,
+                               "singular twisted system: reduced norms are not separated")
+                assert outcome(fraction_solve_twisted, p, q, alg.one) == got
+        assert found > 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from commcert import (
@@ -13,6 +15,8 @@ from commcert import (
     move_letter_front,
     transfer_cert,
 )
+from commcert import wordcalc
+from commcert.serialize import cert_from_json, cert_to_json
 from commcert.wordcalc import _move_pair, comm, group_identity, product
 
 from conftest import rand_invertible, rand_unit
@@ -308,3 +312,67 @@ class TestMoveCheck:
         u, x, v = mats
         with pytest.raises(VerificationError):
             _move_pair(u, x, v, u * v * x, front=True)
+
+
+def _cert(alg, rng, k=3):
+    pairs = tuple((rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(k))
+    target = alg.one
+    for g, h in pairs:
+        target = target * commutator(g, h)
+    return CommutatorCert(pairs, target)
+
+
+@pytest.fixture
+def comm_calls(monkeypatch):
+    """Counts the commutators verify() evaluates."""
+    calls = []
+
+    def counting(g, h):
+        calls.append((g, h))
+        return comm(g, h)
+
+    monkeypatch.setattr(wordcalc, "comm", counting)
+    return calls
+
+
+class TestVerifyOnce:
+    def test_second_check_computes_no_commutator(self, alg, rng, comm_calls):
+        cert = _cert(alg, rng)
+        assert cert.check() is cert
+        assert len(comm_calls) == 3
+        assert cert.check() is cert and cert.verify()
+        assert len(comm_calls) == 3
+
+    def test_failure_is_not_recorded(self, alg, rng, comm_calls):
+        good = _cert(alg, rng)
+        bad = CommutatorCert(good.pairs, good.target * alg.basis()[1])
+        for attempt in range(1, 4):
+            assert not bad.verify()
+            with pytest.raises(VerificationError):
+                bad.check()
+            assert len(comm_calls) == 6 * attempt
+
+    def test_new_objects_start_unverified(self, alg, rng, comm_calls):
+        cert = _cert(alg, rng).check()
+        other = _cert(alg, rng, k=2).check()
+        derived = [
+            cert.conjugated(rand_unit(alg, rng)),
+            cert.inverse(),
+            cert.concat(other),
+            dataclasses.replace(cert),
+            cert_from_json(cert_to_json(cert), alg),
+        ]
+        for new in derived:
+            before = len(comm_calls)
+            assert new.verify()
+            assert len(comm_calls) - before == len(new)
+        # a replaced target is checked, not inherited
+        forged = dataclasses.replace(cert, target=alg.basis()[2])
+        assert not forged.verify()
+
+    def test_equality_and_hash_ignore_the_flag(self, alg, rng):
+        cert = _cert(alg, rng)
+        fresh = CommutatorCert(cert.pairs, cert.target)
+        cert.check()
+        assert cert == fresh and hash(cert) == hash(fresh)
+        assert repr(cert) == repr(fresh)
