@@ -71,10 +71,6 @@ def vec_add(u: KappaVec, v: KappaVec) -> KappaVec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_scale(c: int, u: KappaVec) -> KappaVec:
-    return tuple(c * a for a in u)
-
-
 def vec_leq(u: KappaVec, v: KappaVec) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
@@ -98,7 +94,7 @@ def kappa_p(p: int, n: int) -> KappaVec:
     kappa^p = kappa^(p-1) + kappa^1 + lambda."""
     if p < 1:
         raise PreconditionError("need p >= 1")
-    return vec_add(vec_scale(p, mu_vec(n)), vec_scale(4 * p - 1, lambda_vec(n)))
+    return tuple(p * m + (4 * p - 1) * l for m, l in zip(mu_vec(n), lambda_vec(n)))
 
 
 def s_of(kappa: Iterable[int]) -> int:

@@ -145,9 +145,7 @@ def lower_extract(pairs: list[tuple[MatD, MatD]], tau: Quat) -> CommutatorCert:
             raise PreconditionError("no pairs but tau != 1")
         return CommutatorCert((), tau).check()
     alg, n = pairs[0][0].alg, pairs[0][0].n
-    target = MatD.identity(alg, n)
-    for x, y in pairs:
-        target = target * comm(x, y)
+    target = product((comm(x, y) for x, y in pairs), MatD.identity(alg, n))
     expected = MatD.diagonal(alg, [alg.one] * (n - 1) + [tau])
     if target != expected:
         raise PreconditionError("commutator product is not diag(1, ..., 1, tau)")
@@ -530,10 +528,7 @@ def _rescale_witnesses(a: list[Quat], mode: str, max_tries: int = 64) -> list[Qu
             out[i] = out[i].scale(ti)
             used.add(out[i].nrd())
         if mode == "e":
-            head = out[0].alg.one
-            for q in out[1:]:
-                head = head * q
-            out[0] = head.inverse()
+            out[0] = product(out[1:], out[0].alg.one).inverse()
             if out[0].nrd() in used:
                 continue
         return out
@@ -573,10 +568,7 @@ def single_commutator(
             raise PreconditionError("elementary mode needs eps_1 = eps_2 = 1")
         b[0] = one
         a[1] = one
-        tail = one
-        for q in b[2:]:
-            tail = tail * q
-        b[1] = (b[0] * tail).inverse()
+        b[1] = (b[0] * product(b[2:], one)).inverse()
     a = _rescale_witnesses(a, mode)
     for i in range(n):
         if commutator(a[i], b[i]) != eps[i]:
@@ -815,9 +807,7 @@ def make_instance(
         )
         for _ in range(c)
     )
-    delta = alg.one
-    for qa, qb in pairs:
-        delta = delta * commutator(qa, qb)
+    delta = product((commutator(qa, qb) for qa, qb in pairs), alg.one)
     cert = CommutatorCert(pairs, delta)
     v = random_unitriangular(alg, n, rng, lower=True)
     u = random_unitriangular(alg, n, rng, lower=False)

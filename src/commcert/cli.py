@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import serialize as ser
 from .certify import (
-    _ceil_div,
     dstar_length_bound,
     factor_commutators_e,
     factor_commutators_gl,
@@ -37,7 +36,7 @@ from .normalform import decompose_huvu
 from .quaternion import QuaternionAlgebra
 from .selftest import run_selftest
 from .serialize import cert_from_json
-from .wordcalc import CommutatorCert
+from .wordcalc import CommutatorCert, comm
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -97,7 +96,7 @@ def cmd_selftest(args) -> int:
         within = bound is None or achieved <= bound
         print(json.dumps({"verified": ok and within, "achieved": achieved, "bound": bound}))
         return EXIT_OK if ok and within else EXIT_VERIFICATION
-    failures = run_selftest(seed=args.seed, sizes=tuple(args.n))
+    failures = run_selftest(seed=args.seed, sizes=args.n)
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
@@ -151,14 +150,12 @@ def cmd_factor(args) -> int:
         inst = ser.instance_from_json(_load_json(args.path))
     if args.mode == "gl":
         cert = factor_commutators_gl(inst)
-        bound = _ceil_div(inst.c, inst.n)
+        bound = width_upper_bounds(inst.n, inst.c)[0]
     elif args.mode == "e":
         cert = factor_commutators_e(inst)
-        bound = _ceil_div(inst.c, inst.n - 2)
+        bound = width_upper_bounds(inst.n, inst.c)[1]
     else:
         n2, p, q = stable_single_commutator(inst)
-        from .wordcalc import comm
-
         cert = CommutatorCert(((p, q),), comm(p, q))
         bound = 1
     _emit(
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the deterministic property suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, action="append", default=None)
+    p.add_argument("--n", type=int, action="append")
     p.add_argument("--verify", metavar="FILE", help="re-verify an emitted certificate file")
     p.set_defaults(fn=cmd_selftest)
 
@@ -254,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest" and args.n is None:
-        args.n = [2, 3, 4]
     try:
         return args.fn(args)
     except VerificationError as exc:

@@ -142,12 +142,16 @@ def cert_to_json(cert: CommutatorCert) -> dict:
 
 
 def cert_from_json(data: dict, alg: QuaternionAlgebra) -> CommutatorCert:
-    return CommutatorCert(
-        tuple(
-            (_elem_from_json(g, alg), _elem_from_json(h, alg)) for g, h in data["pairs"]
-        ),
-        _elem_from_json(data["target"], alg),
+    """Every witness must have the target's kind: a quaternion, or a
+    matrix of the target's size."""
+    target = _elem_from_json(data["target"], alg)
+    pairs = tuple(
+        (_elem_from_json(g, alg), _elem_from_json(h, alg)) for g, h in data["pairs"]
     )
+    for w in (w for pair in pairs for w in pair):
+        if type(w) is not type(target) or (isinstance(w, MatD) and w.n != target.n):
+            raise PreconditionError("certificate witnesses must have the target's kind and size")
+    return CommutatorCert(pairs, target)
 
 
 def instance_to_json(inst: BasedInstance) -> dict:

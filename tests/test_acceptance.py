@@ -1,50 +1,19 @@
 """Acceptance suite: one test per criterion, full stated scale.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass lines and timings.
+The properties live in `commcert.selftest`; each test runs its checks at
+the criterion's scale and seed and adds only the time limits and the
+pass line.  Run with `pytest tests/test_acceptance.py -v -s` to see the
+per-criterion pass lines and timings.
 """
 
-import itertools
-import random
 import time
 
 import pytest
 
-from commcert import (
-    BasedInstance,
-    CommutatorCert,
-    MatD,
-    UVUForm,
-    absorb_lower_transvection,
-    absorb_upper,
-    commutator,
-    commutator_normal_form,
-    decompose_huvu,
-    dieudonne_det,
-    dstar_length_bound,
-    factor_commutators_e,
-    factor_commutators_gl,
-    factor_lower_unitriangular,
-    is_elementary,
-    kappa_p,
-    lower_extract,
-    mu_vec,
-    random_quat,
-    s_of,
-    transvection,
-    verify_relation,
-)
-from commcert.budget import h_commutator_factors, vec_leq
-from commcert.certify import _ceil_div, random_unitriangular
-from commcert.matrix import random_invertible
+from commcert import selftest as st
 from commcert.quaternion import QuaternionAlgebra
-from commcert.wordcalc import cert_inverse_product, transfer_cert
-
-from conftest import mat_comm
-from test_wordcalc import identity_product_list, make_interleaved_word
 
 ALG = QuaternionAlgebra()
-ONE = ALG.one
 
 
 def report(criterion, message):
@@ -54,92 +23,30 @@ def report(criterion, message):
 def test_criterion_1_relation_suite():
     """Relations (1)-(4) on >= 1000 seeded instances per relation per
     n in {2, 3, 4}, in under 10 seconds."""
-    rng = random.Random(101)
     t0 = time.time()
-    checks = {1: 0, 2: 0, 3: 0, 4: 0}
     for n in (2, 3, 4):
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        done = {1: 0, 2: 0, 3: 0, 4: 0}
-        while min(done.values()) < 1000:
-            i, j = pairs[rng.randrange(len(pairs))]
-            xi = random_quat(ALG, rng)
-            zeta = random_quat(ALG, rng)
-            if done[1] < 1000:
-                assert verify_relation(1, ALG, n, i=i, j=j, xi=xi, zeta=zeta)
-                done[1] += 1
-            p, q = pairs[rng.randrange(len(pairs))]
-            if done[2] < 1000 and i != q:
-                assert verify_relation(2, ALG, n, i=i, j=j, p=p, q=q, xi=xi, zeta=zeta)
-                done[2] += 1
-            if done[3] < 1000 and not zeta.is_zero() and not (ONE + zeta * xi).is_zero():
-                assert verify_relation(3, ALG, n, i=i, j=j, xi=xi, zeta=zeta)
-                done[3] += 1
-            if done[4] < 1000 and not xi.is_zero():
-                assert verify_relation(4, ALG, n, i=i, j=j, xi=xi)
-                done[4] += 1
-        for rel in checks:
-            checks[rel] += done[rel]
+        st.check_relations(ALG, 101 * n, n, count=1000)
     elapsed = time.time() - t0
     assert elapsed < 10.0, f"relation suite took {elapsed:.2f}s"
-    report(1, f"{sum(checks.values())} relation checks across n=2,3,4 in {elapsed:.2f}s (< 10s)")
+    report(1, f"{3 * 4 * 1000} relation checks across n=2,3,4 in {elapsed:.2f}s (< 10s)")
 
 
 def test_criterion_2_normal_form_reconstruction():
     """decompose reassembles 1000 random matrices per n in {2, 3, 4};
-    every absorption stays within 2e_k; factorization counts hold on
-    exhaustive small n=3 inputs and 1000 random n in {4, 5} inputs."""
-    rng = random.Random(202)
+    120 chained absorptions per n stay within 2e_k; factorization counts
+    hold on exhaustive small n=3 inputs and 1000 random n in {4, 5}
+    inputs."""
     t0 = time.time()
     for n in (2, 3, 4):
-        for _ in range(1000):
-            g = random_invertible(ALG, n, rng, random_quat)
-            head, form = decompose_huvu(g)
-            assert head * form.u1 * form.v * form.u2 == g
-
-    absorb_calls = 0
-    for n in (2, 3, 4):
-        form = UVUForm.identity(ALG, n)
-        for _ in range(120):
-            k = rng.randrange(1, n)
-            xi = random_quat(ALG, rng)
-            before = form.hfactors.kappa()
-            form2 = absorb_lower_transvection(form, k, xi)
-            growth = tuple(a - b for a, b in zip(form2.hfactors.kappa(), before))
-            assert all(g <= (2 if idx == k - 1 else 0) for idx, g in enumerate(growth))
-            form = absorb_upper(form2, random_unitriangular(ALG, n, rng, lower=False))
-            absorb_calls += 1
-
-    # exhaustive small entries at n = 3
-    one, zero, i_unit = ALG.one, ALG.zero, ALG.basis()[1]
-    pool = [zero, one, -one, i_unit]
-    exhaustive = 0
-    for a, b, c in itertools.product(pool, repeat=3):
-        v = MatD(ALG, [[one, zero, zero], [a, one, zero], [b, c, one]])
-        facs = factor_lower_unitriangular(v)
-        prod = MatD.identity(ALG, 3)
-        counts = [0, 0]
-        for k, xi in facs:
-            prod = prod * transvection(ALG, 3, k + 1, k, xi)
-            counts[k - 1] += 1
-        assert prod == v and counts[0] <= 2 and counts[1] <= 2
-        exhaustive += 1
-
+        st.check_decomposition(ALG, 202 * n, n, rounds=1000)
+        st.check_absorption(ALG, 202 * n, n, rounds=120)
+    st.check_lower_factorization_exhaustive(ALG)
     for n in (4, 5):
-        budget = [n - 1] + [2 * (n - k) for k in range(2, n)]
-        for _ in range(1000):
-            v = random_unitriangular(ALG, n, rng, lower=True)
-            facs = factor_lower_unitriangular(v)
-            prod = MatD.identity(ALG, n)
-            counts = [0] * (n - 1)
-            for k, xi in facs:
-                prod = prod * transvection(ALG, n, k + 1, k, xi)
-                counts[k - 1] += 1
-            assert prod == v
-            assert all(x <= y for x, y in zip(counts, budget))
+        st.check_lower_factorization(ALG, 202 * n, n, rounds=1000)
     report(
         2,
-        f"3000 reconstructions, {absorb_calls} bounded absorptions, {exhaustive} "
-        f"exhaustive + 2000 random factorizations in {time.time()-t0:.1f}s",
+        f"3000 reconstructions, 360 bounded absorptions, 81 exhaustive + 2000 "
+        f"random factorizations in {time.time()-t0:.1f}s",
     )
 
 
@@ -147,54 +54,18 @@ def test_criterion_3_budgets():
     """h commutator factors within mu always; commutator normal form
     within kappa^p with exact evaluation, p in {1,2,3}, n in {2,3,4},
     200 seeded cases per cell."""
-    rng = random.Random(303)
     t0 = time.time()
     for n in (2, 3, 4):
-        for _ in range(200):
-            h1 = MatD.diagonal(ALG, [random_quat(ALG, rng, nonzero=True) for _ in range(n)])
-            h2 = MatD.diagonal(ALG, [random_quat(ALG, rng, nonzero=True) for _ in range(n)])
-            hf = h_commutator_factors(h1, h2)
-            assert vec_leq(hf.kappa(), mu_vec(n))
-            assert hf.evaluate() == mat_comm(h1, h2)
-    cells = 0
-    for p in (1, 2, 3):
-        for n in (2, 3, 4):
-            for _ in range(200):
-                prs = [
-                    (random_invertible(ALG, n, rng, random_quat),
-                     random_invertible(ALG, n, rng, random_quat))
-                    for _ in range(p)
-                ]
-                form = commutator_normal_form(prs)
-                target = MatD.identity(ALG, n)
-                for x, y in prs:
-                    target = target * mat_comm(x, y)
-                assert form.evaluate() == target
-                assert vec_leq(form.hfactors.kappa(), kappa_p(p, n))
-            cells += 1
-    report(3, f"mu budget 600 cases; kappa^p budget {cells} cells x 200 cases in {time.time()-t0:.1f}s")
+        st.check_commutator_form(ALG, 303 * n, n, ps=(1, 2, 3), rounds=200)
+    report(3, f"mu budget 600 cases; kappa^p budget 9 cells x 200 cases in {time.time()-t0:.1f}s")
 
 
 def test_criterion_4_word_calculus_bounds():
     """Inverse-product and transfer bounds with verification, 1000
     seeded cases each, over quaternions and over 3x3 matrices."""
-    rng = random.Random(404)
     t0 = time.time()
     for matrices in (False, True):
-        count = 1000 if not matrices else 1000
-        for trial in range(count // 2):
-            k = rng.randrange(1, 7)
-            elems = identity_product_list(ALG, rng, k, matrices=matrices)
-            cert = cert_inverse_product(elems)
-            assert cert.verify()
-            assert len(cert) <= max(0, k - 2)
-        for trial in range(count // 2):
-            p = rng.randrange(0, 3)
-            q = rng.randrange(1, 4)
-            w, cert_a = make_interleaved_word(ALG, rng, p, q, matrices=matrices)
-            cert_b = transfer_cert(w, cert_a)
-            assert cert_b.verify()
-            assert len(cert_b) <= len(cert_a) + q - 1
+        st.check_word_calculus(ALG, 404, rounds=500, matrices=matrices)
     report(4, f"2000 certificates verified within bounds in {time.time()-t0:.1f}s")
 
 
@@ -202,146 +73,59 @@ def test_criterion_5_lower_pipeline():
     """d = 1 diagonal-commutator instances and full round trips return
     verified scalar certificates within s(kappa^d); the computed
     s(kappa^d) never exceeds the closed-form bound."""
-    rng = random.Random(505)
     t0 = time.time()
     for n in (2, 3, 4):
-        a, b = random_quat(ALG, rng, nonzero=True), random_quat(ALG, rng, nonzero=True)
-        tau = commutator(a, b)
-        x = MatD.diagonal(ALG, [ONE] * (n - 1) + [a])
-        y = MatD.diagonal(ALG, [ONE] * (n - 1) + [b])
-        cert = lower_extract([(x, y)], tau)
-        assert cert.verify()
-        assert len(cert) <= s_of(kappa_p(1, n))
-
-    for n in (2, 3, 4):
-        for c in range(1, 2 * n + 1):
-            pairs = tuple(
-                (random_quat(ALG, rng, span=1, nonzero=True),
-                 random_quat(ALG, rng, span=1, nonzero=True))
-                for _ in range(c)
-            )
-            delta = ONE
-            for qa, qb in pairs:
-                delta = delta * commutator(qa, qb)
-            if delta.is_one():
-                continue  # central instance: the pipeline rejects it by contract
-            inst = BasedInstance(
-                ALG, n, MatD.identity(ALG, n), MatD.identity(ALG, n), delta,
-                CommutatorCert(pairs, delta),
-            )
-            mcert = factor_commutators_gl(inst)
-            assert mcert.verify()
-            d = len(mcert)
-            dcert = lower_extract(list(mcert.pairs), delta)
-            assert dcert.verify() and dcert.target == delta
-            assert len(dcert) <= s_of(kappa_p(d, n))
-
-    violations = [
-        (n, d)
-        for n in range(2, 7)
-        for d in range(1, 6)
-        if s_of(kappa_p(d, n)) > dstar_length_bound(n, d)
-    ]
-    assert violations == [], f"s(kappa^d) exceeded the closed form at {violations}"
-    # expected computed values are one below the closed form, e.g. 62 vs 63
-    assert s_of(kappa_p(1, 4)) == 62 and dstar_length_bound(4, 1) == 63
-    report(5, f"d=1 cases plus 18 round trips within s(kappa^d) in {time.time()-t0:.1f}s")
+        st.check_round_trips(ALG, 505 * n, n, range(1, 2 * n + 1))
+    st.check_bounds(range(2, 7), range(1, 6))
+    report(5, f"d=1 cases plus round trips for c=1..2n within s(kappa^d) in {time.time()-t0:.1f}s")
 
 
-def test_criterion_6_upper_pipeline():
+def _sweep(mode, seed, sizes):
+    """check_factorization on one instance at a time, c in 1..3n;
+    returns the certificates and the slowest instance time."""
+    certs, slowest = [], 0.0
+    for n in sizes:
+        for c in range(1, 3 * n + 1):
+            t1 = time.time()
+            certs += st.check_factorization(ALG, seed * n, n, (c,), mode)
+            step = time.time() - t1
+            assert step < 5.0, f"{mode} factorization took {step:.2f}s at n={n}, c={c}"
+            slowest = max(slowest, step)
+    return certs, slowest
+
+
+@pytest.fixture(scope="module")
+def e_sweep():
+    return _sweep("e", 2200, (3, 4))
+
+
+def test_criterion_6_upper_pipeline(e_sweep):
     """GL factorization within ceil(c/n) for n in {2,3,4} and
     elementary factorization within ceil(c/(n-2)) for n in {3,4}, for
     c in {1..3n}; threshold cases give exactly one pair; < 5s/instance."""
     t0 = time.time()
-    slowest = 0.0
-    for n in (2, 3, 4):
-        for c in range(1, 3 * n + 1):
-            t1 = time.time()
-            g, inst = make_instance_checked(1100 * n + c, n, c)
-            cert = factor_commutators_gl(inst)
-            step = time.time() - t1
-            slowest = max(slowest, step)
-            assert step < 5.0, f"GL factorization took {step:.2f}s at n={n}, c={c}"
-            assert cert.verify() and cert.target == g
-            assert len(cert) <= _ceil_div(c, n)
-            if c == n:
-                assert len(cert) == 1
-
-    e_witnesses = []
-    for n in (3, 4):
-        for c in range(1, 3 * n + 1):
-            t1 = time.time()
-            g, inst = make_instance_checked(2200 * n + c, n, c)
-            cert = factor_commutators_e(inst)
-            step = time.time() - t1
-            slowest = max(slowest, step)
-            assert step < 5.0, f"E factorization took {step:.2f}s at n={n}, c={c}"
-            assert cert.verify() and cert.target == g
-            assert len(cert) <= _ceil_div(c, n - 2)
-            if c == n - 2:
-                assert len(cert) == 1
-            for p, q in cert.pairs:
-                assert is_elementary(p) and is_elementary(q)
-                e_witnesses.append((p, q))
-    test_criterion_6_upper_pipeline.e_witnesses = e_witnesses
-    report(6, f"GL and E sweeps verified; slowest instance {slowest:.2f}s (< 5s), total {time.time()-t0:.1f}s")
-
-
-def make_instance_checked(seed, n, c):
-    from commcert import make_instance
-    from commcert.matrix import is_central_in_E
-
-    for shift in range(16):
-        g, inst = make_instance(seed + 10_000 * shift, n, c)
-        if not is_central_in_E(inst.core()):
-            return g, inst
-    raise AssertionError("could not find a noncentral seeded instance")
+    _, slowest = _sweep("gl", 1100, (2, 3, 4))
+    slowest = max(slowest, e_sweep[1])
+    report(6, f"GL and E sweeps verified; slowest instance {slowest:.2f}s (< 5s), GL total {time.time()-t0:.1f}s")
 
 
 def test_criterion_7_stable_padding():
     """A d = 4 instance at n = 3 pads to n' = 6 and is one verified
     elementary commutator."""
-    from commcert import stable_single_commutator
-    from commcert.certify import _pad_matrix
-
-    g, inst = make_instance_checked(7001, 3, 4)
-    n2, p, q = stable_single_commutator(inst)
-    assert n2 == 6
-    assert mat_comm(p, q) == _pad_matrix(g, 6)
-    assert is_elementary(p) and is_elementary(q)
+    st.check_factorization(ALG, 7001 - 4, 3, (4,), "stable")
     report(7, "d=4, n=3 instance padded to n'=6 and realized as one elementary commutator")
 
 
-def test_criterion_8_dieudonne_suite():
+def test_criterion_8_dieudonne_suite(e_sweep):
     """Determinant multiplicativity on 1000 random pairs; every
     transvection determinant trivial; elementary membership for all
-    E-mode witnesses emitted by criterion 6."""
-    rng = random.Random(808)
+    E-mode witnesses of criterion 6 (checked by its sweep)."""
     t0 = time.time()
-    for trial in range(1000):
-        n = rng.choice((2, 3))
-        g = random_invertible(ALG, n, rng, random_quat)
-        h = random_invertible(ALG, n, rng, random_quat)
-        assert (
-            dieudonne_det(g * h).invariant
-            == dieudonne_det(g).invariant * dieudonne_det(h).invariant
-        )
     for n in (2, 3, 4):
-        for _ in range(50):
-            i, j = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
-            if i == j:
-                continue
-            t = transvection(ALG, n, i, j, random_quat(ALG, rng))
-            assert dieudonne_det(t).invariant == 1
-
-    witnesses = getattr(test_criterion_6_upper_pipeline, "e_witnesses", None)
-    if witnesses is None:
-        _ = test_criterion_6_upper_pipeline()
-        witnesses = test_criterion_6_upper_pipeline.e_witnesses
-    for p, q in witnesses:
-        assert is_elementary(p) and is_elementary(q)
+        st.check_determinant(ALG, 808 * n, n, pairs=500 if n < 4 else 0, transvections=50)
+    witnesses = 2 * sum(len(cert) for cert in e_sweep[0])
     report(
         8,
-        f"1000 multiplicativity pairs, transvection kernels, {len(witnesses)} "
+        f"1000 multiplicativity pairs, 150 transvection kernels, {witnesses} "
         f"elementary witnesses in {time.time()-t0:.1f}s",
     )

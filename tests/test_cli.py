@@ -214,3 +214,29 @@ def test_out_of_range_sizes_exit_3(capsys, argv):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
+
+
+def test_mixed_kind_certificate_exits_3(tmp_path, capsys, alg):
+    q = ser.quat_to_json(alg.basis()[1])
+    payload = {
+        "algebra": ser.algebra_to_json(alg),
+        "certificate": {"pairs": [[q, q]], "target": [[q]]},  # 1x1 matrix target
+    }
+    rc, err = _verify_payload(tmp_path, capsys, payload)
+    assert rc == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
+
+
+def test_instance_with_matrix_delta_witnesses_exits_3(tmp_path, capsys, alg):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--c", "2", "--seed", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    ident = ser.mat_to_json(MatD.identity(alg, 2))
+    payload["delta_cert"]["pairs"] = [[ident, ident]]
+    path.write_text(json.dumps(payload))
+    rc = main(["factor", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violation: ")

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
 
-from commcert import make_instance
+import pytest
+
+from commcert import PreconditionError, make_instance
 from commcert import serialize as ser
 from commcert.budget import HFactor, HFactorList
 from commcert.normalform import decompose_huvu
@@ -94,3 +96,12 @@ def test_long_rational_strings_roundtrip():
         assert s.split("/")[0].lstrip("-").isdigit()
         assert ser.rat_from_json(s) == r
     assert ser.rat_to_json(Fraction(-(10**5000))) == "-1" + "0" * 5000
+
+
+def test_cert_witnesses_must_match_the_target_kind(alg, rng):
+    q = ser.quat_to_json(rand_unit(alg, rng))
+    m2 = ser.mat_to_json(rand_invertible(alg, 2, rng))
+    m3 = ser.mat_to_json(rand_invertible(alg, 3, rng))
+    for pairs, target in (([[q, q]], [[q]]), ([[m2, q]], m2), ([[m2, m3]], m2), ([[m2, m2]], q)):
+        with pytest.raises(PreconditionError):
+            ser.cert_from_json({"pairs": pairs, "target": target}, alg)

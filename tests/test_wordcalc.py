@@ -5,7 +5,6 @@ import pytest
 from commcert import (
     CommutatorCert,
     Letter,
-    MatD,
     PreconditionError,
     VerificationError,
     Word,
@@ -16,6 +15,7 @@ from commcert import (
     transfer_cert,
 )
 from commcert import wordcalc
+from commcert.selftest import identity_product_list, make_interleaved_word
 from commcert.serialize import cert_from_json, cert_to_json
 from commcert.wordcalc import _move_pair, comm, group_identity, product
 
@@ -24,23 +24,6 @@ from conftest import rand_invertible, rand_unit
 
 def quat_word(vals, role="a"):
     return Word(tuple(Letter(role, i + 1, v) for i, v in enumerate(vals)))
-
-
-def identity_product_list(alg, rng, k, matrices=False, n=3):
-    """k elements multiplying to the identity."""
-    if matrices:
-        elems = [rand_invertible(alg, n, rng) for _ in range(k - 1)]
-        total = MatD.identity(alg, n)
-        for m in elems:
-            total = total * m
-        elems.append(total.inverse())
-    else:
-        elems = [rand_unit(alg, rng) for _ in range(k - 1)]
-        total = alg.one
-        for q in elems:
-            total = total * q
-        elems.append(total.inverse())
-    return elems
 
 
 class TestCertVerify:
@@ -136,45 +119,6 @@ class TestInverseProductCert:
     def test_nonidentity_product_rejected(self, alg, rng):
         with pytest.raises(PreconditionError):
             cert_inverse_product([alg.scalar(2)])
-
-
-def make_interleaved_word(alg, rng, p, q, matrices=False, n=3):
-    """Identity word with a-letters (inverses, ascending) and b-letters,
-    plus a valid certificate for the a product."""
-    ident = MatD.identity(alg, n) if matrices else alg.one
-
-    def unit():
-        return rand_invertible(alg, n, rng) if matrices else rand_unit(alg, rng)
-
-    if p > 0:
-        g, h = unit(), unit()
-        c = comm(g, h)
-        avals = [unit() for _ in range(p - 1)]
-        pre = ident
-        for v in avals:
-            pre = pre * v.inverse()
-        avals.append((pre.inverse() * c).inverse())
-        cert_a = CommutatorCert(((g, h),), c)
-    else:
-        avals, cert_a = [], CommutatorCert((), ident)
-    bvals = [unit() for _ in range(q)]
-
-    letters = [Letter("a", i + 1, avals[i].inverse()) for i in range(p)] + [
-        Letter("b", j + 1, bvals[j]) for j in range(q)
-    ]
-    rng.shuffle(letters)
-    positions = [ix for ix, l in enumerate(letters) if l.role == "a"]
-    for pos, l in zip(positions, sorted((l for l in letters if l.role == "a"), key=lambda l: l.idx)):
-        letters[pos] = l
-    bpos = max(ix for ix, l in enumerate(letters) if l.role == "b")
-    pre = ident
-    for l in letters[:bpos]:
-        pre = pre * l.value
-    post = ident
-    for l in letters[bpos + 1:]:
-        post = post * l.value
-    letters[bpos] = Letter("b", letters[bpos].idx, pre.inverse() * post.inverse())
-    return Word(tuple(letters)), cert_a
 
 
 class TestTransferCert:
