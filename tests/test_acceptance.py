@@ -76,7 +76,7 @@ def test_criterion_5_lower_pipeline():
     t0 = time.time()
     for n in (2, 3, 4):
         st.check_round_trips(ALG, 505 * n, n, range(1, 2 * n + 1))
-    st.check_bounds(range(2, 7), range(1, 6))
+    st.check_bounds()
     report(5, f"d=1 cases plus round trips for c=1..2n within s(kappa^d) in {time.time()-t0:.1f}s")
 
 
@@ -112,7 +112,7 @@ def test_criterion_6_upper_pipeline(e_sweep):
 def test_criterion_7_stable_padding():
     """A d = 4 instance at n = 3 pads to n' = 6 and is one verified
     elementary commutator."""
-    st.check_factorization(ALG, 7001 - 4, 3, (4,), "stable")
+    st.check_stable_padding(ALG, 7001, 3, 4)
     report(7, "d=4, n=3 instance padded to n'=6 and realized as one elementary commutator")
 
 
