@@ -8,18 +8,15 @@ import time
 
 from commcert import (
     BasedInstance,
-    CommutatorCert,
     MatD,
-    QuaternionAlgebra,
-    commutator,
     dstar_length_bound,
     factor_commutators_gl,
     kappa_p,
     lower_extract,
-    random_quat,
+    make_instance,
     s_of,
+    width_upper_bounds,
 )
-import random
 
 
 def main() -> None:
@@ -29,34 +26,21 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    alg = QuaternionAlgebra()
-    rng = random.Random(args.seed)
-    pairs = tuple(
-        (random_quat(alg, rng, span=1, nonzero=True),
-         random_quat(alg, rng, span=1, nonzero=True))
-        for _ in range(args.c)
-    )
-    delta = alg.one
-    for a, b in pairs:
-        delta = delta * commutator(a, b)
+    # delta and its certificate from the seeded instance; v = u = 1
+    _, seeded = make_instance(args.seed, args.n, args.c)
+    alg, delta = seeded.alg, seeded.delta
     if delta.is_one():
         raise SystemExit("degenerate seed: delta = 1, pick another")
-    inst = BasedInstance(
-        alg,
-        args.n,
-        MatD.identity(alg, args.n),
-        MatD.identity(alg, args.n),
-        delta,
-        CommutatorCert(pairs, delta),
-    )
+    ident = MatD.identity(alg, args.n)
+    inst = BasedInstance(alg, args.n, ident, ident, delta, seeded.delta_cert)
     print(f"instance: n={args.n}, delta certified by {args.c} quaternion pairs")
 
     t0 = time.time()
     mcert = factor_commutators_gl(inst)
     print(
         f"upward:   {len(mcert)} matrix commutator pair(s) "
-        f"(bound ceil(c/n) = {-(-args.c // args.n)}), verified={mcert.verify()}, "
-        f"{time.time()-t0:.2f}s"
+        f"(bound ceil(c/n) = {width_upper_bounds(args.n, args.c)[0]}), "
+        f"verified={mcert.verify()}, {time.time()-t0:.2f}s"
     )
 
     t0 = time.time()

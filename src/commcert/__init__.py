@@ -63,7 +63,6 @@ from .quaternion import (
 from .wordcalc import (
     CommutatorCert,
     Letter,
-    Word,
     cert_inverse_product,
     move_letter_end,
     move_letter_front,

@@ -28,7 +28,6 @@ from .quaternion import Quat, QuaternionAlgebra, commutator, random_quat, solve_
 from .wordcalc import (
     CommutatorCert,
     Letter,
-    Word,
     cert_inverse_product,
     comm,
     product,
@@ -118,16 +117,12 @@ def scalar_cert_from_hfactors(hf: HFactorList, tau: Quat) -> CommutatorCert:
     slot1 = [eps for idx, eps in block if idx == 1]
     cert = cert_inverse_product(slot1)
     for i in range(2, m):
-        letters = []
-        na = nb = 0
-        for idx, eps in block:
-            if idx == i - 1:
-                na += 1
-                letters.append(Letter("a", na, eps.inverse()))
-            elif idx == i:
-                nb += 1
-                letters.append(Letter("b", nb, eps))
-        cert = transfer_cert(Word(tuple(letters)), cert)
+        letters = tuple(
+            Letter("a", eps.inverse()) if idx == i - 1 else Letter("b", eps)
+            for idx, eps in block
+            if idx in (i - 1, i)
+        )
+        cert = transfer_cert(letters, cert)
 
     if cert.target != tau:
         raise InternalInvariantError("scalar extraction produced the wrong target")

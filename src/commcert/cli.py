@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import serialize as ser
 from .certify import (
@@ -64,7 +63,7 @@ def _decoding():
 def _parse_algebra(text: str) -> QuaternionAlgebra:
     with _decoding():
         a, b = text.split(",")
-        return QuaternionAlgebra(Fraction(a.strip()), Fraction(b.strip()))
+        return QuaternionAlgebra(ser.rat_from_json(a), ser.rat_from_json(b))
 
 
 def _load_json(path: str) -> dict:
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algebra", default="-1,-1")
+    p.add_argument("--algebra", default="-1,-1", help='"a,b", each "p/q" or "p"')
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
     return ap

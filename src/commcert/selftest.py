@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from functools import partial
 from typing import Callable, Iterable
 
 from .budget import h_commutator_factors, kappa_p, mu_vec, s_of, vec_leq
@@ -51,7 +52,6 @@ from .quaternion import QuaternionAlgebra, commutator, random_quat, solve_twiste
 from .wordcalc import (
     CommutatorCert,
     Letter,
-    Word,
     cert_inverse_product,
     comm,
     product,
@@ -88,8 +88,9 @@ def identity_product_list(alg, rng, k, matrices=False, n=3):
 
 
 def make_interleaved_word(alg, rng, p, q, matrices=False, n=3):
-    """Identity word with a-letters (inverses, ascending) and b-letters,
-    plus a valid certificate for the a product."""
+    """Identity word with p a-letters (inverses of a_1 ... a_p) and q
+    b-letters in shuffled roles, plus a valid certificate for the a
+    product."""
     ident = MatD.identity(alg, n) if matrices else alg.one
     if p > 0:
         g, h = _unit(alg, rng, matrices, n), _unit(alg, rng, matrices, n)
@@ -102,18 +103,15 @@ def make_interleaved_word(alg, rng, p, q, matrices=False, n=3):
         avals, cert_a = [], CommutatorCert((), ident)
     bvals = [_unit(alg, rng, matrices, n) for _ in range(q)]
 
-    letters = [Letter("a", i + 1, avals[i].inverse()) for i in range(p)] + [
-        Letter("b", j + 1, bvals[j]) for j in range(q)
-    ]
-    rng.shuffle(letters)
-    positions = [ix for ix, l in enumerate(letters) if l.role == "a"]
-    for pos, l in zip(positions, sorted((l for l in letters if l.role == "a"), key=lambda l: l.idx)):
-        letters[pos] = l
-    bpos = max(ix for ix, l in enumerate(letters) if l.role == "b")
+    roles = ["a"] * p + ["b"] * q
+    rng.shuffle(roles)
+    values = {"a": iter(v.inverse() for v in avals), "b": iter(bvals)}
+    letters = [Letter(role, next(values[role])) for role in roles]
+    bpos = max(ix for ix, role in enumerate(roles) if role == "b")
     pre = product((l.value for l in letters[:bpos]), ident)
     post = product((l.value for l in letters[bpos + 1:]), ident)
-    letters[bpos] = Letter("b", letters[bpos].idx, pre.inverse() * post.inverse())
-    return Word(tuple(letters)), cert_a
+    letters[bpos] = Letter("b", pre.inverse() * post.inverse())
+    return tuple(letters), cert_a
 
 
 def make_instance_checked(seed, n, c, alg=None):
@@ -399,20 +397,25 @@ def run_selftest(
                                    check_word_calculus(alg, seed, rounds=4, matrices=True))),
         ("bound-formulas", check_bounds),
     ]
-    for n in sizes:
-        checks += [
-            (f"relations-n{n}", lambda n=n: check_relations(alg, seed, n)),
-            (f"determinant-n{n}", lambda n=n: check_determinant(alg, seed, n)),
-            (f"lower-factorization-n{n}", lambda n=n: check_lower_factorization(alg, seed, n)),
-            (f"huvu-decomposition-n{n}", lambda n=n: check_decomposition(alg, seed, n)),
-            (f"absorption-n{n}", lambda n=n: check_absorption(alg, seed, n)),
-            (f"commutator-form-n{n}", lambda n=n: check_commutator_form(alg, seed, n)),
-            (f"pipelines-n{n}", lambda n=n: _check_pipelines(alg, seed, n)),
-        ]
+    per_size = (
+        ("relations", check_relations),
+        ("determinant", check_determinant),
+        ("lower-factorization", check_lower_factorization),
+        ("huvu-decomposition", check_decomposition),
+        ("absorption", check_absorption),
+        ("commutator-form", check_commutator_form),
+        ("pipelines", _check_pipelines),
+    )
+    # One seed per (seed, n): with the bare seed every size would draw
+    # the same instances (make_instance draws delta before any matrix).
+    nseed = {n: random.Random(f"{seed}/{n}").getrandbits(32) for n in sizes}
+    checks += [
+        (f"{name}-n{n}", partial(fn, alg, nseed[n], n)) for n in sizes for name, fn in per_size
+    ]
     checks.append(("lower-factorization-exhaustive",
                    lambda: check_lower_factorization_exhaustive(alg)))
     checks += [
-        (f"stable-padding-n{n}", lambda n=n: check_stable_padding(alg, seed + n - 1, n, n - 1))
+        (f"stable-padding-n{n}", partial(check_stable_padding, alg, nseed[n], n, n - 1))
         for n in sizes
     ]
     failures = 0

@@ -26,7 +26,7 @@ from .wordcalc import CommutatorCert
 # rather than lifting the interpreter-wide limit.
 _SHORT_DIGITS = 3000
 _SHORT_BITS = 9900  # 2^9900 < 10^3000
-_LONG_RAT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_RAT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def _int_to_str(v: int) -> str:
@@ -52,14 +52,14 @@ def rat_to_json(r: Fraction) -> str:
 
 
 def rat_from_json(s: str) -> Fraction:
-    if len(s) <= _SHORT_DIGITS:
-        return Fraction(s)
-    m = _LONG_RAT.fullmatch(s)
+    """Parse "p/q" or "p" (ASCII digits, an optional sign on p) and
+    nothing else: no spaces, underscores, decimals or exponents."""
+    m = _RAT.fullmatch(s)
     if m is None:
-        raise ValueError(f"invalid rational literal of {len(s)} characters")
+        raise ValueError(f"invalid rational literal {s[:40]!r}")
     sign, num, den = m.groups()
-    value = Fraction(_int_from_digits(num), _int_from_digits(den) if den else 1)
-    return -value if sign == "-" else value
+    p = _int_from_digits(num)
+    return Fraction(-p if sign == "-" else p, _int_from_digits(den) if den else 1)
 
 
 def algebra_to_json(alg: QuaternionAlgebra) -> dict:

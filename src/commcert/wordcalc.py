@@ -36,23 +36,11 @@ def comm(g, h):
 
 
 class Letter(NamedTuple):
+    """One letter of a word; a word is a tuple of letters, read left to
+    right, and a letter's position in it is its index."""
+
     role: str  # 'a' or 'b'
-    idx: int
     value: object
-
-
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[Letter, ...]
-
-    def evaluate(self):
-        if not self.letters:
-            raise PreconditionError("cannot evaluate an empty word without context")
-        e = group_identity(self.letters[0].value)
-        return product((l.value for l in self.letters), e)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 @dataclass(frozen=True)
@@ -130,46 +118,42 @@ def _move_pair(u, x, v, value, front: bool):
     return (g, h), value * comm(h, g)
 
 
-def _checked_move(w: Word, idx: int, moved: tuple, front: bool):
-    letters = w.letters
-    e = group_identity(letters[0].value)
-    u = product((l.value for l in letters[:idx]), e)
-    v = product((l.value for l in letters[idx + 1:]), e)
-    pair, value = _move_pair(u, letters[idx].value, v, w.evaluate(), front)
-    out = Word(moved)
-    if value != out.evaluate():
+def _checked_move(letters: tuple, idx: int, moved: tuple, front: bool):
+    values = [l.value for l in letters]
+    e = group_identity(values[0])
+    u, v = product(values[:idx], e), product(values[idx + 1:], e)
+    pair, value = _move_pair(u, values[idx], v, product(values, e), front)
+    if value != product((l.value for l in moved), e):
         raise VerificationError("letter move failed its multiplication check")
-    return out, pair
+    return moved, pair
 
 
-def move_letter_front(w: Word, idx: int) -> tuple[Word, tuple[object, object]]:
+def move_letter_front(letters: tuple, idx: int) -> tuple[tuple, tuple[object, object]]:
     """Move letter idx to the front; the emitted pair (g, h) satisfies
-    eval(w) = eval(result) * [g, h] exactly.
+    eval(letters) = eval(result) * [g, h] exactly.
 
     From u x v = x u v * (v^-1 [u^-1, x^-1] v) the pair is the
     v-conjugate (v^-1 u^-1 v, v^-1 x^-1 v).
     """
-    letters = w.letters
     if not (0 <= idx < len(letters)):
         raise PreconditionError("letter index out of range")
     if idx == 0:
         e = group_identity(letters[0].value)
-        return w, (e, e)
+        return letters, (e, e)
     moved = (letters[idx],) + letters[:idx] + letters[idx + 1:]
-    return _checked_move(w, idx, moved, front=True)
+    return _checked_move(letters, idx, moved, front=True)
 
 
-def move_letter_end(w: Word, idx: int) -> tuple[Word, tuple[object, object]]:
+def move_letter_end(letters: tuple, idx: int) -> tuple[tuple, tuple[object, object]]:
     """Move letter idx to the end; from u x v = u v x * [x^-1, v^-1]
     the emitted pair is (x^-1, v^-1)."""
-    letters = w.letters
     if not (0 <= idx < len(letters)):
         raise PreconditionError("letter index out of range")
     if idx == len(letters) - 1:
         e = group_identity(letters[0].value)
-        return w, (e, e)
+        return letters, (e, e)
     moved = letters[:idx] + letters[idx + 1:] + (letters[idx],)
-    return _checked_move(w, idx, moved, front=False)
+    return _checked_move(letters, idx, moved, front=False)
 
 
 def cert_inverse_product(elements: Sequence) -> CommutatorCert:
@@ -218,77 +202,51 @@ def cert_inverse_product(elements: Sequence) -> CommutatorCert:
     return cert.check()
 
 
-def _suffix_products(values: Sequence, skip: set, e) -> list:
-    """out[p] = product of values[p:] leaving out the positions in skip."""
-    out = [e] * (len(values) + 1)
-    for p in range(len(values) - 1, -1, -1):
-        out[p] = out[p + 1] if p in skip else values[p] * out[p + 1]
-    return out
-
-
-def transfer_cert(w: Word, cert_a: CommutatorCert) -> CommutatorCert:
-    """Given an identity word whose letters are a_1^-1 ... a_p^-1 (in
-    ascending index order) interleaved with b_1 ... b_q, turn a
-    certificate for a = a_1^-1 ... a_p^-1 into one for
+def transfer_cert(letters: tuple, cert_a: CommutatorCert) -> CommutatorCert:
+    """Given an identity word whose a-letters read a_1^-1 ... a_p^-1 and
+    whose b-letters read b_1 ... b_q, in word order and interleaved, turn
+    a certificate for a = a_1^-1 ... a_p^-1 into one for
     b = b_1^-1 ... b_q^-1 with at most |cert_a| + q - 1 extra moves.
 
     Rotation makes b_1 the leading letter (conjugating a), then each of
-    b_2 ... b_q is moved to the front, emitting one pair per move.
-    Before a move the word is M R, where M = b_{j-1} ... b_2 is the
-    running product of the moved letters and R the remaining letters
-    in rotated order.  The product of R before the moving letter grows
-    along the word and the products after it are cached suffixes, so a
-    move costs O(1) products; a letter that sits before an already
-    moved one rebuilds both caches.
+    b_2 ... b_q is moved to the front in word order, emitting one pair
+    per move.  Before the move of the letter at position p the word is
+    M H x S: M = b_{j-1} ... b_2 is the running product of the moved
+    letters, H the product of the unmoved letters before p, x the
+    moving letter and S the suffix product after it, computed once.
+    So each move costs O(1) products.
     """
-    letters = w.letters
-    a_letters = [l for l in letters if l.role == "a"]
-    b_letters = [l for l in letters if l.role == "b"]
-    q = len(b_letters)
+    q = sum(1 for l in letters if l.role == "b")
     if q < 1:
         raise PreconditionError("need at least one b letter")
-    if sorted(l.idx for l in b_letters) != list(range(1, q + 1)):
-        raise PreconditionError("b letters must be indexed 1..q, once each")
-    if [l.idx for l in a_letters] != sorted(l.idx for l in a_letters):
-        raise PreconditionError("a letters must appear in ascending index order")
     e = group_identity(letters[0].value)
-    if w.evaluate() != e:
-        raise PreconditionError("word does not evaluate to the identity")
-    a_value = product((l.value for l in a_letters), e)
+    a_value = product((l.value for l in letters if l.role == "a"), e)
     if cert_a.target != a_value:
         raise PreconditionError("certificate target does not match the a product")
-    target_b = product((l.value.inverse() for l in sorted(b_letters, key=lambda l: l.idx)), e)
+    target_b = product((l.value.inverse() for l in letters if l.role == "b"), e)
 
     # Rotate so that b_1 leads; a becomes a conjugate.
-    r = next(p for p, l in enumerate(letters) if l.role == "b" and l.idx == 1)
-    prefix_a = product((l.value for l in letters[:r] if l.role == "a"), e)
+    r = next(p for p, l in enumerate(letters) if l.role == "b")
     rotated = letters[r:] + letters[:r]
-    cert = cert_a.conjugated(prefix_a)
+    cert = cert_a.conjugated(product((l.value for l in letters[:r]), e))
 
-    values = [l.value for l in rotated]
-    where = {l.idx: p for p, l in enumerate(rotated) if l.role == "b"}
-    value = product(values, e)
-    moved: set[int] = set()
-    moved_value, last = e, -1  # M, and the rightmost moved position
-    suffix = _suffix_products(values, moved, e)
-    head, scanned = e, 0  # product of the unmoved letters of rotated[:scanned]
+    suffix = [e] * (len(rotated) + 1)
+    for p in range(len(rotated) - 1, -1, -1):
+        suffix[p] = rotated[p].value * suffix[p + 1]
+    value = suffix[0]
+    if value != e:
+        raise PreconditionError("word does not evaluate to the identity")
+    moved_value, head = e, rotated[0].value  # M, and H before position 1
     pairs: list[tuple[object, object]] = []
-    for bidx in range(2, q + 1):
-        pos = where[bidx]
-        if pos < last:
-            suffix = _suffix_products(values, moved, e)
-            head, scanned = e, 0
-        for p in range(scanned, pos):
-            if p not in moved:
-                head = head * values[p]
-        x = values[pos]
-        pair, value = _move_pair(moved_value * head, x, suffix[pos + 1], value, front=True)
+    for p in range(1, len(rotated)):
+        x = rotated[p].value
+        if rotated[p].role == "a":
+            head = head * x
+            continue
+        pair, value = _move_pair(moved_value * head, x, suffix[p + 1], value, front=True)
         pairs.append(pair)
-        moved.add(pos)
         moved_value = x * moved_value
-        scanned, last = pos + 1, max(last, pos)
-    rest = (values[p] for p in range(len(values)) if p not in moved)
-    if value != product(rest, moved_value):
+    if value != moved_value * head:
         raise VerificationError("front moves do not reach the final word")
 
     # e = eval(final) * [p_m] ... [p_1] and eval(final) = b^-1 * a', so

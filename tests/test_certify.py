@@ -7,6 +7,8 @@ from commcert import (
     CommutatorCert,
     MatD,
     PreconditionError,
+    QuaternionAlgebra,
+    VerificationError,
     balanced_partition,
     commutator,
     dstar_length_bound,
@@ -29,6 +31,7 @@ from commcert import (
     width_ratio_lower_bound,
     width_upper_bounds,
 )
+from commcert import wordcalc
 from commcert.budget import HFactor, HFactorList
 from commcert.certify import _ceil_div, _pad_matrix
 from commcert.quaternion import random_quat
@@ -167,6 +170,74 @@ class TestLowerExtract:
         y = transvection(alg, 3, 2, 1, alg.one)
         with pytest.raises(PreconditionError):
             lower_extract([(x, y)], alg.one)
+
+
+def _corrupted(pair):
+    """(g k, h) for the first basis unit k that changes the commutator,
+    or None when h is central."""
+    g, h = pair
+    for k in g.alg.basis()[1:]:
+        if commutator(g * k, h) != commutator(g, h):
+            return (g * k, h)
+    return None
+
+
+class TestScalarExtractionMutations:
+    """One corrupted pair emitted by a letter move, or one corrupted
+    witness of a conjugated certificate, must make lower_extract raise
+    instead of returning."""
+
+    @pytest.fixture(scope="class")
+    def round_trip(self):
+        alg = QuaternionAlgebra()
+        _, inst = make_instance(3, 3, 3)
+        ident = MatD.identity(alg, 3)
+        diag = BasedInstance(alg, 3, ident, ident, inst.delta, inst.delta_cert)
+        return list(factor_commutators_gl(diag).pairs), inst.delta
+
+    @staticmethod
+    def _extract(monkeypatch, round_trip, kind, corrupt_at):
+        """lower_extract with the outputs of `kind` watched; the
+        corruptible one numbered corrupt_at is corrupted.  Returns how
+        many were corruptible."""
+        seen = []
+
+        def corrupt(pair):
+            bad = _corrupted(pair)
+            if bad is None:
+                return pair
+            seen.append(pair)
+            return bad if len(seen) - 1 == corrupt_at else pair
+
+        if kind == "move":
+            move_pair = wordcalc._move_pair
+
+            def watched(*args, **kwargs):
+                pair, value = move_pair(*args, **kwargs)
+                return corrupt(pair), value
+
+            monkeypatch.setattr(wordcalc, "_move_pair", watched)
+        else:
+            conjugated = wordcalc.CommutatorCert.conjugated
+
+            def watched(cert, c):
+                out = conjugated(cert, c)
+                if not out.pairs:
+                    return out
+                return CommutatorCert((corrupt(out.pairs[0]),) + out.pairs[1:], out.target)
+
+            monkeypatch.setattr(wordcalc.CommutatorCert, "conjugated", watched)
+        pairs, delta = round_trip
+        lower_extract(pairs, delta)
+        return len(seen)
+
+    @pytest.mark.parametrize("kind", ["move", "conjugated"])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_corruption_raises(self, monkeypatch, round_trip, kind, at):
+        count = self._extract(monkeypatch, round_trip, kind, corrupt_at=None)
+        assert count >= 2
+        with pytest.raises(VerificationError):
+            self._extract(monkeypatch, round_trip, kind, 0 if at == "first" else count - 1)
 
 
 class TestPrescribedGaussBase:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -240,3 +241,33 @@ def test_instance_with_matrix_delta_witnesses_exits_3(tmp_path, capsys, alg):
     assert rc == 3 and captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
+
+
+# The documented rational format is "p/q" or "p"; Fraction(str) would
+# also take these, and "1e2000000" would build a two-million-digit integer.
+NOT_RATIONALS = ["1.5", " 7 ", "1_000", "1e2000000"]
+
+
+def _one_precondition_line(captured):
+    lines = captured.err.strip().splitlines()
+    return captured.out == "" and len(lines) == 1 and lines[0].startswith("precondition violation: ")
+
+
+@pytest.mark.parametrize("coord", NOT_RATIONALS)
+def test_non_rational_coordinate_exits_3(tmp_path, capsys, alg, coord):
+    zero, one = ["0"] * 4, ["1", "0", "0", "0"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "algebra": ser.algebra_to_json(alg),
+        "matrix": [[[coord, "0", "0", "0"], zero], [zero, one]],
+    }))
+    start = time.perf_counter()
+    rc = main(["decompose", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3 and _one_precondition_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("param", NOT_RATIONALS)
+def test_non_rational_algebra_option_exits_3(capsys, param):
+    rc = main(["gen", "--n", "2", "--c", "1", f"--algebra=-1,{param}"])
+    assert rc == 3 and _one_precondition_line(capsys.readouterr())

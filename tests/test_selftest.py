@@ -48,3 +48,20 @@ def test_pipelines_run_in_the_given_algebra(monkeypatch, a, b):
     lines = []
     assert run_selftest(sizes=(2, 3), algebra=alg, emit=lines.append) == 0, lines
     assert seen and all(x == alg for x in seen)
+
+
+def test_pipelines_draw_a_different_delta_at_each_size(monkeypatch):
+    first_delta = {}  # n -> delta of the first c = 1 instance, drawn by pipelines-n{n}
+    make_instance = selftest.make_instance
+
+    def recording(seed, n, c, alg=None):
+        g, inst = make_instance(seed, n, c, alg)
+        if c == 1:
+            first_delta.setdefault(n, inst.delta)
+        return g, inst
+
+    monkeypatch.setattr(selftest, "make_instance", recording)
+    lines = []
+    assert run_selftest(seed=0, emit=lines.append) == 0, lines
+    deltas = [first_delta[n] for n in (2, 3, 4)]
+    assert all(a != b for i, a in enumerate(deltas) for b in deltas[i + 1:])

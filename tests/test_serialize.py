@@ -1,13 +1,17 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commcert import PreconditionError, make_instance
+from commcert import CommutatorCert, MatD, PreconditionError, commutator, make_instance
 from commcert import serialize as ser
 from commcert.budget import HFactor, HFactorList
 from commcert.normalform import decompose_huvu
 from commcert.quaternion import QuaternionAlgebra
+from commcert.wordcalc import product
 
 from conftest import rand_invertible, rand_unit
 
@@ -105,3 +109,83 @@ def test_cert_witnesses_must_match_the_target_kind(alg, rng):
     for pairs, target in (([[q, q]], [[q]]), ([[m2, q]], m2), ([[m2, m3]], m2), ([[m2, m2]], q)):
         with pytest.raises(PreconditionError):
             ser.cert_from_json({"pairs": pairs, "target": target}, alg)
+
+
+@pytest.mark.parametrize(
+    "text", ["1.5", " 7 ", "1_000", "1e2000000", "", "/3", "1/", "1/-3", "--1", "+-1", "\u0663"]
+)
+def test_only_p_over_q_or_p_parses(text):
+    with pytest.raises(ValueError):
+        ser.rat_from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# round trips over definite algebras, Hamilton and not
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = st.sampled_from(
+    [
+        QuaternionAlgebra(-1, -3),
+        QuaternionAlgebra(-2, -5),
+        QuaternionAlgebra(Fraction(-1, 2), Fraction(-3, 7)),
+    ]
+)
+RATIONALS = st.builds(
+    Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)
+)
+# past the interpreter's 4300-digit int <-> str cap
+HUGE_INTS = st.builds(
+    lambda sign, digits, low: sign * (10**digits + low),
+    st.sampled_from([1, -1]),
+    st.integers(4300, 6000),
+    st.integers(0, 10**50),
+)
+# canonical output: no sign but "-", no leading zeros, no "/1"
+CANONICAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+
+
+def quats(alg, coords=RATIONALS):
+    return st.builds(alg.quat, coords, coords, coords, coords)
+
+
+def through_json(data):
+    return json.loads(json.dumps(data))
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.one_of(RATIONALS, st.builds(Fraction, HUGE_INTS, HUGE_INTS)))
+def test_rat_to_json_is_canonical_and_strict(r):
+    s = ser.rat_to_json(r)
+    assert CANONICAL.fullmatch(s) and s != "-0"
+    assert ser.rat_from_json(s) == r
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quaternion_and_matrix_json_roundtrip(data):
+    alg = data.draw(ALGEBRAS)
+    q = data.draw(quats(alg))
+    assert ser.quat_from_json(through_json(ser.quat_to_json(q)), alg) == q
+    n = data.draw(st.integers(1, 3))
+    m = MatD(alg, [[data.draw(quats(alg)) for _ in range(n)] for _ in range(n)])
+    assert ser.mat_from_json(through_json(ser.mat_to_json(m)), alg) == m
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_certificate_json_roundtrip(data):
+    alg = data.draw(ALGEBRAS)
+    unit = quats(alg).filter(lambda q: not q.is_zero())
+    pairs = tuple((data.draw(unit), data.draw(unit)) for _ in range(data.draw(st.integers(0, 3))))
+    cert = CommutatorCert(pairs, product((commutator(g, h) for g, h in pairs), alg.one))
+    back = ser.cert_from_json(through_json(ser.cert_to_json(cert)), alg)
+    assert back == cert and back.verify()
+
+
+@settings(max_examples=10, deadline=None)
+@given(alg=ALGEBRAS, num=HUGE_INTS, den=st.one_of(st.just(1), HUGE_INTS.map(abs)))
+def test_huge_coordinates_roundtrip(alg, num, den):
+    q = alg.quat(Fraction(num, den), 1, 0, Fraction(-1, 3))
+    assert ser.quat_from_json(through_json(ser.quat_to_json(q)), alg) == q
+    cert = CommutatorCert(((q, alg.basis()[2]),), commutator(q, alg.basis()[2]))
+    assert ser.cert_from_json(through_json(ser.cert_to_json(cert)), alg) == cert
