@@ -198,8 +198,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a precondition violation (exit 3); argparse's own
+    exit code 2 is the one documented for a verification failure."""
+
+    def error(self, message: str):
+        raise PreconditionError(message)
+
+
+def _attach_algebra(argv: list[str]) -> list[str]:
+    """Pass "--algebra A" on as "--algebra=A": argparse would read a
+    value such as "-1,-3" as an option, and every definite algebra has
+    negative parameters."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--algebra":
+            out[-1] = f"--algebra={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="commcert",
         description="exact commutator certificates in GL(n, D) over rational "
         "quaternion division algebras",
@@ -249,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = _attach_algebra(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

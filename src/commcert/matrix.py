@@ -9,6 +9,7 @@ careful track of the side it multiplies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -19,7 +20,7 @@ from .errors import (
     SingularMatrixError,
     ZeroInputError,
 )
-from .quaternion import Quat, QuaternionAlgebra
+from .quaternion import Quat, QuaternionAlgebra, int_mul, int_nrd, zero_divisor_error
 
 
 class MatD:
@@ -91,33 +92,46 @@ class MatD:
     # -- arithmetic -----------------------------------------------------
 
     def __mul__(self, other: "MatD") -> "MatD":
+        """Each output entry is summed on integer numerators over the lcm
+        of its terms' denominators and normalized once; zero entries are
+        skipped and a unit left factor passes the right entry through."""
         if self.alg is not other.alg and self.alg != other.alg:
             raise AlgebraMismatchError("matrix product across different algebras")
         if self.n != other.n:
             raise PreconditionError("dimension mismatch")
-        n = self.n
-        zero = self.alg.zero
-        brows = other.rows
+        alg = self.alg
+        k = alg.consts
+        adbd = k[0]
+        zero = alg.zero
+        # the nonzero entries of each column of other, with their numerators
+        cols = [[(j, b.wn, b.xn, b.yn, b.zn, b.den, b) for j, b in enumerate(col)
+                 if not b.is_zero()] for col in zip(*other.rows)]
         out = []
         for arow in self.rows:
-            row = [zero] * n
-            for j, aij in enumerate(arow):
-                if aij.is_zero():
-                    continue
-                brow = brows[j]
-                if aij.is_one():
-                    for k, bjk in enumerate(brow):
-                        if not bjk.is_zero():
-                            cur = row[k]
-                            row[k] = bjk if cur.is_zero() else cur + bjk
+            # None for a zero entry, True for a unit, else numerators and den * ad * bd
+            left = [None if a.is_zero() else True if a.is_one()
+                    else (a.wn, a.xn, a.yn, a.zn, a.den * adbd) for a in arow]
+            row = []
+            for col in cols:
+                terms = []
+                for j, bw, bx, by, bz, bd, b in col:
+                    a = left[j]
+                    if a is None:
+                        continue
+                    if a is True:
+                        terms.append((bw, bx, by, bz, bd, b))
+                    else:
+                        aw, ax, ay, az, ad = a
+                        terms.append((*int_mul(k, aw, ax, ay, az, bw, bx, by, bz), ad * bd, None))
+                if not terms:
+                    row.append(zero)
+                elif len(terms) == 1:
+                    w, x, y, z, d, b = terms[0]
+                    row.append(b if b is not None else Quat(alg, w, x, y, z, d))
                 else:
-                    for k, bjk in enumerate(brow):
-                        if not bjk.is_zero():
-                            term = aij * bjk
-                            cur = row[k]
-                            row[k] = term if cur.is_zero() else cur + term
+                    row.append(_sum_terms(alg, terms))
             out.append(row)
-        return MatD(self.alg, out)
+        return MatD(alg, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -221,54 +235,135 @@ def h_elem(alg: QuaternionAlgebra, n: int, i: int, j: int, eps: Quat) -> MatD:
     return MatD.diagonal(alg, entries)
 
 
-def _sub_multiple(row: list[Quat], f: Quat, pivot_row: list[Quat], cols: list[int]) -> None:
-    """row[c] -= f * pivot_row[c] in place, for the columns in cols (the
-    caller passes only the nonzero entries of pivot_row)."""
-    unit = f.is_one()
-    for c in cols:
-        t = pivot_row[c] if unit else f * pivot_row[c]
-        cur = row[c]
-        row[c] = -t if cur.is_zero() else cur - t
+def _sum_terms(alg: QuaternionAlgebra, terms: list[tuple]) -> Quat:
+    """One Quat from (w, x, y, z, den, ...) terms, added over the lcm of
+    their denominators."""
+    lcm = math.lcm(*[t[4] for t in terms])
+    sw = sx = sy = sz = 0
+    for w, x, y, z, d, _ in terms:
+        if d != lcm:
+            m = lcm // d
+            w, x, y, z = w * m, x * m, y * m, z * m
+        sw += w
+        sx += x
+        sy += y
+        sz += z
+    return Quat(alg, sw, sx, sy, sz, lcm)
+
+
+# Integer rows for the eliminations: a row maps the column of each
+# nonzero entry to the integer quaternion (w, x, y, z, den) that Quat
+# would store for it, den > 0 and gcd(w, x, y, z, den) = 1.
+
+IntRow = dict[int, tuple[int, int, int, int, int]]
+
+
+def _int_row(row: Sequence[Quat]) -> IntRow:
+    return {c: (q.wn, q.xn, q.yn, q.zn, q.den) for c, q in enumerate(row) if not q.is_zero()}
+
+
+def _reduced(w: int, x: int, y: int, z: int, d: int) -> tuple[int, int, int, int, int]:
+    if d < 0:
+        w, x, y, z, d = -w, -x, -y, -z, -d
+    g = math.gcd(d, w, x, y, z)
+    return (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
+
+
+def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: range) -> None:
+    """One Gauss-Jordan step on integer rows, in place: scale the pivot
+    row rows[col] on the left to pivot 1 and subtract left multiples of
+    it from the target rows to clear column col there.
+
+    For P = p / d, P^-1 = conj(p) d ad bd / N(p) with N(p) = int_nrd(p),
+    so P^-1 (e / d_e) = int_mul(conj p, e) d / (N(p) d_e).  A target
+    entry v / d_v loses (f / d_f)(e / d_e) = int_mul(f, e) / (ad bd d_f d_e),
+    added over the lcm of the two denominators; a central pivot or
+    factor needs no product.  Each new entry is reduced once.  The pivot
+    entry is removed from the pivot row as well: no later step reads it.
+    """
+    k = alg.consts
+    prow = rows[col]
+    pw, px, py, pz, pd = prow.pop(col)
+    if px or py or pz:
+        nrd = int_nrd(k, pw, px, py, pz)
+        if nrd == 0:
+            raise zero_divisor_error(alg)
+        for c, (w, x, y, z, d) in prow.items():
+            w, x, y, z = int_mul(k, pw, -px, -py, -pz, w, x, y, z)
+            prow[c] = _reduced(w * pd, x * pd, y * pd, z * pd, nrd * d)
+    elif pw != pd:
+        for c, (w, x, y, z, d) in prow.items():
+            prow[c] = _reduced(w * pd, x * pd, y * pd, z * pd, pw * d)
+    pitems = list(prow.items())
+    for r in targets:
+        row = rows[r]
+        f = row.pop(col, None)
+        if f is None:
+            continue
+        fw, fx, fy, fz, fd = f
+        central = not (fx or fy or fz)
+        if not central:
+            fd *= k[0]
+        for c, (ew, ex, ey, ez, ed) in pitems:
+            if central:
+                tw, tx, ty, tz = fw * ew, fw * ex, fw * ey, fw * ez
+            else:
+                tw, tx, ty, tz = int_mul(k, fw, fx, fy, fz, ew, ex, ey, ez)
+            td = fd * ed
+            v = row.get(c)
+            if v is None:
+                w, x, y, z, d = -tw, -tx, -ty, -tz, td
+            else:
+                vw, vx, vy, vz, vd = v
+                if vd == td:
+                    w, x, y, z, d = vw - tw, vx - tx, vy - ty, vz - tz, vd
+                else:
+                    g = math.gcd(vd, td)
+                    a, b = td // g, vd // g
+                    w, x, y, z, d = (vw * a - tw * b, vx * a - tx * b, vy * a - ty * b,
+                                     vz * a - tz * b, vd * a)
+                if not (w or x or y or z):
+                    del row[c]
+                    continue
+            row[c] = _reduced(w, x, y, z, d)
 
 
 def mat_inv(g: MatD) -> MatD:
-    """Inverse by row elimination over the skew-field.
+    """Inverse by Gauss-Jordan elimination over the skew-field.
 
     All multiplications act on the left of rows, so the order of scalar
-    factors is respected; a zero pivot column certifies singularity.
-    Only the nonzero entries of the pivot row are propagated, and the
-    columns left of the pivot are already eliminated in every row, so
-    the work follows the sparsity of the matrix.
+    factors is respected.  The rows of [g | I] are held as integer
+    quaternions and only nonzero entries are stored and propagated; the
+    inverse's entries become Quats once, at the end.  The pivot is the
+    first entry of its column with nonzero reduced norm: a zero column
+    certifies singularity, and a column whose nonzero entries are all
+    zero divisors raises NotDivisionAlgebraError.
     """
     n = g.n
     alg = g.alg
-    one, zero = alg.one, alg.zero
-    work = [list(row) for row in g.rows]
-    aug = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    k = alg.consts
+    rows = []
+    for i, row in enumerate(g.rows):
+        work = _int_row(row)
+        work[n + i] = (1, 0, 0, 0, 1)
+        rows.append(work)
     for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if piv is None:
+        cands = [r for r in range(col, n) if col in rows[r]]
+        if not cands:
             raise SingularMatrixError("matrix is singular")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            aug[col], aug[piv] = aug[piv], aug[col]
-        prow, paug = work[col], aug[col]
-        wcols = [c for c in range(col + 1, n) if not prow[c].is_zero()]
-        acols = [c for c in range(n) if not paug[c].is_zero()]
-        if not prow[col].is_one():
-            pinv = prow[col].inverse()
-            prow[col] = one
-            for c in wcols:
-                prow[c] = pinv * prow[c]
-            for c in acols:
-                paug[c] = pinv * paug[c]
-        for r in range(n):
-            f = work[r][col]
-            if r != col and not f.is_zero():
-                work[r][col] = zero
-                _sub_multiple(work[r], f, prow, wcols)
-                _sub_multiple(aug[r], f, paug, acols)
-    return MatD(alg, aug)
+        piv = next((r for r in cands if int_nrd(k, *rows[r][col][:4]) != 0), None)
+        if piv is None:
+            raise zero_divisor_error(alg)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        _eliminate(alg, rows, col, range(n))
+    zero = alg.zero
+    out = []
+    for row in rows:
+        inv_row = [zero] * n
+        for c, e in row.items():
+            inv_row[c - n] = Quat(alg, *e)
+        out.append(inv_row)
+    return MatD(alg, out)
 
 
 @dataclass(frozen=True)
@@ -289,34 +384,41 @@ class DetClass:
 
 
 def dieudonne_det(g: MatD) -> DetClass:
-    """Eliminate to diagonal form using row transvections only (these
-    lie in the kernel of det) and multiply the diagonal left to right.
+    """Eliminate to triangular form using row transvections only (these
+    lie in the kernel of det) and multiply the pivots left to right.
 
     Pivot repair adds a lower row into the pivot row instead of swapping,
-    so every operation is t_{i,j}(xi) and the class is untouched.
+    so every operation is t_{i,j}(xi) and the class is untouched.  Rows
+    are integer quaternions, as in mat_inv.
     """
     n = g.n
-    zero = g.alg.zero
-    work = [list(row) for row in g.rows]
+    alg = g.alg
+    rows = [_int_row(row) for row in g.rows]
+    rep = alg.one
     for col in range(n):
-        if work[col][col].is_zero():
-            src = next((r for r in range(col + 1, n) if not work[r][col].is_zero()), None)
+        if col not in rows[col]:
+            src = next((r for r in range(col + 1, n) if col in rows[r]), None)
             if src is None:
                 raise SingularMatrixError("matrix is singular")
-            work[col] = [a + b for a, b in zip(work[col], work[src])]
-        prow = work[col]
-        pinv = prow[col].inverse()
-        # columns left of col are zero in every row but their pivot's
-        cols = [c for c in range(col + 1, n) if not prow[c].is_zero()]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col] * pinv
-                work[r][col] = zero
-                _sub_multiple(work[r], f, prow, cols)
-    rep = g.alg.one
-    for i in range(n):
-        rep = rep * work[i][i]
+            rows[col] = _add_rows(rows[col], rows[src])
+        rep = rep * Quat(alg, *rows[col][col])
+        _eliminate(alg, rows, col, range(col + 1, n))
     return DetClass(rep, rep.nrd())
+
+
+def _add_rows(a: IntRow, b: IntRow) -> IntRow:
+    out = dict(a)
+    for c, e in b.items():
+        u = out.pop(c, None)
+        if u is None:
+            out[c] = e
+            continue
+        g = math.gcd(u[4], e[4])
+        ma, mb = e[4] // g, u[4] // g
+        s = [p * ma + q * mb for p, q in zip(u[:4], e[:4])]
+        if any(s):
+            out[c] = _reduced(*s, u[4] * ma)
+    return out
 
 
 def is_elementary(g: MatD) -> bool:

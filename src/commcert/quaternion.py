@@ -44,11 +44,38 @@ def _gcd5(a: int, b: int, c: int, d: int, e: int) -> int:
     return math.gcd(g, abs(d))
 
 
+def int_mul(k: tuple[int, int, int, int], w1: int, x1: int, y1: int, z1: int,
+            w2: int, x2: int, y2: int, z2: int) -> tuple[int, int, int, int]:
+    """Integer numerators of (w1 + x1 i + y1 j + z1 k)(w2 + x2 i + y2 j + z2 k)
+    over the denominator ad*bd, for the structure constants
+    k = (ad*bd, an*bd, bn*ad, an*bn) of the algebra (an/ad, bn/bd | Q)."""
+    adbd, anbd, bnad, anbn = k
+    return (
+        adbd * w1 * w2 + anbd * x1 * x2 + bnad * y1 * y2 - anbn * z1 * z2,
+        adbd * (w1 * x2 + x1 * w2) - bnad * (y1 * z2 - z1 * y2),
+        adbd * (w1 * y2 + y1 * w2) + anbd * (x1 * z2 - z1 * x2),
+        adbd * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2),
+    )
+
+
+def int_nrd(k: tuple[int, int, int, int], w: int, x: int, y: int, z: int) -> int:
+    """Numerator of the reduced norm of w + x i + y j + z k over ad*bd,
+    which is also the scalar part of int_mul(k, conj, self)."""
+    adbd, anbd, bnad, anbn = k
+    return adbd * w * w - anbd * x * x - bnad * y * y + anbn * z * z
+
+
+def zero_divisor_error(alg: "QuaternionAlgebra") -> NotDivisionAlgebraError:
+    return NotDivisionAlgebraError(
+        f"nonzero element with nrd = 0: parameters {alg!r} do not give a division algebra"
+    )
+
+
 class QuaternionAlgebra:
     """The algebra (a, b | Q): carries the structure constants and acts
     as the factory for its elements."""
 
-    __slots__ = ("a", "b", "_an", "_ad", "_bn", "_bd", "one", "zero")
+    __slots__ = ("a", "b", "consts", "one", "zero")
 
     def __init__(self, a: RatLike = -1, b: RatLike = -1):
         a = Fraction(a)
@@ -57,10 +84,8 @@ class QuaternionAlgebra:
             raise ZeroInputError("algebra parameters must be nonzero")
         self.a = a
         self.b = b
-        self._an = a.numerator
-        self._ad = a.denominator
-        self._bn = b.numerator
-        self._bd = b.denominator
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        self.consts = (ad * bd, an * bd, bn * ad, an * bn)  # see int_mul
         self.one = Quat(self, 1, 0, 0, 0, 1)
         self.zero = Quat(self, 0, 0, 0, 0, 1)
 
@@ -199,15 +224,9 @@ class Quat:
     def __mul__(self, other: "Quat") -> "Quat":
         self._check_same_algebra(other)
         alg = self.alg
-        an, ad, bn, bd = alg._an, alg._ad, alg._bn, alg._bd
-        w1, x1, y1, z1 = self.wn, self.xn, self.yn, self.zn
-        w2, x2, y2, z2 = other.wn, other.xn, other.yn, other.zn
-        adbd = ad * bd
-        wn = adbd * w1 * w2 + an * bd * x1 * x2 + bn * ad * y1 * y2 - an * bn * z1 * z2
-        xn = ad * (bd * (w1 * x2 + x1 * w2) - bn * (y1 * z2 - z1 * y2))
-        yn = bd * (ad * (w1 * y2 + y1 * w2) + an * (x1 * z2 - z1 * x2))
-        zn = adbd * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)
-        return Quat(alg, wn, xn, yn, zn, self.den * other.den * adbd)
+        wn, xn, yn, zn = int_mul(alg.consts, self.wn, self.xn, self.yn, self.zn,
+                                 other.wn, other.xn, other.yn, other.zn)
+        return Quat(alg, wn, xn, yn, zn, self.den * other.den * alg.consts[0])
 
     def scale(self, r: RatLike) -> "Quat":
         """Multiplication by a central rational."""
@@ -235,19 +254,11 @@ class Quat:
 
     def _nrd_num(self) -> int:
         """Numerator of nrd over the denominator ad * bd * den^2."""
-        alg = self.alg
-        an, ad, bn, bd = alg._an, alg._ad, alg._bn, alg._bd
-        return (
-            ad * bd * self.wn * self.wn
-            - an * bd * self.xn * self.xn
-            - bn * ad * self.yn * self.yn
-            + an * bn * self.zn * self.zn
-        )
+        return int_nrd(self.alg.consts, self.wn, self.xn, self.yn, self.zn)
 
     def nrd(self) -> Fraction:
         """Reduced norm q * conj(q); multiplicative, lands in Q."""
-        alg = self.alg
-        return Fraction(self._nrd_num(), alg._ad * alg._bd * self.den * self.den)
+        return Fraction(self._nrd_num(), self.alg.consts[0] * self.den * self.den)
 
     def trd(self) -> Fraction:
         """Reduced trace q + conj(q)."""
@@ -258,12 +269,9 @@ class Quat:
             raise ZeroInputError("zero quaternion has no inverse")
         num = self._nrd_num()
         if num == 0:
-            raise NotDivisionAlgebraError(
-                f"nonzero element with nrd = 0: parameters {self.alg!r} do not "
-                "give a division algebra"
-            )
+            raise zero_divisor_error(self.alg)
         # conj(q) / nrd(q) = (w, -x, -y, -z) * (ad * bd * den) / num
-        m = self.alg._ad * self.alg._bd * self.den
+        m = self.alg.consts[0] * self.den
         return Quat(self.alg, self.wn * m, -self.xn * m, -self.yn * m, -self.zn * m, num)
 
     def __eq__(self, other) -> bool:

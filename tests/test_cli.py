@@ -271,3 +271,30 @@ def test_non_rational_coordinate_exits_3(tmp_path, capsys, alg, coord):
 def test_non_rational_algebra_option_exits_3(capsys, param):
     rc = main(["gen", "--n", "2", "--c", "1", f"--algebra=-1,{param}"])
     assert rc == 3 and _one_precondition_line(capsys.readouterr())
+
+
+def test_usage_error_exits_3(capsys):
+    rc = main(["bounds", "--n", "2", "--c", "x"])
+    captured = capsys.readouterr()
+    assert rc == 3 and _one_precondition_line(captured)
+    assert "invalid int value: 'x'" in captured.err
+
+
+def test_negative_algebra_parameters_as_separate_argument(capsys):
+    rc, out = run(capsys, "gen", "--n", "2", "--c", "1", "--algebra", "-1,-3")
+    assert rc == 0
+    assert json.loads(out)["algebra"] == {"a": "-1", "b": "-3"}
+    rc, joined = run(capsys, "gen", "--n", "2", "--c", "1", "--algebra=-1,-3")
+    assert rc == 0 and joined == out
+
+
+def test_missing_algebra_value_exits_3(capsys):
+    rc = main(["gen", "--n", "2", "--c", "1", "--algebra"])
+    assert rc == 3 and _one_precondition_line(capsys.readouterr())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    assert "--algebra" in capsys.readouterr().out

@@ -1,8 +1,11 @@
-"""The zero-aware eliminations and the integer twisted solve against the
-dense and Fraction algorithms they replaced, kept here as oracles.
+"""The integer matrix product, inverse and determinant and the integer
+twisted solve against the Quat-level and Fraction algorithms they
+replaced, kept here as oracles, plus algebraic properties of the kernels.
 
-Every case runs over five algebras, the last of them indefinite, where
-twisted systems with nrd(p) * nrd(q) != 1 can still be singular.
+Every case runs over five algebras: (-1/2, -3/7) has ad * bd != 1, and
+the last one is indefinite, where twisted systems with
+nrd(p) * nrd(q) != 1 can still be singular and some pivots are zero
+divisors.
 """
 
 import itertools
@@ -10,9 +13,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commcert import (
     MatD,
+    Quat,
     QuaternionAlgebra,
     SingularMatrixError,
     dieudonne_det,
@@ -23,7 +29,7 @@ from commcert import (
 from commcert.certify import random_unitriangular
 from commcert.errors import NotDivisionAlgebraError, SingularTwistedSystemError
 from commcert.matrix import random_invertible
-from commcert.quaternion import _det4
+from commcert.quaternion import _det4, int_mul
 
 PARAMS = [(-1, -1), (-1, -3), (-2, -5), (Fraction(-1, 2), Fraction(-3, 7)),
           (Fraction(3, 2), Fraction(-5, 3))]
@@ -36,7 +42,41 @@ def any_alg(request):
     return request.param
 
 
-# -- oracles: the algorithms before the zero-aware rewrite -------------------
+# -- oracles: the algorithms before the integer kernels ----------------------
+
+
+def fraction_quat_mul(p, q):
+    """The product from the multiplication table of the basis, on Fractions."""
+    a, b = p.alg.a, p.alg.b
+    # e_s * e_t = coef * e_u for the basis 1, i, j, k
+    table = {
+        (1, 1): (a, 0), (2, 2): (b, 0), (3, 3): (-a * b, 0),
+        (1, 2): (1, 3), (2, 1): (-1, 3), (1, 3): (a, 2), (3, 1): (-a, 2),
+        (2, 3): (-b, 1), (3, 2): (b, 1),
+    }
+    out = [Fraction(0)] * 4
+    for s, u in enumerate(p.coords()):
+        for t, v in enumerate(q.coords()):
+            coef, e = (1, s + t) if s == 0 or t == 0 else table[s, t]
+            out[e] += coef * u * v
+    return p.alg.quat(*out)
+
+
+def dense_mat_mul(x, y):
+    """The Quat-level product loop: one Quat per term and per partial sum."""
+    n, zero = x.n, x.alg.zero
+    out = []
+    for arow in x.rows:
+        row = [zero] * n
+        for j, aij in enumerate(arow):
+            if aij.is_zero():
+                continue
+            for k, bjk in enumerate(y.rows[j]):
+                if not bjk.is_zero():
+                    term = bjk if aij.is_one() else aij * bjk
+                    row[k] = term if row[k].is_zero() else row[k] + term
+        out.append(row)
+    return MatD(x.alg, out)
 
 
 def dense_mat_inv(g):
@@ -205,14 +245,173 @@ def matrix_cases(alg, seed):
     return cases
 
 
+def dense_quat(alg, rng, dens=(1, 1, 2, 3, 35)):
+    return random_quat(alg, rng, span=9, denominators=dens)
+
+
+def random_dense(alg, n, rng):
+    return MatD(alg, [[dense_quat(alg, rng) for _ in range(n)] for _ in range(n)])
+
+
+def with_zero_lines(alg, n, rng):
+    """Dense, except one zero row and one zero column."""
+    rows = [list(r) for r in random_dense(alg, n, rng).rows]
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows[i] = [alg.zero] * n
+    for row in rows:
+        row[j] = alg.zero
+    return MatD(alg, rows)
+
+
+def with_units(alg, n, rng):
+    """Entries 0, 1 and -1 with a few dense ones."""
+    pick = (alg.zero, alg.one, -alg.one, None)
+    return MatD(alg, [[rng.choice(pick) or dense_quat(alg, rng) for _ in range(n)]
+                      for _ in range(n)])
+
+
+def with_huge_entry(alg, n, rng):
+    """One entry past 4300 digits, over a large denominator."""
+    rows = [list(r) for r in random_dense(alg, n, rng).rows]
+    rows[rng.randrange(n)][rng.randrange(n)] = Quat(
+        alg, 10 ** 4400 + 7, -(3 ** 9000), 1, 2 ** 14700 + 1, 7 ** 5200)
+    return MatD(alg, rows)
+
+
+def product_cases(alg, seed):
+    rng = random.Random(seed)
+    families = [
+        random_dense,
+        lambda alg, n, rng: random_unitriangular(alg, n, rng, lower=True, span=3),
+        lambda alg, n, rng: random_unitriangular(alg, n, rng, lower=False, span=3),
+        lambda alg, n, rng: MatD.diagonal(alg, [dense_quat(alg, rng) for _ in range(n)]),
+        with_zero_lines,
+        with_units,
+        lambda alg, n, rng: MatD.identity(alg, n),
+    ]
+    cases = []
+    for n in (1, 2, 3, 5):
+        for fx in families:
+            for fy in families:
+                cases.append((fx(alg, n, rng), fy(alg, n, rng)))
+    for n in (2, 3):
+        cases.append((with_huge_entry(alg, n, rng), random_dense(alg, n, rng)))
+        cases.append((with_units(alg, n, rng), with_huge_entry(alg, n, rng)))
+        cases.append((with_huge_entry(alg, n, rng), with_huge_entry(alg, n, rng)))
+    return cases
+
+
+# -- matrix product ----------------------------------------------------------
+
+
+class TestProductMatchesOracles:
+    def test_quat_product_matches_basis_table(self, any_alg):
+        rng = random.Random(7)
+        for _ in range(300):
+            p, q = dense_quat(any_alg, rng), dense_quat(any_alg, rng)
+            assert p * q == fraction_quat_mul(p, q)
+        huge = with_huge_entry(any_alg, 1, rng).entry(1, 1)
+        assert huge * p == fraction_quat_mul(huge, p)
+        assert p * huge == fraction_quat_mul(p, huge)
+
+    def test_int_mul_of_conjugate_is_the_norm(self, any_alg):
+        rng = random.Random(8)
+        for _ in range(100):
+            p = dense_quat(any_alg, rng, dens=(1,))
+            w, x, y, z = p.wn, p.xn, p.yn, p.zn
+            assert int_mul(any_alg.consts, w, -x, -y, -z, w, x, y, z) == (
+                p.nrd() * any_alg.consts[0], 0, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_mat_mul(self, any_alg, seed):
+        for x, y in product_cases(any_alg, seed):
+            assert x * y == dense_mat_mul(x, y)
+
+    def test_unit_rows_pass_entries_through(self, any_alg):
+        y = random_dense(any_alg, 3, random.Random(9))
+        assert all(a is b for ra, rb in zip((MatD.identity(any_alg, 3) * y).rows, y.rows)
+                   for a, b in zip(ra, rb))
+
+
+# -- properties --------------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, alg, n):
+    entry = st.one_of(
+        st.sampled_from((alg.zero, alg.one)),
+        st.builds(lambda w, x, y, z, d: Quat(alg, w, x, y, z, d),
+                  *[st.integers(-40, 40)] * 4, st.sampled_from((1, 2, 3, 35))),
+    )
+    return MatD(alg, [[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+def drawn(data, n, count):
+    alg = data.draw(st.sampled_from(ALGEBRAS), label="algebra")
+    return [data.draw(matrices(alg, n)) for _ in range(count)]
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_product_is_associative(self, data, n):
+        x, y, z = drawn(data, n, 3)
+        assert (x * y) * z == x * (y * z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_inverse_is_two_sided(self, data, n):
+        (g,) = drawn(data, n, 1)
+        try:
+            inv = mat_inv(g)
+        except (SingularMatrixError, NotDivisionAlgebraError):
+            assume(False)
+        ident = MatD.identity(g.alg, n)
+        assert g * inv == ident
+        assert inv * g == ident
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_det_norm_is_multiplicative(self, data, n):
+        x, y = drawn(data, n, 2)
+        try:
+            dx, dy, dxy = (dieudonne_det(m).invariant for m in (x, y, x * y))
+        except (SingularMatrixError, NotDivisionAlgebraError):
+            assume(False)
+        assert dxy == dx * dy
+
+
 # -- Gauss-Jordan inverse and Dieudonne determinant --------------------------
+
+
+def check_inverse_against_oracle(g):
+    """mat_inv agrees with the dense oracle, except where the oracle
+    pivots on a zero divisor and mat_inv finds a unit pivot: then the
+    inverse must be two-sided.  Returns True in that case."""
+    got, want = outcome(mat_inv, g), outcome(dense_mat_inv, g)
+    if isinstance(got, MatD) and isinstance(want, tuple):
+        assert want[0] is NotDivisionAlgebraError
+        ident = MatD.identity(g.alg, g.n)
+        assert g * got == ident
+        assert got * g == ident
+        return True
+    assert got == want
+    return False
 
 
 class TestEliminationsMatchDenseOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_mat_inv(self, any_alg, seed):
         for g in matrix_cases(any_alg, seed):
-            assert outcome(mat_inv, g) == outcome(dense_mat_inv, g)
+            check_inverse_against_oracle(g)
+
+    def test_unit_pivots_invert_past_zero_divisors(self):
+        """Over the indefinite algebra the dense oracle meets zero-divisor
+        pivots on invertible matrices; mat_inv inverts every one of them."""
+        alg = ALGEBRAS[-1]
+        rescued = sum(check_inverse_against_oracle(g)
+                      for seed in range(3) for g in matrix_cases(alg, seed))
+        assert rescued > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dieudonne_det(self, any_alg, seed):
@@ -222,8 +421,10 @@ class TestEliminationsMatchDenseOracles:
     def test_zero_leading_pivot_needs_a_swap(self, any_alg):
         g = with_zero_leading_pivots(any_alg, 3, random.Random(1))
         assert g.entry(1, 1).is_zero()
-        # in the indefinite algebra a pivot may be a zero divisor: both raise
-        assert outcome(mat_inv, g) == outcome(dense_mat_inv, g)
+        ident = MatD.identity(any_alg, 3)
+        assert g * mat_inv(g) == ident == mat_inv(g) * g
+        # dieudonne_det repairs pivots by row additions only, so in the
+        # indefinite algebra it may still meet a zero divisor, as the oracle does
         assert det_outcome(g) == outcome(dense_det, g)
 
     def test_singular_only_in_last_column(self, any_alg):
