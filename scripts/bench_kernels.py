@@ -2,16 +2,17 @@
 """Layer timings of the dense matrix kernels: product, inverse and
 Dieudonne determinant, at fixed coefficient heights.
 
-Each cell is one (kernel, n, shape, bits): `reps` seeded matrices (pairs
-for the product) whose entries have numerators and denominators of about
-`bits` bits; a dense matrix gives every entry its own denominator, a
-unitriangular one has ones on the diagonal and zeros below it.  A timed
-pass calls the kernel once on every input; passes repeat at least
-`rounds` times and until the cell has run `seconds`.  The cell prints one
-JSON line with the minimum and the median over passes of the seconds per
-call, and the largest coordinate bit length of the outputs.  Stdlib
-only; `--src` picks the library to time, so the same script measures two
-checkouts:
+Each cell is one (kernel, n, shape, bits) over the algebra (-1, -1):
+REPS seeded matrices (pairs for the product) whose entries have
+numerators and denominators of about `bits` bits; a dense matrix gives
+every entry its own denominator, a unitriangular one has ones on the
+diagonal and zeros below it.  A timed pass calls the kernel once on
+every input; passes repeat until the cell has run MIN_SECONDS (at least
+one pass, at most MAX_PASSES).  The minimum over passes resists load
+from other processes.  The cell prints one JSON line with the minimum
+and the median over passes of the seconds per call, and the largest
+coordinate bit length of the outputs.  Stdlib only; `--src` picks the
+library to time, so the same script measures two checkouts:
 
     python3 scripts/bench_kernels.py
     python3 scripts/bench_kernels.py --src ../parent/src
@@ -25,13 +26,13 @@ import random
 import statistics
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 KERNELS = ("mul", "inv", "det")
 SIZES = (3, 6)
 SHAPES = ("dense", "unitriangular")
 HEIGHTS = (64, 300, 1000, 3000)
+REPS, MIN_SECONDS, MAX_PASSES = 3, 0.5, 1000
 
 
 def entry(Quat, alg, rng, bits):
@@ -58,25 +59,24 @@ def height(m):
     return max(max(abs(q.wn), abs(q.xn), abs(q.yn), abs(q.zn), q.den).bit_length() for q in qs)
 
 
-def cell(lib, alg, kernel, n, shape, bits, reps, seed, min_rounds, min_seconds):
-    rng = random.Random(f"{seed}|{kernel}|{n}|{shape}|{bits}")
+def cell(lib, alg, kernel, n, shape, bits):
+    rng = random.Random(f"{kernel}|{n}|{shape}|{bits}")
     if kernel == "mul":
         calls = [(lambda x, y: x * y, matrix(lib, alg, rng, n, shape, bits),
-                  matrix(lib, alg, rng, n, shape, bits)) for _ in range(reps)]
+                  matrix(lib, alg, rng, n, shape, bits)) for _ in range(REPS)]
     else:
         fn = lib.mat_inv if kernel == "inv" else lib.dieudonne_det
-        calls = [(fn, matrix(lib, alg, rng, n, shape, bits)) for _ in range(reps)]
-    out_bits = max(height(fn(*args)) for fn, *args in calls)
-    rounds = []
-    while len(rounds) < min_rounds or (sum(rounds) < min_seconds and len(rounds) < 1000):
+        calls = [(fn, matrix(lib, alg, rng, n, shape, bits)) for _ in range(REPS)]
+    passes = []
+    while not passes or (sum(passes) * REPS < MIN_SECONDS and len(passes) < MAX_PASSES):
         t0 = time.perf_counter()
-        for fn, *args in calls:
-            fn(*args)
-        rounds.append((time.perf_counter() - t0) / reps)
+        outs = [fn(*args) for fn, *args in calls]
+        passes.append((time.perf_counter() - t0) / REPS)
     return {
-        "kernel": kernel, "n": n, "shape": shape, "bits": bits, "reps": reps,
-        "rounds": len(rounds), "min_s": float(f"{min(rounds):.4g}"),
-        "median_s": float(f"{statistics.median(rounds):.4g}"), "out_bits": out_bits,
+        "kernel": kernel, "n": n, "shape": shape, "bits": bits, "passes": len(passes),
+        "min_s": float(f"{min(passes):.4g}"),
+        "median_s": float(f"{statistics.median(passes):.4g}"),
+        "out_bits": max(height(out) for out in outs),
     }
 
 
@@ -84,14 +84,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                     help="directory holding the commcert package")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--reps", type=int, default=3, help="inputs per cell")
-    ap.add_argument("--rounds", type=int, default=1,
-                    help="timed passes over the inputs, at least")
-    ap.add_argument("--seconds", type=float, default=0.5,
-                    help="keep adding passes until a cell has run this long (up to 1000)")
-    ap.add_argument("--algebra", default="-1,-1",
-                    help='"a,b", each "p/q" or "p"; write --algebra=a,b for negative values')
     ap.add_argument("--kernels", nargs="+", choices=KERNELS, default=list(KERNELS))
     ap.add_argument("--sizes", nargs="+", type=int, default=list(SIZES))
     ap.add_argument("--bits", nargs="+", type=int, default=list(HEIGHTS))
@@ -99,14 +91,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src))
     import commcert as lib
 
-    a, b = (Fraction(p) for p in args.algebra.split(","))
-    alg = lib.QuaternionAlgebra(a, b)
+    alg = lib.QuaternionAlgebra(-1, -1)
     for kernel in args.kernels:
         for n in args.sizes:
             for shape in SHAPES:
                 for bits in args.bits:
-                    row = cell(lib, alg, kernel, n, shape, bits, args.reps, args.seed,
-                               args.rounds, args.seconds)
+                    row = cell(lib, alg, kernel, n, shape, bits)
                     print(json.dumps(row), flush=True)
     return 0
 

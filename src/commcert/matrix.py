@@ -333,11 +333,12 @@ def mat_inv(g: MatD) -> MatD:
 
     All multiplications act on the left of rows, so the order of scalar
     factors is respected.  The rows of [g | I] are held as integer
-    quaternions and only nonzero entries are stored and propagated; the
-    inverse's entries become Quats once, at the end.  The pivot is the
-    first entry of its column with nonzero reduced norm: a zero column
-    certifies singularity, and a column whose nonzero entries are all
-    zero divisors raises NotDivisionAlgebraError.
+    quaternions and only nonzero entries are stored and propagated.
+    Each update reduces the entries it makes, so the inverse's entries
+    become Quats at the end without a second normalization.  The pivot
+    is the first entry of its column with nonzero reduced norm: a zero
+    column certifies singularity, and a column whose nonzero entries
+    are all zero divisors raises NotDivisionAlgebraError.
     """
     n = g.n
     alg = g.alg
@@ -361,7 +362,7 @@ def mat_inv(g: MatD) -> MatD:
     for row in rows:
         inv_row = [zero] * n
         for c, e in row.items():
-            inv_row[c - n] = Quat(alg, *e)
+            inv_row[c - n] = Quat.canonical(alg, *e)
         out.append(inv_row)
     return MatD(alg, out)
 
@@ -401,7 +402,7 @@ def dieudonne_det(g: MatD) -> DetClass:
             if src is None:
                 raise SingularMatrixError("matrix is singular")
             rows[col] = _add_rows(rows[col], rows[src])
-        rep = rep * Quat(alg, *rows[col][col])
+        rep = rep * Quat.canonical(alg, *rows[col][col])
         _eliminate(alg, rows, col, range(col + 1, n))
     return DetClass(rep, rep.nrd())
 

@@ -156,6 +156,14 @@ class Quat:
         self.zn = zn
         self.den = den
 
+    @staticmethod
+    def canonical(alg: QuaternionAlgebra, wn: int, xn: int, yn: int, zn: int, den: int) -> "Quat":
+        """An element from coordinates already in canonical form (den > 0
+        and gcd(w, x, y, z, den) = 1), without normalizing them again."""
+        q = object.__new__(Quat)
+        q.alg, q.wn, q.xn, q.yn, q.zn, q.den = alg, wn, xn, yn, zn, den
+        return q
+
     # -- coordinate access -------------------------------------------------
 
     @property

@@ -412,6 +412,16 @@ class TestEliminationsMatchDenseOracles:
         rescued = sum(check_inverse_against_oracle(g)
                       for seed in range(3) for g in matrix_cases(alg, seed))
         assert rescued > 0
+        z = alg.quat(-1, 3, -3, 1)
+        assert z.nrd() == 0
+        one, zero = alg.one, alg.zero
+        g = MatD(alg, [[z, one], [one, zero]])
+        assert mat_inv(g) == MatD(alg, [[zero, one], [one, -z]])
+        assert check_inverse_against_oracle(g)
+        with pytest.raises(NotDivisionAlgebraError):
+            mat_inv(MatD(alg, [[z, one], [z, zero]]))  # no unit in column 1
+        with pytest.raises(SingularMatrixError):
+            mat_inv(MatD(alg, [[zero, one], [zero, z]]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dieudonne_det(self, any_alg, seed):
