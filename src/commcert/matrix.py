@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrixError,
     ZeroInputError,
 )
-from .quaternion import Quat, QuaternionAlgebra, int_mul, int_nrd, zero_divisor_error
+from .quaternion import Quat, QuaternionAlgebra, int_mul, int_nrd, int_reduce, zero_divisor_error
 
 
 class MatD:
@@ -262,11 +262,23 @@ def _int_row(row: Sequence[Quat]) -> IntRow:
     return {c: (q.wn, q.xn, q.yn, q.zn, q.den) for c, q in enumerate(row) if not q.is_zero()}
 
 
-def _reduced(w: int, x: int, y: int, z: int, d: int) -> tuple[int, int, int, int, int]:
-    if d < 0:
-        w, x, y, z, d = -w, -x, -y, -z, -d
-    g = math.gcd(d, w, x, y, z)
-    return (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
+def _accumulate(row: IntRow, c: int, w: int, x: int, y: int, z: int, d: int) -> None:
+    """row[c] += (w, x, y, z) / d, added over the lcm of the two
+    denominators and reduced once; a zero sum removes the entry, so a
+    stored entry is always nonzero."""
+    u = row.get(c)
+    if u is not None:
+        uw, ux, uy, uz, ud = u
+        if ud == d:
+            w, x, y, z = uw + w, ux + x, uy + y, uz + z
+        else:
+            g = math.gcd(ud, d)
+            a, b = d // g, ud // g
+            w, x, y, z, d = uw * a + w * b, ux * a + x * b, uy * a + y * b, uz * a + z * b, ud * a
+    if w or x or y or z:
+        row[c] = int_reduce(w, x, y, z, d)
+    elif u is not None:
+        del row[c]
 
 
 def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: range) -> None:
@@ -276,10 +288,9 @@ def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: ra
 
     For P = p / d, P^-1 = conj(p) d ad bd / N(p) with N(p) = int_nrd(p),
     so P^-1 (e / d_e) = int_mul(conj p, e) d / (N(p) d_e).  A target
-    entry v / d_v loses (f / d_f)(e / d_e) = int_mul(f, e) / (ad bd d_f d_e),
-    added over the lcm of the two denominators; a central pivot or
-    factor needs no product.  Each new entry is reduced once.  The pivot
-    entry is removed from the pivot row as well: no later step reads it.
+    entry loses (f / d_f)(e / d_e) = int_mul(f, e) / (ad bd d_f d_e); a
+    central pivot or factor needs no product.  The pivot entry is
+    removed from the pivot row as well: no later step reads it.
     """
     k = alg.consts
     prow = rows[col]
@@ -290,42 +301,26 @@ def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: ra
             raise zero_divisor_error(alg)
         for c, (w, x, y, z, d) in prow.items():
             w, x, y, z = int_mul(k, pw, -px, -py, -pz, w, x, y, z)
-            prow[c] = _reduced(w * pd, x * pd, y * pd, z * pd, nrd * d)
+            prow[c] = int_reduce(w * pd, x * pd, y * pd, z * pd, nrd * d)
     elif pw != pd:
         for c, (w, x, y, z, d) in prow.items():
-            prow[c] = _reduced(w * pd, x * pd, y * pd, z * pd, pw * d)
+            prow[c] = int_reduce(w * pd, x * pd, y * pd, z * pd, pw * d)
     pitems = list(prow.items())
     for r in targets:
         row = rows[r]
         f = row.pop(col, None)
         if f is None:
             continue
-        fw, fx, fy, fz, fd = f
+        # subtracting f * e is adding (-f) * e
+        fw, fx, fy, fz, fd = -f[0], -f[1], -f[2], -f[3], f[4]
         central = not (fx or fy or fz)
         if not central:
             fd *= k[0]
         for c, (ew, ex, ey, ez, ed) in pitems:
             if central:
-                tw, tx, ty, tz = fw * ew, fw * ex, fw * ey, fw * ez
+                _accumulate(row, c, fw * ew, fw * ex, fw * ey, fw * ez, fd * ed)
             else:
-                tw, tx, ty, tz = int_mul(k, fw, fx, fy, fz, ew, ex, ey, ez)
-            td = fd * ed
-            v = row.get(c)
-            if v is None:
-                w, x, y, z, d = -tw, -tx, -ty, -tz, td
-            else:
-                vw, vx, vy, vz, vd = v
-                if vd == td:
-                    w, x, y, z, d = vw - tw, vx - tx, vy - ty, vz - tz, vd
-                else:
-                    g = math.gcd(vd, td)
-                    a, b = td // g, vd // g
-                    w, x, y, z, d = (vw * a - tw * b, vx * a - tx * b, vy * a - ty * b,
-                                     vz * a - tz * b, vd * a)
-                if not (w or x or y or z):
-                    del row[c]
-                    continue
-            row[c] = _reduced(w, x, y, z, d)
+                _accumulate(row, c, *int_mul(k, fw, fx, fy, fz, ew, ex, ey, ez), fd * ed)
 
 
 def mat_inv(g: MatD) -> MatD:
@@ -333,9 +328,8 @@ def mat_inv(g: MatD) -> MatD:
 
     All multiplications act on the left of rows, so the order of scalar
     factors is respected.  The rows of [g | I] are held as integer
-    quaternions and only nonzero entries are stored and propagated.
-    Each update reduces the entries it makes, so the inverse's entries
-    become Quats at the end without a second normalization.  The pivot
+    quaternions and only nonzero entries are stored and propagated;
+    the inverse's entries become Quats once, at the end.  The pivot
     is the first entry of its column with nonzero reduced norm: a zero
     column certifies singularity, and a column whose nonzero entries
     are all zero divisors raises NotDivisionAlgebraError.
@@ -362,7 +356,7 @@ def mat_inv(g: MatD) -> MatD:
     for row in rows:
         inv_row = [zero] * n
         for c, e in row.items():
-            inv_row[c - n] = Quat.canonical(alg, *e)
+            inv_row[c - n] = Quat(alg, *e)
         out.append(inv_row)
     return MatD(alg, out)
 
@@ -402,7 +396,7 @@ def dieudonne_det(g: MatD) -> DetClass:
             if src is None:
                 raise SingularMatrixError("matrix is singular")
             rows[col] = _add_rows(rows[col], rows[src])
-        rep = rep * Quat.canonical(alg, *rows[col][col])
+        rep = rep * Quat(alg, *rows[col][col])
         _eliminate(alg, rows, col, range(col + 1, n))
     return DetClass(rep, rep.nrd())
 
@@ -410,15 +404,7 @@ def dieudonne_det(g: MatD) -> DetClass:
 def _add_rows(a: IntRow, b: IntRow) -> IntRow:
     out = dict(a)
     for c, e in b.items():
-        u = out.pop(c, None)
-        if u is None:
-            out[c] = e
-            continue
-        g = math.gcd(u[4], e[4])
-        ma, mb = e[4] // g, u[4] // g
-        s = [p * ma + q * mb for p, q in zip(u[:4], e[:4])]
-        if any(s):
-            out[c] = _reduced(*s, u[4] * ma)
+        _accumulate(out, c, *e)
     return out
 
 

@@ -65,6 +65,17 @@ def int_nrd(k: tuple[int, int, int, int], w: int, x: int, y: int, z: int) -> int
     return adbd * w * w - anbd * x * x - bnad * y * y + anbn * z * z
 
 
+def int_reduce(w: int, x: int, y: int, z: int, d: int) -> tuple[int, int, int, int, int]:
+    """(w, x, y, z, d) / g with the sign moved into the numerators, so
+    that d > 0 and gcd(w, x, y, z, d) = 1: the form Quat.__init__ stores."""
+    if d < 0:
+        w, x, y, z, d = -w, -x, -y, -z, -d
+    if d == 1:
+        return w, x, y, z, d
+    g = _gcd5(w, x, y, z, d)
+    return (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
+
+
 def zero_divisor_error(alg: "QuaternionAlgebra") -> NotDivisionAlgebraError:
     return NotDivisionAlgebraError(
         f"nonzero element with nrd = 0: parameters {alg!r} do not give a division algebra"
@@ -155,14 +166,6 @@ class Quat:
         self.yn = yn
         self.zn = zn
         self.den = den
-
-    @staticmethod
-    def canonical(alg: QuaternionAlgebra, wn: int, xn: int, yn: int, zn: int, den: int) -> "Quat":
-        """An element from coordinates already in canonical form (den > 0
-        and gcd(w, x, y, z, den) = 1), without normalizing them again."""
-        q = object.__new__(Quat)
-        q.alg, q.wn, q.xn, q.yn, q.zn, q.den = alg, wn, xn, yn, zn, den
-        return q
 
     # -- coordinate access -------------------------------------------------
 

@@ -423,6 +423,23 @@ class TestEliminationsMatchDenseOracles:
         with pytest.raises(SingularMatrixError):
             mat_inv(MatD(alg, [[zero, one], [zero, z]]))
 
+    def test_zero_divisor_products_leave_no_entry(self):
+        """z * conj(z) = 0 for a zero divisor z.  An elimination step whose
+        product is that zero must leave the entry empty, as the dense
+        oracle does: otherwise the pivot search takes it for a nonzero
+        entry."""
+        alg = ALGEBRAS[-1]
+        z = alg.quat(-1, 3, -3, 1)
+        assert z * z.conj() == alg.zero
+        one, zero = alg.one, alg.zero
+        g = MatD(alg, [[one, z.conj(), zero], [z, zero, one], [zero, one, zero]])
+        assert det_outcome(g) == outcome(dense_det, g) == (-one, 1)
+        check_inverse_against_oracle(g)
+        s = MatD(alg, [[one, z.conj()], [z, zero]])
+        assert outcome(mat_inv, s) == outcome(dense_mat_inv, s)
+        with pytest.raises(SingularMatrixError):
+            mat_inv(s)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_dieudonne_det(self, any_alg, seed):
         for g in matrix_cases(any_alg, seed):
