@@ -251,22 +251,23 @@ def _sum_terms(alg: QuaternionAlgebra, terms: list[tuple]) -> Quat:
     return Quat(alg, sw, sx, sy, sz, lcm)
 
 
-# Integer rows for the eliminations: a row maps the column of each
-# nonzero entry to the integer quaternion (w, x, y, z, den) that Quat
-# would store for it, den > 0 and gcd(w, x, y, z, den) = 1.
+# Integer rows for the eliminations: a row holds, for each nonzero
+# entry, the integer quaternion (w, x, y, z, den) that Quat would store
+# for it, den > 0 and gcd(w, x, y, z, den) = 1, and None for a zero.
 
-IntRow = dict[int, tuple[int, int, int, int, int]]
+IntRow = list[tuple[int, int, int, int, int] | None]
+_ONE = (1, 0, 0, 0, 1)
 
 
 def _int_row(row: Sequence[Quat]) -> IntRow:
-    return {c: (q.wn, q.xn, q.yn, q.zn, q.den) for c, q in enumerate(row) if not q.is_zero()}
+    return [None if q.is_zero() else (q.wn, q.xn, q.yn, q.zn, q.den) for q in row]
 
 
 def _accumulate(row: IntRow, c: int, w: int, x: int, y: int, z: int, d: int) -> None:
     """row[c] += (w, x, y, z) / d, added over the lcm of the two
-    denominators and reduced once; a zero sum removes the entry, so a
-    stored entry is always nonzero."""
-    u = row.get(c)
+    denominators and reduced once; a zero sum leaves None, so a stored
+    entry is always nonzero."""
+    u = row[c]
     if u is not None:
         uw, ux, uy, uz, ud = u
         if ud == d:
@@ -275,10 +276,7 @@ def _accumulate(row: IntRow, c: int, w: int, x: int, y: int, z: int, d: int) -> 
             g = math.gcd(ud, d)
             a, b = d // g, ud // g
             w, x, y, z, d = uw * a + w * b, ux * a + x * b, uy * a + y * b, uz * a + z * b, ud * a
-    if w or x or y or z:
-        row[c] = int_reduce(w, x, y, z, d)
-    elif u is not None:
-        del row[c]
+    row[c] = int_reduce(w, x, y, z, d) if w or x or y or z else None
 
 
 def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: range) -> None:
@@ -294,29 +292,39 @@ def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: ra
     """
     k = alg.consts
     prow = rows[col]
-    pw, px, py, pz, pd = prow.pop(col)
+    pw, px, py, pz, pd = prow[col]
+    prow[col] = None
     if px or py or pz:
         nrd = int_nrd(k, pw, px, py, pz)
         if nrd == 0:
             raise zero_divisor_error(alg)
-        for c, (w, x, y, z, d) in prow.items():
-            w, x, y, z = int_mul(k, pw, -px, -py, -pz, w, x, y, z)
-            prow[c] = int_reduce(w * pd, x * pd, y * pd, z * pd, nrd * d)
+        for c, e in enumerate(prow):
+            if e is not None:
+                w, x, y, z, d = e
+                w, x, y, z = int_mul(k, pw, -px, -py, -pz, w, x, y, z)
+                prow[c] = int_reduce(w * pd, x * pd, y * pd, z * pd, nrd * d)
     elif pw != pd:
-        for c, (w, x, y, z, d) in prow.items():
-            prow[c] = int_reduce(w * pd, x * pd, y * pd, z * pd, pw * d)
-    pitems = list(prow.items())
+        for c, e in enumerate(prow):
+            if e is not None:
+                w, x, y, z, d = e
+                prow[c] = int_reduce(w * pd, x * pd, y * pd, z * pd, pw * d)
+    pitems = [(c, e) for c, e in enumerate(prow) if e is not None]
     for r in targets:
         row = rows[r]
-        f = row.pop(col, None)
+        f = row[col]
         if f is None:
             continue
+        row[col] = None
         # subtracting f * e is adding (-f) * e
-        fw, fx, fy, fz, fd = -f[0], -f[1], -f[2], -f[3], f[4]
+        neg = fw, fx, fy, fz, fd = -f[0], -f[1], -f[2], -f[3], f[4]
         central = not (fx or fy or fz)
         if not central:
             fd *= k[0]
-        for c, (ew, ex, ey, ez, ed) in pitems:
+        for c, e in pitems:
+            if e == _ONE and row[c] is None:
+                row[c] = neg  # (-f) * 1 into an empty place: already reduced
+                continue
+            ew, ex, ey, ez, ed = e
             if central:
                 _accumulate(row, c, fw * ew, fw * ex, fw * ey, fw * ez, fd * ed)
             else:
@@ -328,8 +336,8 @@ def mat_inv(g: MatD) -> MatD:
 
     All multiplications act on the left of rows, so the order of scalar
     factors is respected.  The rows of [g | I] are held as integer
-    quaternions and only nonzero entries are stored and propagated;
-    the inverse's entries become Quats once, at the end.  The pivot
+    quaternions, and elimination skips their zero entries; the
+    inverse's entries become Quats once, at the end.  The pivot
     is the first entry of its column with nonzero reduced norm: a zero
     column certifies singularity, and a column whose nonzero entries
     are all zero divisors raises NotDivisionAlgebraError.
@@ -339,11 +347,11 @@ def mat_inv(g: MatD) -> MatD:
     k = alg.consts
     rows = []
     for i, row in enumerate(g.rows):
-        work = _int_row(row)
-        work[n + i] = (1, 0, 0, 0, 1)
+        work = _int_row(row) + [None] * n
+        work[n + i] = _ONE
         rows.append(work)
     for col in range(n):
-        cands = [r for r in range(col, n) if col in rows[r]]
+        cands = [r for r in range(col, n) if rows[r][col] is not None]
         if not cands:
             raise SingularMatrixError("matrix is singular")
         piv = next((r for r in cands if int_nrd(k, *rows[r][col][:4]) != 0), None)
@@ -352,12 +360,7 @@ def mat_inv(g: MatD) -> MatD:
         rows[col], rows[piv] = rows[piv], rows[col]
         _eliminate(alg, rows, col, range(n))
     zero = alg.zero
-    out = []
-    for row in rows:
-        inv_row = [zero] * n
-        for c, e in row.items():
-            inv_row[c - n] = Quat(alg, *e)
-        out.append(inv_row)
+    out = [[zero if e is None else Quat(alg, *e) for e in row[n:]] for row in rows]
     return MatD(alg, out)
 
 
@@ -391,8 +394,8 @@ def dieudonne_det(g: MatD) -> DetClass:
     rows = [_int_row(row) for row in g.rows]
     rep = alg.one
     for col in range(n):
-        if col not in rows[col]:
-            src = next((r for r in range(col + 1, n) if col in rows[r]), None)
+        if rows[col][col] is None:
+            src = next((r for r in range(col + 1, n) if rows[r][col] is not None), None)
             if src is None:
                 raise SingularMatrixError("matrix is singular")
             rows[col] = _add_rows(rows[col], rows[src])
@@ -402,9 +405,10 @@ def dieudonne_det(g: MatD) -> DetClass:
 
 
 def _add_rows(a: IntRow, b: IntRow) -> IntRow:
-    out = dict(a)
-    for c, e in b.items():
-        _accumulate(out, c, *e)
+    out = list(a)
+    for c, e in enumerate(b):
+        if e is not None:
+            _accumulate(out, c, *e)
     return out
 
 
