@@ -100,11 +100,10 @@ class MatD:
         if self.n != other.n:
             raise PreconditionError("dimension mismatch")
         alg = self.alg
-        k = alg.consts
-        adbd = k[0]
+        adbd = alg.consts[0]
         zero = alg.zero
         # the nonzero entries of each column of other, with their numerators
-        cols = [[(j, b.wn, b.xn, b.yn, b.zn, b.den, b) for j, b in enumerate(col)
+        cols = [[(j, (b.wn, b.xn, b.yn, b.zn, b.den), b) for j, b in enumerate(col)
                  if not b.is_zero()] for col in zip(*other.rows)]
         out = []
         for arow in self.rows:
@@ -113,23 +112,13 @@ class MatD:
                     else (a.wn, a.xn, a.yn, a.zn, a.den * adbd) for a in arow]
             row = []
             for col in cols:
-                terms = []
-                for j, bw, bx, by, bz, bd, b in col:
-                    a = left[j]
-                    if a is None:
-                        continue
-                    if a is True:
-                        terms.append((bw, bx, by, bz, bd, b))
-                    else:
-                        aw, ax, ay, az, ad = a
-                        terms.append((*int_mul(k, aw, ax, ay, az, bw, bx, by, bz), ad * bd, None))
+                terms = [(a, e, b) for j, e, b in col if (a := left[j]) is not None]
                 if not terms:
                     row.append(zero)
-                elif len(terms) == 1:
-                    w, x, y, z, d, b = terms[0]
-                    row.append(b if b is not None else Quat(alg, w, x, y, z, d))
+                elif len(terms) == 1 and terms[0][0] is True:
+                    row.append(terms[0][2])
                 else:
-                    row.append(_sum_terms(alg, terms))
+                    row.append(_sum_products(alg, terms))
             out.append(row)
         return MatD(alg, out)
 
@@ -235,12 +224,20 @@ def h_elem(alg: QuaternionAlgebra, n: int, i: int, j: int, eps: Quat) -> MatD:
     return MatD.diagonal(alg, entries)
 
 
-def _sum_terms(alg: QuaternionAlgebra, terms: list[tuple]) -> Quat:
-    """One Quat from (w, x, y, z, den, ...) terms, added over the lcm of
-    their denominators."""
-    lcm = math.lcm(*[t[4] for t in terms])
+def _sum_products(alg: QuaternionAlgebra, terms: list[tuple]) -> Quat:
+    """One Quat for the sum of the products a * e over the terms (a, e, _):
+    e is (w, x, y, z, den) and a is True for 1 or (w, x, y, z, den * ad * bd).
+    The products are added over the lcm of their denominators as they
+    are made, so one product's numerators are alive at a time."""
+    k = alg.consts
+    dens = [e[4] if a is True else a[4] * e[4] for a, e, _ in terms]
+    lcm = math.lcm(*dens)
     sw = sx = sy = sz = 0
-    for w, x, y, z, d, _ in terms:
+    for (a, (ew, ex, ey, ez, _), _), d in zip(terms, dens):
+        if a is True:
+            w, x, y, z = ew, ex, ey, ez
+        else:
+            w, x, y, z = int_mul(k, a[0], a[1], a[2], a[3], ew, ex, ey, ez)
         if d != lcm:
             m = lcm // d
             w, x, y, z = w * m, x * m, y * m, z * m
