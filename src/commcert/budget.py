@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ZeroInputError
-from .quaternion import Quat, QuaternionAlgebra, commutator
+from .quaternion import Quat, QuaternionAlgebra, comm, commutator
 from .matrix import MatD
 
 KappaVec = tuple[int, ...]
@@ -143,8 +143,7 @@ def h_commutator_factors(h1: MatD, h2: MatD) -> HFactorList:
             raise ZeroInputError("diagonal entries must be units")
         factors.extend(_slot_commutator_factors(slot, xi, zeta))
     out = HFactorList(alg, n, tuple(factors))
-    target = h1 * h2 * h1.inverse() * h2.inverse()
-    if out.evaluate() != target:
+    if out.evaluate() != comm(h1, h2):
         raise InternalInvariantError("h commutator factorization failed evaluation check")
     if not vec_leq(out.kappa(), mu_vec(n)):
         raise InternalInvariantError("h commutator factorization exceeded mu")

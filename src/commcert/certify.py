@@ -23,7 +23,7 @@ from .errors import (
     ZeroInputError,
 )
 from .matrix import MatD, is_central_in_E, is_elementary
-from .normalform import commutator_normal_form, extract_H, rewrite_relation3
+from .normalform import commutator_normal_form, extract_H, rewrite_adjacent
 from .quaternion import Quat, QuaternionAlgebra, commutator, random_quat, solve_twisted
 from .wordcalc import (
     CommutatorCert,
@@ -223,38 +223,25 @@ def _split_cert(cert: CommutatorCert, at: int, alg) -> tuple[CommutatorCert, Com
 # ---------------------------------------------------------------------------
 
 
-def _move_u_side(alg, n, v, diag, u, k, xi):
+def _move_u_side(v, diag, u, k, xi):
     """Conjugate by t_{k+1,k}(xi); requires zeta = u[k,k+1] in D* and
-    1 + zeta*xi != 0.  Slot k is multiplied by 1 + zeta*xi and slot k+1
-    by its zeta-conjugated inverse."""
-    zeta = u.entry(k, k + 1)
-    r, xi2, zeta2 = rewrite_relation3(zeta, xi)
-    h2 = [alg.one] * n
-    # zeta r = 1 + zeta xi and zeta^-1 zeta2 = zeta^-1 (1 + zeta xi)^-1 zeta
-    h2[k - 1], h2[k] = zeta * r, zeta.inverse() * zeta2
-    new_diag = [diag[i] * h2[i] for i in range(n)]
-    u_hat = u.add_col(k, k + 1, -zeta).conjugate_by_diagonal(h2).conj_t(k + 1, k, xi2)
+    1 + zeta*xi != 0.  u t_{k+1,k}(xi) = diag(d) t_{k+1,k}(xi2) new_u,
+    and the new diagonal turns t_{k+1,k}(xi2) into t_{k+1,k}(chi) for v."""
+    d, _, xi2, new_u = rewrite_adjacent(u, k, k + 1, xi)
+    new_diag = [a * b for a, b in zip(diag, d)]
     chi = new_diag[k] * xi2 * new_diag[k - 1].inverse()
     new_v = v.add_row(k + 1, k, -xi).add_col(k + 1, k, chi)
-    return new_v, new_diag, u_hat.add_col(k, k + 1, zeta2)
-
-
-def _move_v_side(alg, n, v, diag, u, k, xi):
-    """Conjugate by t_{k,k+1}(xi); requires zeta = v[k+1,k] in D*, xi != 0
-    and 1 - xi*zeta != 0.  Slot k is multiplied on the left by
-    1 - xi*zeta and slot k+1 by (1 - zeta*xi)^-1."""
-    zeta = v.entry(k + 1, k)
-    # relation 3 for t_{k,k+1}(-xi) t_{k+1,k}(zeta)
-    r, zeta2, xi2 = rewrite_relation3(-xi, zeta)
-    h2 = [alg.one] * n
-    # -xi r = 1 - xi zeta and (-xi)^-1 xi2 = (1 - zeta xi)^-1
-    h2[k - 1], h2[k] = -xi * r, -(xi.inverse() * xi2)
-    v_hat = v.add_row(k + 1, k, -zeta).conj_t(k, k + 1, -xi2).add_row(k + 1, k, zeta2)
-    new_v = v_hat.conjugate_by_diagonal([e.inverse() for e in h2])
-    new_diag = [h2[i] * diag[i] for i in range(n)]
-    u_arg = diag[k - 1].inverse() * xi2 * diag[k]
-    new_u = u.add_row(k, k + 1, u_arg).add_col(k, k + 1, xi)
     return new_v, new_diag, new_u
+
+
+def _move_v_side(v, diag, u, k, xi):
+    """Conjugate by t_{k,k+1}(xi); requires eta = v[k+1,k] in D* and
+    1 - xi*eta != 0.  The conjugate transpose * reverses products and
+    takes t_{k,k+1}(xi)^-1 x t_{k,k+1}(xi) to the conjugate of x* by
+    t_{k+1,k}(-conj(xi)), a u-side move on (u*, diag*, v*); starring
+    back gives the state, as unitriangular LDU factors are unique."""
+    v_s, diag_s, u_s = _move_u_side(u.star(), [e.conj() for e in diag], v.star(), k, -xi.conj())
+    return u_s.star(), [e.conj() for e in diag_s], v_s.star()
 
 
 def _manufacture_unit(alg, v, diag, u, k):
@@ -325,7 +312,7 @@ def prescribed_gauss(
                     certs[k] = CommutatorCert(prefix.pairs, eps_t)
                     break
                 xi = (theta - one) * zeta.inverse()
-                v, diag, u = _move_u_side(alg, n, v, diag, u, k, xi)
+                v, diag, u = _move_u_side(v, diag, u, k, xi)
                 accum = accum.add_col(k + 1, k, xi)
                 certs[k] = prefix
                 certs[k - 1] = suffix.conjugated(zeta.inverse())
@@ -337,7 +324,7 @@ def prescribed_gauss(
                     certs[k] = CommutatorCert(suffix.pairs, eps_t)
                     break
                 xi = eta.inverse() * (one - theta)
-                v, diag, u = _move_v_side(alg, n, v, diag, u, k, xi)
+                v, diag, u = _move_v_side(v, diag, u, k, xi)
                 accum = accum.add_col(k, k + 1, xi)
                 certs[k] = suffix
                 certs[k - 1] = prefix.conjugated(eta)
@@ -419,11 +406,11 @@ def prescribed_gauss_base(
                 eta = v.entry(k + 1, k)
                 if not zeta.is_zero():
                     xi = zeta.inverse() * (d_k.inverse() - one)
-                    v, diag, u = _move_u_side(alg, n, v, diag, u, k, xi)
+                    v, diag, u = _move_u_side(v, diag, u, k, xi)
                     extra = extra.add_col(k + 1, k, xi)
                 elif not eta.is_zero():
                     xi = (one - d_k.inverse()) * eta.inverse()
-                    v, diag, u = _move_v_side(alg, n, v, diag, u, k, xi)
+                    v, diag, u = _move_v_side(v, diag, u, k, xi)
                     extra = extra.add_col(k, k + 1, xi)
                 else:
                     made = _manufacture_unit(alg, v, diag, u, k)
@@ -462,46 +449,28 @@ def prescribed_gauss_base(
 # ---------------------------------------------------------------------------
 
 
-def _solve_corner_lower(v: MatD, a: list[Quat]) -> MatD:
-    """v' in V with [v', diag(a)] = v, entry by entry along the
-    subdiagonals; each entry is one twisted 4x4 solve."""
-    alg, n = v.alg, v.n
+def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
+    """The x with w's unitriangular shape and [x, diag(a)] = w, entry by
+    entry away from the diagonal: x diag(a) = w diag(a) x reads, at
+    (i, j), x_ij a_j - a_i x_ij = w_ij a_j + sum_m w_im a_m x_mj over
+    the m strictly between i and j, one twisted 4x4 solve."""
+    alg, n = w.alg, w.n
+    lower = w.is_lower_unitriangular()
+    a_inv = [q.inverse() for q in a]
     rows = [list(r) for r in MatD.identity(alg, n).rows]
     for depth in range(1, n):
-        for j in range(1, n - depth + 1):
-            i = j + depth
-            rhs = v.entry(i, j) * a[j - 1]
-            for m in range(j + 1, i):
-                if not v.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
-                    rhs = rhs + v.entry(i, m) * a[m - 1] * rows[m - 1][j - 1]
+        for lo in range(1, n - depth + 1):
+            i, j = (lo + depth, lo) if lower else (lo, lo + depth)
+            rhs = w.entry(i, j) * a[j - 1]
+            for m in range(lo + 1, lo + depth):
+                if not w.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
+                    rhs = rhs + w.entry(i, m) * a[m - 1] * rows[m - 1][j - 1]
             if rhs.is_zero():
                 continue
-            rows[i - 1][j - 1] = solve_twisted(
-                a[i - 1], a[j - 1].inverse(), rhs * a[j - 1].inverse()
-            )
+            rows[i - 1][j - 1] = solve_twisted(a[i - 1], a_inv[j - 1], rhs * a_inv[j - 1])
     out = MatD(alg, rows)
-    if comm(out, MatD.diagonal(alg, a)) != v:
-        raise InternalInvariantError("lower corner solve failed")
-    return out
-
-
-def _solve_corner_upper(u: MatD, c: list[Quat]) -> MatD:
-    """u' in U with [diag(c)^-1, u'] = u."""
-    alg, n = u.alg, u.n
-    rows = [list(r) for r in MatD.identity(alg, n).rows]
-    for depth in range(1, n):
-        for i in range(1, n - depth + 1):
-            j = i + depth
-            rhs = u.entry(i, j)
-            for m in range(i + 1, j):
-                if not u.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
-                    rhs = rhs + u.entry(i, m) * rows[m - 1][j - 1]
-            if rhs.is_zero():
-                continue
-            rows[i - 1][j - 1] = solve_twisted(c[i - 1].inverse(), c[j - 1], -rhs)
-    out = MatD(alg, rows)
-    if comm(MatD.diagonal(alg, c).inverse(), out) != u:
-        raise InternalInvariantError("upper corner solve failed")
+    if comm(out, MatD.diagonal(alg, a)) != w:
+        raise InternalInvariantError("corner solve failed")
     return out
 
 
@@ -572,8 +541,9 @@ def single_commutator(
     h1 = MatD.diagonal(alg, a)
     tau_m = MatD.diagonal(alg, b)
     c = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
-    v_pr = _solve_corner_lower(v, a)
-    u_pr = _solve_corner_upper(u, c)
+    v_pr = _solve_corner(v, a)
+    # [diag(c)^-1, u'] = u is [u', diag(c)] = diag(c) u diag(c)^-1
+    u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in c]), c)
     p = v_pr * h1 * v_pr.inverse()
     q = u_pr * tau_m * v_pr.inverse()
     if comm(p, q) != v * MatD.diagonal(alg, eps) * u:
@@ -613,19 +583,38 @@ def _peel_last_pairs(slots, alg):
     return witnesses, rest
 
 
+def _factor_head(inst: BasedInstance, support: int):
+    """Spread the certificate over the last `support` slots; returns
+    (gamma, v, u, slots, x) with x = v * diag(slot values) * u."""
+    if inst.c < 1:
+        raise PreconditionError("need a certificate of length >= 1")
+    if is_central_in_E(inst.core()):
+        raise PreconditionError("instance element is central")
+    gamma, v, u, slots = prescribed_gauss(inst, balanced_partition(inst.c, inst.n, support))
+    x = v * MatD.diagonal(inst.alg, [val for val, _ in slots]) * u
+    return gamma, v, u, slots, x
+
+
+def _factor_tail(inst: BasedInstance, gamma: MatD, x: MatD, pairs, support: int):
+    """The core pairs, checked against x, conjugated by gamma^-1 and
+    checked against the instance element and the bound ceil(c/support)."""
+    core_cert = CommutatorCert(tuple(pairs), x).check()
+    cert = core_cert.conjugated(gamma.inverse())
+    if cert.target != inst.element():
+        raise InternalInvariantError("certificate target is not the instance element")
+    bound = _ceil_div(inst.c, support)
+    if len(cert) > bound:
+        raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
+    return cert
+
+
 def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
     """Factor the instance element into at most ceil(c/n) commutators in
     GL(n, D): spread the certificate with a balanced partition, then per
     round peel one witness layer off every slot into a single
     commutator, leaving a shorter diagonal for the next round."""
-    if inst.c < 1:
-        raise PreconditionError("need a certificate of length >= 1")
-    if is_central_in_E(inst.core()):
-        raise PreconditionError("instance element is central")
     alg, n = inst.alg, inst.n
-    bound = _ceil_div(inst.c, n)
-    gamma, v, u, slots = prescribed_gauss(inst, balanced_partition(inst.c, n))
-    x = v * MatD.diagonal(alg, [val for val, _ in slots]) * u
+    gamma, v, u, slots, x = _factor_head(inst, n)
 
     pairs_rev: list[tuple[MatD, MatD]] = []
     identity = MatD.identity(alg, n)
@@ -641,13 +630,7 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
                 raise InternalInvariantError("certificates exhausted but diagonal remains")
             break
 
-    core_cert = CommutatorCert(tuple(reversed(pairs_rev)), x).check()
-    cert = core_cert.conjugated(gamma.inverse())
-    if cert.target != inst.element():
-        raise InternalInvariantError("certificate target is not the instance element")
-    if len(cert) > bound:
-        raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
-    return cert.check()
+    return _factor_tail(inst, gamma, x, reversed(pairs_rev), n).check()
 
 
 def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
@@ -660,15 +643,7 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     one = alg.one
     if n < 3:
         raise PreconditionError("elementary factorization needs n >= 3")
-    if inst.c < 1:
-        raise PreconditionError("need a certificate of length >= 1")
-    if is_central_in_E(inst.core()):
-        raise PreconditionError("instance element is central")
-    bound = _ceil_div(inst.c, n - 2)
-    gamma, v, u, slots = prescribed_gauss(
-        inst, balanced_partition(inst.c, n, support=n - 2)
-    )
-    x = v * MatD.diagonal(alg, [val for val, _ in slots]) * u
+    gamma, v, u, slots, x = _factor_head(inst, n - 2)
 
     witnesses, rest = _peel_last_pairs(slots, alg)
     v_tilde = v.conjugate_by_diagonal([val for val, _ in rest])
@@ -699,12 +674,7 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     if acc != h_rest:
         raise InternalInvariantError("diagonal commutator pairs do not rebuild h'")
 
-    core_cert = CommutatorCert(tuple(hpairs) + ((p, q),), x).check()
-    cert = core_cert.conjugated(gamma.inverse())
-    if cert.target != inst.element():
-        raise InternalInvariantError("certificate target is not the instance element")
-    if len(cert) > bound:
-        raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
+    cert = _factor_tail(inst, gamma, x, hpairs + [(p, q)], n - 2)
     for g1, g2 in cert.pairs:
         if not (is_elementary(g1) and is_elementary(g2)):
             raise InternalInvariantError("a witness left the elementary group")

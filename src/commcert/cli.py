@@ -15,6 +15,7 @@ from contextlib import contextmanager
 
 from . import serialize as ser
 from .certify import (
+    _pad_matrix,
     dstar_length_bound,
     factor_commutators_e,
     factor_commutators_gl,
@@ -35,7 +36,7 @@ from .normalform import decompose_huvu
 from .quaternion import QuaternionAlgebra
 from .selftest import run_selftest
 from .serialize import cert_from_json
-from .wordcalc import CommutatorCert, comm
+from .wordcalc import CommutatorCert
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -155,7 +156,7 @@ def cmd_factor(args) -> int:
         bound = width_upper_bounds(inst.n, inst.c)[1]
     else:
         n2, p, q = stable_single_commutator(inst)
-        cert = CommutatorCert(((p, q),), comm(p, q))
+        cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
         bound = 1
     _emit(
         {

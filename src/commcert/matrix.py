@@ -20,7 +20,9 @@ from .errors import (
     SingularMatrixError,
     ZeroInputError,
 )
-from .quaternion import Quat, QuaternionAlgebra, int_mul, int_nrd, int_reduce, zero_divisor_error
+from .quaternion import (
+    Quat, QuaternionAlgebra, comm, int_mul, int_nrd, int_reduce, zero_divisor_error,
+)
 
 
 class MatD:
@@ -139,6 +141,12 @@ class MatD:
 
     def inverse(self) -> "MatD":
         return mat_inv(self)
+
+    def star(self) -> "MatD":
+        """Conjugate transpose, entry (i, j) = conj(entry (j, i)): an
+        anti-automorphism, (x y)* = y* x*, that swaps the upper and the
+        lower unitriangular matrices."""
+        return MatD(self.alg, [[q.conj() for q in col] for col in zip(*self.rows)])
 
     def conjugate_by_diagonal(self, d: Sequence[Quat]) -> "MatD":
         """Entrywise d_i^-1 * x_ij * d_j; preserves triangular shape
@@ -382,30 +390,47 @@ def dieudonne_det(g: MatD) -> DetClass:
     """Eliminate to triangular form using row transvections only (these
     lie in the kernel of det) and multiply the pivots left to right.
 
-    Pivot repair adds a lower row into the pivot row instead of swapping,
-    so every operation is t_{i,j}(xi) and the class is untouched.  Rows
-    are integer quaternions, as in mat_inv.
+    Pivot repair adds t times a lower row into the pivot row instead of
+    swapping, so every operation is t_{i,j}(xi) and the class is
+    untouched.  A pivot p that is not a unit gains t * (the first lower
+    row whose entry e in the column is a unit), t the first of 1, 2, 3
+    that makes p + t e a unit: nrd(p + t e) = nrd(p e^-1 + t) nrd(e) is
+    a monic quadratic in t, so at most two values fail.  Over a division
+    algebra this is the first nonzero lower row with t = 1.  A column
+    that is zero from the pivot row down certifies singularity; one with
+    no unit below the pivot raises NotDivisionAlgebraError.  Rows are
+    integer quaternions, as in mat_inv.
     """
     n = g.n
     alg = g.alg
+    k = alg.consts
     rows = [_int_row(row) for row in g.rows]
+
+    def is_unit(e) -> bool:
+        return e is not None and int_nrd(k, *e[:4]) != 0
+
     rep = alg.one
     for col in range(n):
-        if rows[col][col] is None:
-            src = next((r for r in range(col + 1, n) if rows[r][col] is not None), None)
+        if not is_unit(rows[col][col]):
+            src = next((r for r in range(col + 1, n) if is_unit(rows[r][col])), None)
             if src is None:
-                raise SingularMatrixError("matrix is singular")
-            rows[col] = _add_rows(rows[col], rows[src])
+                if all(rows[r][col] is None for r in range(col, n)):
+                    raise SingularMatrixError("matrix is singular")
+                raise zero_divisor_error(alg)
+            rows[col] = next(row for t in (1, 2, 3)
+                             if is_unit((row := _add_rows(rows[col], rows[src], t))[col]))
         rep = rep * Quat(alg, *rows[col][col])
         _eliminate(alg, rows, col, range(col + 1, n))
     return DetClass(rep, rep.nrd())
 
 
-def _add_rows(a: IntRow, b: IntRow) -> IntRow:
+def _add_rows(a: IntRow, b: IntRow, t: int) -> IntRow:
+    """a + t * b for an integer t."""
     out = list(a)
     for c, e in enumerate(b):
         if e is not None:
-            _accumulate(out, c, *e)
+            w, x, y, z, d = e
+            _accumulate(out, c, t * w, t * x, t * y, t * z, d)
     return out
 
 
@@ -423,10 +448,6 @@ def is_central_in_E(g: MatD) -> bool:
     if not first.is_central():
         return False
     return all(g.rows[i][i] == first for i in range(g.n))
-
-
-def _comm(x: MatD, y: MatD) -> MatD:
-    return x * y * x.inverse() * y.inverse()
 
 
 def verify_relation(rel: int, alg: QuaternionAlgebra, n: int, **params) -> bool:
@@ -451,7 +472,7 @@ def verify_relation(rel: int, alg: QuaternionAlgebra, n: int, **params) -> bool:
         xi, zeta = params["xi"], params["zeta"]
         if i == q:
             raise PreconditionError("relation 2 covers only the cases with i != q")
-        lhs = _comm(transvection(alg, n, i, j, xi), transvection(alg, n, p, q, zeta))
+        lhs = comm(transvection(alg, n, i, j, xi), transvection(alg, n, p, q, zeta))
         if j == p:
             return lhs == transvection(alg, n, i, q, xi * zeta)
         return lhs.is_identity()

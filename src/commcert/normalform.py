@@ -63,6 +63,24 @@ def rewrite_relation3(zeta: Quat, xi: Quat) -> tuple[Quat, Quat, Quat]:
     )
 
 
+def rewrite_adjacent(m: MatD, i: int, j: int, b: Quat) -> tuple[list[Quat], Quat, Quat, MatD]:
+    """Relation 3 moved through a unitriangular m with a = m[i, j],
+    |i - j| = 1 and a, 1 + a b in D*: returns (d, r, b2, m_new) with
+
+        m t_{j,i}(b) = diag(d) t_{j,i}(b2) m_new,
+
+    (r, b2, r^-1) = rewrite_relation3(a, b), d = a r at slot i, a^-1 r^-1
+    at slot j and 1 elsewhere, and m_new of m's shape.  With m = m'
+    t_{i,j}(a), m_new = t_{j,i}(b2)^-1 (m' conjugated by diag(d))
+    t_{j,i}(b2) t_{i,j}(r^-1)."""
+    a = m.entry(i, j)
+    r, b2, r_inv = rewrite_relation3(a, b)
+    d = [m.alg.one] * m.n
+    d[i - 1], d[j - 1] = a * r, a.inverse() * r_inv
+    m_new = m.add_col(i, j, -a).conjugate_by_diagonal(d).conj_t(j, i, b2).add_col(i, j, r_inv)
+    return d, r, b2, m_new
+
+
 def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
     """Normalize eval(form) * t_{k+1,k}(xi) back into H U V U shape.
 
@@ -95,25 +113,20 @@ def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
         out.shape_check()
         return out
 
-    # u2 = u2' * t_{k,k+1}(zeta) with u2' having a zero (k, k+1) entry
-    u2_prime = u2.add_col(k, k + 1, -zeta)
-
     if not (one + zeta * xi).is_zero():
-        # Case 2.
-        h_second, xi2, zeta2 = rewrite_relation3(zeta, xi)
-        h2 = HFactorList(alg, n, (HFactor(k, zeta), HFactor(k, h_second)))
-        d2 = h2.diagonal()
-        u1_c, v_c, u2_c = (m.conjugate_by_diagonal(d2) for m in (u1, v, u2_prime))
-        new_u2 = u2_c.conj_t(k + 1, k, xi2).add_col(k, k + 1, zeta2)
-        out = UVUForm(alg, n, hf.concat(h2), u1_c, v_c.add_col(k + 1, k, xi2), new_u2)
+        # Case 2: u2 t_{k+1,k}(xi) = diag(d) t_{k+1,k}(xi2) new_u2.
+        d, r, xi2, new_u2 = rewrite_adjacent(u2, k, k + 1, xi)
+        h2 = HFactorList(alg, n, (HFactor(k, zeta), HFactor(k, r)))
+        v_c = v.conjugate_by_diagonal(d).add_col(k + 1, k, xi2)
+        out = UVUForm(alg, n, hf.concat(h2), u1.conjugate_by_diagonal(d), v_c, new_u2)
         out.shape_check()
         return out
 
-    # zeta * xi = -1 from here on; v = v' * t_{k+1,k}(eta) with v'
-    # having a zero (k+1, k) entry.
+    # zeta * xi = -1 from here on; u2 = u2' * t_{k,k+1}(zeta) with u2'
+    # having a zero (k, k+1) entry, and u2' t_{k,k+1}(zeta) =
+    # t_{k,k+1}(zeta) u2_dd.
     eta = v.entry(k + 1, k)
-    v_prime = v.add_col(k + 1, k, -eta)
-    u2_dd = u2_prime.conj_t(k, k + 1, zeta)
+    u2_dd = u2.add_col(k, k + 1, -zeta).conj_t(k, k + 1, zeta)
 
     if not (one + eta * zeta).is_zero():
         # Case 3.
@@ -122,23 +135,22 @@ def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
             v_mid = v.conj_t(k, k + 1, zeta)
             hf_new = hf
         else:
-            # relation 3 mirrored: t_{k+1,k}(eta) t_{k,k+1}(zeta)
-            h_second, zeta3, eta3 = rewrite_relation3(eta, zeta)
-            h2 = HFactorList(alg, n, (HFactor(k, eta.inverse()), HFactor(k, h_second.inverse())))
-            d2 = h2.diagonal()
-            u1_mid = u1.conjugate_by_diagonal(d2).add_col(k, k + 1, zeta3)
-            v_hat = v_prime.conjugate_by_diagonal(d2).conj_t(k, k + 1, zeta3)
-            v_mid = v_hat.add_col(k + 1, k, eta3)
-            hf_new = hf.concat(h2)
+            # relation 3 mirrored: v t_{k,k+1}(zeta) = diag(d) t_{k,k+1}(zeta3) v_mid
+            d, r, zeta3, v_mid = rewrite_adjacent(v, k + 1, k, zeta)
+            u1_mid = u1.conjugate_by_diagonal(d).add_col(k, k + 1, zeta3)
+            h2 = (HFactor(k, eta.inverse()), HFactor(k, r.inverse()))
+            hf_new = hf.concat(HFactorList(alg, n, h2))
         new_v = v_mid.add_col(k + 1, k, xi)
         out = UVUForm(alg, n, hf_new, u1_mid, new_v, u2_dd.conj_t(k + 1, k, xi))
         out.shape_check()
         return out
 
-    # Case 4: eta = xi and zeta = -xi^-1.
+    # Case 4: eta = xi and zeta = -xi^-1; v = v' * t_{k+1,k}(eta) with v'
+    # having a zero (k+1, k) entry.
     if zeta != -xi.inverse() or eta != xi:
         raise InternalInvariantError("case split for lower absorption is broken")
     neg = -xi.inverse()
+    v_prime = v.add_col(k + 1, k, -eta)
     new_v = v_prime.conj_t(k, k + 1, neg).add_col(k + 1, k, xi)
     new_u2 = u2_dd.conj_t(k + 1, k, xi).add_row(k, k + 1, neg)
     out = UVUForm(alg, n, hf, u1.add_col(k, k + 1, neg), new_v, new_u2)
@@ -288,16 +300,14 @@ def decompose_huvu(g: MatD) -> tuple[MatD, UVUForm]:
     return head, form
 
 
-def _conjugated_triple(w: UVUForm, c: tuple[Quat, ...]) -> tuple[MatD, MatD, MatD]:
-    return (
-        w.u1.conjugate_by_diagonal(c),
-        w.v.conjugate_by_diagonal(c),
-        w.u2.conjugate_by_diagonal(c),
-    )
+def _conjugated(triple, c: tuple[Quat, ...]) -> tuple[MatD, ...]:
+    return tuple(m.conjugate_by_diagonal(c) for m in triple)
 
 
-def _inverse_triple(w: UVUForm) -> tuple[MatD, MatD, MatD]:
-    return (w.u2.inverse(), w.v.inverse(), w.u1.inverse())
+def _fold(form: UVUForm, triple) -> UVUForm:
+    """form * u1 * v * u2 for the triple (u1, v, u2)."""
+    u1, v, u2 = triple
+    return absorb_upper(absorb_V(absorb_upper(form, u1), v), u2)
 
 
 def commutator_normal_form(pairs: list[tuple[MatD, MatD]]) -> UVUForm:
@@ -326,36 +336,21 @@ def commutator_normal_form(pairs: list[tuple[MatD, MatD]]) -> UVUForm:
         c3 = tuple(dy_inv)
 
         hcf = h_commutator_factors(hx, hy)
-        wx_inv = _inverse_triple(wx)
-        wy_inv = _inverse_triple(wy)
-        pieces = [
-            _conjugated_triple(wx, c1),
-            _conjugated_triple(wy, c2),
-            tuple(m.conjugate_by_diagonal(c2) for m in wx_inv),
-            tuple(m.conjugate_by_diagonal(c3) for m in wy_inv),
-        ]
-        pair_form = UVUForm(alg, n, hcf, *pieces[0])
-        for uu1, vv, uu2 in pieces[1:]:
-            pair_form = absorb_upper(pair_form, uu1)
-            pair_form = absorb_V(pair_form, vv)
-            pair_form = absorb_upper(pair_form, uu2)
+        pair_form = UVUForm(alg, n, hcf, *_conjugated((wx.u1, wx.v, wx.u2), c1))
+        for triple, c in (
+            ((wy.u1, wy.v, wy.u2), c2),
+            ((wx.u2.inverse(), wx.v.inverse(), wx.u1.inverse()), c2),
+            ((wy.u2.inverse(), wy.v.inverse(), wy.u1.inverse()), c3),
+        ):
+            pair_form = _fold(pair_form, _conjugated(triple, c))
 
         if form is None:
             form = pair_form
         else:
             d2 = pair_form.hfactors.diagonal()
-            merged = UVUForm(
-                alg,
-                n,
-                form.hfactors.concat(pair_form.hfactors),
-                form.u1.conjugate_by_diagonal(d2),
-                form.v.conjugate_by_diagonal(d2),
-                form.u2.conjugate_by_diagonal(d2),
-            )
-            merged = absorb_upper(merged, pair_form.u1)
-            merged = absorb_V(merged, pair_form.v)
-            merged = absorb_upper(merged, pair_form.u2)
-            form = merged
+            hf = form.hfactors.concat(pair_form.hfactors)
+            merged = UVUForm(alg, n, hf, *_conjugated((form.u1, form.v, form.u2), d2))
+            form = _fold(merged, (pair_form.u1, pair_form.v, pair_form.u2))
 
     assert form is not None
     if not vec_leq(form.hfactors.kappa(), kappa_p(len(pairs), n)):

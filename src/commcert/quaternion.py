@@ -308,12 +308,18 @@ class Quat:
         return "Quat(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def commutator(x: Quat, y: Quat) -> Quat:
+def comm(x, y):
     """[x, y] = x y x^-1 y^-1 (the convention every identity in this
-    library is validated against)."""
+    library is validated against), for any group elements with * and
+    inverse(): quaternions and matrices alike."""
+    return x * y * x.inverse() * y.inverse()
+
+
+def commutator(x: Quat, y: Quat) -> Quat:
+    """[x, y] of two units of D*."""
     if x.is_zero() or y.is_zero():
         raise ZeroInputError("commutator needs units of D*")
-    return x * y * x.inverse() * y.inverse()
+    return comm(x, y)
 
 
 def solve_twisted(p: Quat, q: Quat, r: Quat) -> Quat:

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError, VerificationError
 from .matrix import MatD
-from .quaternion import Quat
+from .quaternion import Quat, comm
 
 
 def group_identity(elem):
@@ -29,10 +29,6 @@ def product(elems: Iterable, identity):
     for e in elems:
         out = out * e
     return out
-
-
-def comm(g, h):
-    return g * h * g.inverse() * h.inverse()
 
 
 class Letter(NamedTuple):

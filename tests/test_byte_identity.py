@@ -1,0 +1,185 @@
+"""Seeded outputs pinned by the sha256 of their canonical JSON.
+
+A refactor that must keep the certificates byte-identical is checked
+here in seconds: factor in gl, e and stable mode, a lower_extract round
+trip, a commutator normal form with an HUVU decomposition, every case
+of the lower absorption, a prescribed decomposition that takes the
+v-side move, and instances over (-1, -3).  A digest changes only when
+an output changes; a change that alters outputs on purpose re-pins the
+digests and says why.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from commcert import QuaternionAlgebra, random_quat
+from commcert import certify
+from commcert import serialize as ser
+from commcert.certify import (
+    BasedInstance,
+    balanced_partition,
+    factor_commutators_e,
+    factor_commutators_gl,
+    lower_extract,
+    make_instance,
+    prescribed_gauss,
+    prescribed_gauss_base,
+    random_unitriangular,
+    stable_single_commutator,
+)
+from commcert.matrix import MatD, random_invertible
+from commcert.budget import HFactorList
+from commcert.normalform import (
+    UVUForm,
+    absorb_lower_transvection,
+    commutator_normal_form,
+    decompose_huvu,
+)
+from commcert.wordcalc import CommutatorCert, comm, product
+
+
+def _noncentral_instance(seed, n, c, alg=None):
+    for attempt in range(100):
+        _, inst = make_instance(1000 * seed + attempt, n, c, alg)
+        if not inst.delta.is_one():
+            return inst
+    raise AssertionError("no instance with delta != 1")
+
+
+def _factor(mode, seed, n, c, alg=None):
+    inst = _noncentral_instance(seed, n, c, alg)
+    if mode == "gl":
+        cert = factor_commutators_gl(inst)
+    elif mode == "e":
+        cert = factor_commutators_e(inst)
+    else:
+        _, p, q = stable_single_commutator(inst)
+        cert = CommutatorCert(((p, q),), comm(p, q))
+    return {"algebra": ser.algebra_to_json(inst.alg), "certificate": ser.cert_to_json(cert)}
+
+
+def _round_trip():
+    alg = QuaternionAlgebra()
+    rng = random.Random(5)
+    pairs = tuple(
+        (random_quat(alg, rng, span=1, nonzero=True), random_quat(alg, rng, span=1, nonzero=True))
+        for _ in range(3)
+    )
+    delta = product((comm(a, b) for a, b in pairs), alg.one)
+    ident = MatD.identity(alg, 3)
+    inst = BasedInstance(alg, 3, ident, ident, delta, CommutatorCert(pairs, delta))
+    mcert = factor_commutators_gl(inst)
+    scalar = lower_extract(list(mcert.pairs), delta)
+    return {"matrix": ser.cert_to_json(mcert), "scalar": ser.cert_to_json(scalar)}
+
+
+def _normal_form():
+    alg = QuaternionAlgebra()
+    rng = random.Random(6)
+    pairs = [tuple(random_invertible(alg, 4, rng, random_quat) for _ in "xy") for _ in range(2)]
+    element = MatD.identity(alg, 4)
+    for x, y in pairs:
+        element = element * comm(x, y)
+    head, dec = decompose_huvu(element)
+    return {
+        "form": ser.uvuform_to_json(commutator_normal_form(pairs)),
+        "head": ser.mat_to_json(head),
+        "decomposition": ser.uvuform_to_json(dec),
+    }
+
+
+def _absorptions():
+    """Every case of the lower absorption: 2, then 3 with eta = 0, 3 with
+    eta a unit and 4 at each index."""
+    alg, n = QuaternionAlgebra(), 4
+    rng = random.Random(8)
+    u1, v, u2 = (random_unitriangular(alg, n, rng, lower=lower) for lower in (False, True, False))
+    empty = HFactorList(alg, n)
+    forms = []
+    for k in range(1, n):
+        zeta = random_quat(alg, rng, nonzero=True)
+        xi = -zeta.inverse()
+        forms.append(absorb_lower_transvection(UVUForm(alg, n, empty, u1, v, u2), k, zeta))
+        for eta in (alg.zero, random_quat(alg, rng, nonzero=True), xi):
+            form = UVUForm(alg, n, empty, u1, _with_entry(v, k + 1, k, eta),
+                           _with_entry(u2, k, k + 1, zeta))
+            forms.append(absorb_lower_transvection(form, k, xi))
+    return [ser.uvuform_to_json(f) for f in forms]
+
+
+def _with_entry(m, i, j, q):
+    rows = [list(r) for r in m.rows]
+    rows[i - 1][j - 1] = q
+    return MatD(m.alg, rows)
+
+
+def _v_side(alg):
+    """u has a zero superdiagonal, so every slot move is a v-side move."""
+    rng = random.Random(7)
+    inst = _noncentral_instance(7, 4, 4, alg)
+    v = random_unitriangular(alg, 4, rng, lower=True, span=2)
+    inst = BasedInstance(alg, 4, v, MatD.identity(alg, 4), inst.delta, inst.delta_cert, inst.gamma)
+    gamma, v2, u2, slots = prescribed_gauss(inst, balanced_partition(inst.c, 4))
+    base = prescribed_gauss_base(inst.element())
+    return {
+        "gauss": [ser.mat_to_json(m) for m in (gamma, v2, u2)]
+        + [[ser.quat_to_json(val), ser.cert_to_json(cert)] for val, cert in slots],
+        "base": [ser.mat_to_json(base[0]), ser.mat_to_json(base[1]),
+                 ser.quat_to_json(base[2]), ser.mat_to_json(base[3])],
+    }
+
+
+CASES = {
+    "factor-gl": lambda: _factor("gl", 1, 4, 5),
+    "factor-e": lambda: _factor("e", 2, 4, 3),
+    "factor-stable": lambda: _factor("stable", 3, 3, 2),
+    "lower-extract": _round_trip,
+    "normal-form": _normal_form,
+    "absorption-cases": _absorptions,
+    "v-side-move": lambda: _v_side(QuaternionAlgebra()),
+    "v-side-move-(-1,-3)": lambda: _v_side(QuaternionAlgebra(-1, -3)),
+    "factor-gl-(-1,-3)": lambda: _factor("gl", 4, 3, 4, QuaternionAlgebra(-1, -3)),
+}
+
+DIGESTS = {
+    "absorption-cases": "29aad8e1ee229d028ff3593f53af5dce06204c6d5d81811607e5fe85a73f7c3d",
+    "factor-e": "b45ecbb02edc9a2965acc9f5defb064d0182c7594715ea0b47b262b48b7a113d",
+    "factor-gl": "8c94e1b17554a977bfd7f8b212ec1e8873e8c0765fb1adb2994b61942eb9e69b",
+    "factor-gl-(-1,-3)": "079964902fe4a8b2479423863b17adff2e8548ce2a102f9671aa929db5f665d2",
+    "factor-stable": "416fae952bc3d76ffeb7d27863979a24ebe687142e9cb9ea1e711c859f2e8c0c",
+    "lower-extract": "36a7e87abf56ff6bd678b05d2c6ec35e01d85af8c6a061aa398e41d7c304eccb",
+    "normal-form": "b5ea81e16a6d899f8f45404b9ce78eb5de25a7bd4d79db29ee2d90e0052503e6",
+    "v-side-move": "58b1b0d695b499f7dcca547c68a0a0e0a6084ceb491806c0ab1ac7e70c7d59bf",
+    "v-side-move-(-1,-3)": "e268adb6206ae2fa4277eac6f62006132d250cb115aa1072ebc3361c882ea63b",
+}
+
+
+def digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digest_is_pinned(name):
+    assert digest(CASES[name]()) == DIGESTS[name]
+
+
+def test_v_side_case_takes_the_v_side_move(monkeypatch):
+    calls = []
+    move = certify._move_v_side
+
+    def counted(*args):
+        calls.append(args)
+        return move(*args)
+
+    monkeypatch.setattr(certify, "_move_v_side", counted)
+    _v_side(QuaternionAlgebra())
+    assert calls
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        print(f"    {name!r}: {digest(CASES[name]())!r},")

@@ -5,6 +5,8 @@ import pytest
 
 from commcert import MatD, commutator, make_instance
 from commcert import serialize as ser
+from commcert.certify import _pad_matrix
+from commcert import cli
 from commcert.cli import main
 
 from conftest import rand_invertible, rand_unit
@@ -62,6 +64,29 @@ def test_factor_modes(tmp_path, capsys):
         assert rc == 0
         payload = json.loads(out)
         assert payload["verified"] and payload["achieved"] <= bound
+    # the stable target is the element that gen wrote, padded to n'
+    gen = json.loads(inst_file.read_text())
+    alg = ser.algebra_from_json(gen["algebra"])
+    target = ser.mat_from_json(payload["certificate"]["target"], alg)
+    assert target.n == 5
+    assert target == _pad_matrix(ser.mat_from_json(gen["element"], alg), 5)
+
+
+def test_stable_certificate_is_checked_against_the_element(tmp_path, capsys, monkeypatch):
+    """A pair whose commutator is not the element is reported unverified:
+    [q, p] is the inverse of [p, q]."""
+    inst_file = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--c", "2", "--seed", "2", "--out", str(inst_file))
+    real = cli.stable_single_commutator
+
+    def swapped(inst):
+        n2, p, q = real(inst)
+        return n2, q, p
+
+    monkeypatch.setattr(cli, "stable_single_commutator", swapped)
+    rc, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
+    assert rc == 0
+    assert json.loads(out)["verified"] is False
 
 
 def test_decompose(tmp_path, capsys, alg, rng):

@@ -399,6 +399,30 @@ def check_inverse_against_oracle(g):
     return False
 
 
+def check_det_against_oracle(g):
+    """dieudonne_det agrees with the dense oracle, except where the oracle
+    pivots on a zero divisor: then dieudonne_det has a class if g is
+    invertible and raises otherwise.  Returns True for an invertible g
+    that the oracle failed on."""
+    got, want = det_outcome(g), outcome(dense_det, g)
+    if want[0] is not NotDivisionAlgebraError:
+        assert got == want
+        return False
+    if not isinstance(outcome(mat_inv, g), MatD):
+        assert got[0] in (SingularMatrixError, NotDivisionAlgebraError)
+        return False
+    assert isinstance(got[0], Quat) and got[1] != 0
+    return True
+
+
+def check_det_class(g, y):
+    """For invertible g: nrd(det g) nrd(det g^-1) = 1, and the invariant
+    is multiplicative over g * y and y * g."""
+    dg, dy = dieudonne_det(g).invariant, dieudonne_det(y).invariant
+    assert dg * dieudonne_det(mat_inv(g)).invariant == 1
+    assert dieudonne_det(g * y).invariant == dg * dy == dieudonne_det(y * g).invariant
+
+
 class TestEliminationsMatchDenseOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_mat_inv(self, any_alg, seed):
@@ -442,17 +466,38 @@ class TestEliminationsMatchDenseOracles:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dieudonne_det(self, any_alg, seed):
+        rng = random.Random(seed)
         for g in matrix_cases(any_alg, seed):
-            assert det_outcome(g) == outcome(dense_det, g)
+            if check_det_against_oracle(g):
+                check_det_class(g, random_invertible(any_alg, g.n, rng, random_quat))
 
     def test_zero_leading_pivot_needs_a_swap(self, any_alg):
         g = with_zero_leading_pivots(any_alg, 3, random.Random(1))
         assert g.entry(1, 1).is_zero()
         ident = MatD.identity(any_alg, 3)
         assert g * mat_inv(g) == ident == mat_inv(g) * g
-        # dieudonne_det repairs pivots by row additions only, so in the
-        # indefinite algebra it may still meet a zero divisor, as the oracle does
-        assert det_outcome(g) == outcome(dense_det, g)
+        # a zero-divisor pivot gains a unit lower row, so the class exists
+        # in the indefinite algebra too
+        assert check_det_against_oracle(g) == (any_alg == ALGEBRAS[-1])
+        check_det_class(g, random_invertible(any_alg, 3, random.Random(2), random_quat))
+
+    def test_unit_pivots_give_classes_past_zero_divisors(self):
+        """Over the indefinite algebra the dense oracle meets zero-divisor
+        pivots on invertible matrices; dieudonne_det gives each one a class."""
+        alg = ALGEBRAS[-1]
+        rescued = sum(check_det_against_oracle(g)
+                      for seed in range(3) for g in matrix_cases(alg, seed))
+        assert rescued > 0
+        z = alg.quat(-1, 3, -3, 1)
+        one, zero = alg.one, alg.zero
+        g = MatD(alg, [[z, one], [one, zero]])  # the pivot z + 1 is a unit
+        assert check_det_against_oracle(g)
+        check_det_class(g, g)
+        # z + t z = (1 + t) z is never a unit: no unit below the pivot
+        with pytest.raises(NotDivisionAlgebraError):
+            dieudonne_det(MatD(alg, [[z, one], [z, zero]]))
+        with pytest.raises(SingularMatrixError):
+            dieudonne_det(MatD(alg, [[zero, one], [zero, z]]))
 
     def test_singular_only_in_last_column(self, any_alg):
         rng = random.Random(2)
