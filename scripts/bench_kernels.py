@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Layer timings of the dense matrix kernels: product, inverse and
-Dieudonne determinant, at fixed coefficient heights.
+Dieudonne determinant, at fixed coefficient heights, and the matrix
+commutator on pipeline witnesses.
 
 Each cell is one (kernel, n, shape, bits) over the algebra (-1, -1):
 REPS seeded matrices (pairs for the product) whose entries have
@@ -11,8 +12,15 @@ every input; passes repeat until the cell has run MIN_SECONDS (at least
 one pass, at most MAX_PASSES).  The minimum over passes resists load
 from other processes.  The cell prints one JSON line with the minimum
 and the median over passes of the seconds per call, and the largest
-coordinate bit length of the outputs.  Stdlib only; `--src` picks the
-library to time, so the same script measures two checkouts:
+coordinate bit length of the outputs.
+
+The comm cells time quaternion.comm(P, Q) on the first pair that
+factor_commutators_gl emits for make_instance(0, n, n), at n in
+COMM_SIZES: once as emitted, with the inverses the construction carries
+(where the library stores them), and once on copies rebuilt from the
+rows, which carry none, so both inverses run mat_inv.  Stdlib only;
+`--src` picks the library to time, so the same script measures two
+checkouts:
 
     python3 scripts/bench_kernels.py
     python3 scripts/bench_kernels.py --src ../parent/src
@@ -28,8 +36,9 @@ import sys
 import time
 from pathlib import Path
 
-KERNELS = ("mul", "inv", "det")
+KERNELS = ("mul", "inv", "det", "comm")
 SIZES = (3, 6)
+COMM_SIZES = (6, 8)
 SHAPES = ("dense", "unitriangular")
 HEIGHTS = (64, 300, 1000, 3000)
 REPS, MIN_SECONDS, MAX_PASSES = 3, 0.5, 1000
@@ -59,6 +68,25 @@ def height(m):
     return max(max(abs(q.wn), abs(q.xn), abs(q.yn), abs(q.zn), q.den).bit_length() for q in qs)
 
 
+def timed(calls) -> tuple[list[float], list]:
+    """Seconds per call of each pass over calls, and the last outputs."""
+    passes = []
+    while not passes or (sum(passes) * len(calls) < MIN_SECONDS and len(passes) < MAX_PASSES):
+        t0 = time.perf_counter()
+        outs = [fn(*args) for fn, *args in calls]
+        passes.append((time.perf_counter() - t0) / len(calls))
+    return passes, outs
+
+
+def summary(passes, outs) -> dict:
+    return {
+        "passes": len(passes),
+        "min_s": float(f"{min(passes):.4g}"),
+        "median_s": float(f"{statistics.median(passes):.4g}"),
+        "out_bits": max(height(out) for out in outs),
+    }
+
+
 def cell(lib, alg, kernel, n, shape, bits):
     rng = random.Random(f"{kernel}|{n}|{shape}|{bits}")
     if kernel == "mul":
@@ -67,17 +95,19 @@ def cell(lib, alg, kernel, n, shape, bits):
     else:
         fn = lib.mat_inv if kernel == "inv" else lib.dieudonne_det
         calls = [(fn, matrix(lib, alg, rng, n, shape, bits)) for _ in range(REPS)]
-    passes = []
-    while not passes or (sum(passes) * REPS < MIN_SECONDS and len(passes) < MAX_PASSES):
-        t0 = time.perf_counter()
-        outs = [fn(*args) for fn, *args in calls]
-        passes.append((time.perf_counter() - t0) / REPS)
-    return {
-        "kernel": kernel, "n": n, "shape": shape, "bits": bits, "passes": len(passes),
-        "min_s": float(f"{min(passes):.4g}"),
-        "median_s": float(f"{statistics.median(passes):.4g}"),
-        "out_bits": max(height(out) for out in outs),
-    }
+    return {"kernel": kernel, "n": n, "shape": shape, "bits": bits, **summary(*timed(calls))}
+
+
+def comm_cells(lib, n):
+    from commcert.quaternion import comm
+
+    _, inst = lib.make_instance(0, n, n)
+    p, q = lib.factor_commutators_gl(inst).pairs[0]
+    bare = lib.MatD(p.alg, p.rows), lib.MatD(q.alg, q.rows)
+    for pair in ((p, q), bare):
+        carried = getattr(pair[0], "known_inverse", None) is not None
+        yield {"kernel": "comm", "n": n, "carried": carried,
+               "in_bits": max(map(height, pair)), **summary(*timed([(comm, *pair)]))}
 
 
 def main(argv=None) -> int:
@@ -93,6 +123,11 @@ def main(argv=None) -> int:
 
     alg = lib.QuaternionAlgebra(-1, -1)
     for kernel in args.kernels:
+        if kernel == "comm":
+            for n in COMM_SIZES:
+                for row in comm_cells(lib, n):
+                    print(json.dumps(row), flush=True)
+            continue
         for n in args.sizes:
             for shape in SHAPES:
                 for bits in args.bits:

@@ -449,6 +449,12 @@ def prescribed_gauss_base(
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_with_inverse(alg: QuaternionAlgebra, entries: list[Quat]) -> MatD:
+    """diag(entries), carrying diag(entries^-1) as its inverse."""
+    return MatD.diagonal(alg, entries).with_inverse(
+        MatD.diagonal(alg, [q.inverse() for q in entries]))
+
+
 def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
     """The x with w's unitriangular shape and [x, diag(a)] = w, entry by
     entry away from the diagonal: x diag(a) = w diag(a) x reads, at
@@ -469,7 +475,7 @@ def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
                 continue
             rows[i - 1][j - 1] = solve_twisted(a[i - 1], a_inv[j - 1], rhs * a_inv[j - 1])
     out = MatD(alg, rows)
-    if comm(out, MatD.diagonal(alg, a)) != w:
+    if comm(out, _diagonal_with_inverse(alg, a)) != w:
         raise InternalInvariantError("corner solve failed")
     return out
 
@@ -538,14 +544,16 @@ def single_commutator(
         if commutator(a[i], b[i]) != eps[i]:
             raise InternalInvariantError("rescaling changed a commutator value")
 
-    h1 = MatD.diagonal(alg, a)
-    tau_m = MatD.diagonal(alg, b)
+    h1 = _diagonal_with_inverse(alg, a)
+    tau_m = _diagonal_with_inverse(alg, b)
     c = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
     v_pr = _solve_corner(v, a)
     # [diag(c)^-1, u'] = u is [u', diag(c)] = diag(c) u diag(c)^-1
     u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in c]), c)
-    p = v_pr * h1 * v_pr.inverse()
-    q = u_pr * tau_m * v_pr.inverse()
+    v_pr_inv = v_pr.inverse()
+    # P^-1 = v' h1^-1 v'^-1 and Q^-1 = v' tau^-1 u'^-1, each checked by one product
+    p = (v_pr * h1 * v_pr_inv).with_inverse(v_pr * h1.inverse() * v_pr_inv)
+    q = (u_pr * tau_m * v_pr_inv).with_inverse(v_pr * tau_m.inverse() * u_pr.inverse())
     if comm(p, q) != v * MatD.diagonal(alg, eps) * u:
         raise InternalInvariantError("single-commutator construction failed")
     if mode == "e" and not (is_elementary(p) and is_elementary(q)):
@@ -599,7 +607,7 @@ def _factor_tail(inst: BasedInstance, gamma: MatD, x: MatD, pairs, support: int)
     """The core pairs, checked against x, conjugated by gamma^-1 and
     checked against the instance element and the bound ceil(c/support)."""
     core_cert = CommutatorCert(tuple(pairs), x).check()
-    cert = core_cert.conjugated(gamma.inverse())
+    cert = core_cert.conjugated(gamma.inverse().with_inverse(gamma))
     if cert.target != inst.element():
         raise InternalInvariantError("certificate target is not the instance element")
     bound = _ceil_div(inst.c, support)
@@ -663,8 +671,8 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
             b_col.append(bi)
         prod_a = product(a_col, one)
         prod_b = product(b_col, one)
-        h_a = MatD.diagonal(alg, [prod_a.inverse(), one] + a_col)
-        h_b = MatD.diagonal(alg, [one, prod_b.inverse()] + b_col)
+        h_a = _diagonal_with_inverse(alg, [prod_a.inverse(), one] + a_col)
+        h_b = _diagonal_with_inverse(alg, [one, prod_b.inverse()] + b_col)
         hpairs.append((h_a, h_b))
 
     h_rest = MatD.diagonal(alg, [val for val, _ in rest])

@@ -131,18 +131,19 @@ def cmd_certify_lower(args) -> int:
     n = pairs[0][0].n if pairs else 2
     d = max(1, len(pairs))
     bound = s_of(kappa_p(d, n))
+    ok = cert.verify()
     _emit(
         {
             "algebra": ser.algebra_to_json(alg),
             "certificate": ser.cert_to_json(cert),
-            "verified": cert.verify(),
+            "verified": ok,
             "bound": bound,
             "achieved": len(cert),
             "closed_form_bound": dstar_length_bound(n, d),
         },
         args.out,
     )
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def cmd_factor(args) -> int:
@@ -158,18 +159,19 @@ def cmd_factor(args) -> int:
         n2, p, q = stable_single_commutator(inst)
         cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
         bound = 1
+    ok = cert.verify()
     _emit(
         {
             "algebra": ser.algebra_to_json(inst.alg),
             "mode": args.mode,
             "certificate": ser.cert_to_json(cert),
-            "verified": cert.verify(),
+            "verified": ok,
             "bound": bound,
             "achieved": len(cert),
         },
         args.out,
     )
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def cmd_bounds(args) -> int:

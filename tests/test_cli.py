@@ -7,6 +7,7 @@ from commcert import MatD, cli, commutator, make_instance
 from commcert import serialize as ser
 from commcert.certify import _pad_matrix
 from commcert.cli import main
+from commcert.wordcalc import CommutatorCert
 
 from conftest import rand_invertible, rand_unit
 
@@ -83,8 +84,9 @@ def test_stable_certificate_is_checked_against_the_element(tmp_path, capsys, mon
         return n2, q, p
 
     monkeypatch.setattr(cli, "stable_single_commutator", swapped)
-    _, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
+    rc, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
     assert json.loads(out)["verified"] is False
+    assert rc == 2
 
 
 def test_decompose(tmp_path, capsys, alg, rng):
@@ -125,6 +127,32 @@ def test_certify_lower(tmp_path, capsys, alg, rng):
     assert payload["verified"] and payload["achieved"] <= payload["bound"]
     rc, _ = run(capsys, "selftest", "--verify", str(out_file))
     assert rc == 0
+
+
+def test_certify_lower_unverified_certificate_exits_2(tmp_path, capsys, monkeypatch, alg, rng):
+    """A certificate that does not multiply out to its target is printed
+    with "verified": false and exit 2."""
+    a, b = rand_unit(alg, rng), rand_unit(alg, rng)
+    tau = commutator(a, b)
+    one = alg.one
+    x = MatD.diagonal(alg, [one, one, a])
+    y = MatD.diagonal(alg, [one, one, b])
+    path = tmp_path / "low.json"
+    path.write_text(
+        json.dumps(
+            {
+                "algebra": ser.algebra_to_json(alg),
+                "pairs": [[ser.mat_to_json(x), ser.mat_to_json(y)]],
+                "tau": ser.quat_to_json(tau),
+            }
+        )
+    )
+    # [b, a] = [a, b]^-1 = tau^-1
+    assert tau.inverse() != tau
+    monkeypatch.setattr(cli, "lower_extract", lambda pairs, t: CommutatorCert(((b, a),), t))
+    rc, out = run(capsys, "certify-lower", str(path))
+    assert json.loads(out)["verified"] is False
+    assert rc == 2
 
 
 def test_certify_lower_bad_shape_exits_3(tmp_path, capsys, alg, rng):
