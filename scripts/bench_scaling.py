@@ -11,18 +11,19 @@ Rungs, each over the algebras (-1,-1), (-1,-3) and (-2,-5):
 
 The instance is make_instance(seed, n, c) for the first seed from 0
 whose delta is not 1.  Every rung runs alone in a child process with a
-CPU-time cap (RLIMIT_CPU) and an address-space cap; a rung that runs
-over records "over_cap", and the rest of its row (kind and algebra) is
-not climbed on that side.  A rung records the CPU time of the pipeline
-calls, the pairs emitted and their bound, the median and maximum bit
-height of the output quaternions (the largest bit length among the
-numerators and the denominator of each), the bytes and the sha256 of
-the canonical output JSON (sorted keys, no spaces).
+CPU-time cap of CAP_S seconds (RLIMIT_CPU) and an address-space cap; a
+rung that runs over records "over_cap", and the rest of its row (kind
+and algebra) is not climbed on that side.  A rung records the CPU time
+of the pipeline calls, the pairs emitted and their bound, the median
+and maximum bit height of the output quaternions (the largest bit
+length among the numerators and the denominator of each), the bytes
+and the sha256 of the canonical output JSON (sorted keys, no spaces).
 
 Each --src LABEL=DIR names a checkout's src directory; with several,
 every rung runs on each side in turn and the file records whether
-their sha256 agree.  The file is rewritten after every rung, so an
-interrupted ladder keeps what it measured.  Stdlib only:
+their sha256 agree (null where fewer than two sides finished).  The
+file is rewritten after every rung, so an interrupted ladder keeps
+what it measured.  Stdlib only:
 
     python3 scripts/bench_scaling.py
     python3 scripts/bench_scaling.py --src parent=../parent/src --src change=src
@@ -48,6 +49,7 @@ LADDERS = {
     "stable": [(3, c) for c in (4, 8, 10, 14)],
     "roundtrip": [(3, 6), (4, 8), (5, 10), (6, 12)],
 }
+CAP_S = 60.0  # CPU seconds per rung
 MEMORY_CAP = 2 << 30
 
 
@@ -112,17 +114,17 @@ def run_rung(kind: str, n: int, c: int, a: int, b: int) -> dict:
     return row
 
 
-def child(src: str, kind: str, n: int, c: int, a: int, b: int, cap_s: float) -> dict:
+def child(src: str, kind: str, n: int, c: int, a: int, b: int) -> dict:
     """Run one rung in a fresh interpreter under the caps."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_CPU, (int(cap_s), int(cap_s) + 5))
+        resource.setrlimit(resource.RLIMIT_CPU, (int(CAP_S), int(CAP_S) + 5))
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
     cmd = [sys.executable, __file__, "--child", kind, str(n), str(c), str(a), str(b),
            "--src", f"_={src}"]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit,
-                          timeout=4 * cap_s + 60)
+                          timeout=4 * CAP_S + 60)
     wall = round(time.perf_counter() - t0, 2)
     for line in reversed(proc.stdout.splitlines()):
         if line.startswith("{"):
@@ -136,8 +138,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a checkout's src directory (repeatable); default change=<this repo>/src")
-    ap.add_argument("--cap-s", type=float, default=60.0, help="CPU-time cap per rung")
-    ap.add_argument("--kinds", nargs="+", choices=list(LADDERS), default=list(LADDERS))
     ap.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
     ap.add_argument("--child", nargs=5, metavar=("KIND", "N", "C", "A", "B"),
                     help=argparse.SUPPRESS)
@@ -153,20 +153,20 @@ def main(argv=None) -> int:
     doc = {
         "host": f"{platform.machine()} {platform.python_implementation()} "
                 f"{platform.python_version()}",
-        "cap_s": args.cap_s, "sides": list(srcs), "rungs": [],
+        "cap_s": CAP_S, "sides": list(srcs), "rungs": [],
     }
-    for kind in args.kinds:
+    for kind in LADDERS:
         for a, b in ALGEBRAS:
             climbing = set(srcs)
             for n, c in LADDERS[kind]:
                 rung = {"kind": kind, "algebra": [a, b], "n": n, "c": c}
                 for label in srcs:
-                    rung[label] = (child(srcs[label], kind, n, c, a, b, args.cap_s)
+                    rung[label] = (child(srcs[label], kind, n, c, a, b)
                                    if label in climbing else {"status": "skipped"})
                     if rung[label]["status"] != "ok":
                         climbing.discard(label)
-                digests = {r["sha256"] for label in srcs if "sha256" in (r := rung[label])}
-                rung["sha256_agree"] = len(digests) <= 1
+                digests = [r["sha256"] for label in srcs if "sha256" in (r := rung[label])]
+                rung["sha256_agree"] = len(set(digests)) == 1 if len(digests) > 1 else None
                 doc["rungs"].append(rung)
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
                 print(json.dumps(rung), flush=True)

@@ -475,7 +475,7 @@ def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
                 continue
             rows[i - 1][j - 1] = solve_twisted(a[i - 1], a_inv[j - 1], rhs * a_inv[j - 1])
     out = MatD(alg, rows)
-    if comm(out, _diagonal_with_inverse(alg, a)) != w:
+    if comm(out, MatD.diagonal(alg, a)) != w:
         raise InternalInvariantError("corner solve failed")
     return out
 
