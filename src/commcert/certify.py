@@ -34,6 +34,9 @@ from .wordcalc import (
     transfer_cert,
 )
 
+GAUSS_RETRIES = 64  # conjugation attempts of prescribed_gauss_base
+RESCALE_TRIES = 64  # rescaling rounds of _rescale_witnesses
+
 
 # ---------------------------------------------------------------------------
 # bound formulas
@@ -173,8 +176,12 @@ class BasedInstance:
     gamma: MatD = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise PreconditionError("n must be an integer")
         if self.gamma is None:
             object.__setattr__(self, "gamma", MatD.identity(self.alg, self.n))
+        if any(m.n != self.n for m in (self.v, self.u, self.gamma)):
+            raise PreconditionError("v, u and gamma must be n x n")
         if not self.v.is_lower_unitriangular():
             raise PreconditionError("v must be lower unitriangular")
         if not self.u.is_upper_unitriangular():
@@ -353,16 +360,34 @@ def prescribed_gauss(
     return gamma_out, v, u, list(zip(diag, certs))
 
 
-def prescribed_gauss_base(
-    g: MatD, seed: int = 0, retries: int = 64
-) -> tuple[MatD, MatD, Quat, MatD]:
+def _try_ldu(m: MatD):
+    """m = v * diag(d) * u by unpivoted elimination, v lower and u upper
+    unitriangular; None when a pivot is zero."""
+    work, v = m, MatD.identity(m.alg, m.n)
+    for kk in range(1, m.n + 1):
+        piv = work.entry(kk, kk)
+        if piv.is_zero():
+            return None
+        piv_inv = piv.inverse()
+        for r in range(kk + 1, m.n + 1):
+            if not work.entry(r, kk).is_zero():
+                f = work.entry(r, kk) * piv_inv
+                work = work.add_row(r, kk, -f)
+                v = v.add_col(r, kk, f)
+    d = work.diagonal_entries()
+    d_inv = [e.inverse() for e in d]
+    u = MatD(m.alg, [[di * q for q in row] for di, row in zip(d_inv, work.rows)])
+    return v, d, u
+
+
+def prescribed_gauss_base(g: MatD, seed: int = 0) -> tuple[MatD, MatD, Quat, MatD]:
     """Conjugate g in E(n, D) to v * diag(1, ..., 1, delta) * u.
 
     A plain unpivoted two-sided elimination is tried first (so inputs
     already in that shape come back with gamma = identity); on pivot
     failure, or when the rightward diagonal normalization gets stuck on
     equal central neighbours, g is conjugated by seeded random
-    transvections and the attempt repeats, at most `retries` times.
+    transvections and the attempt repeats, at most GAUSS_RETRIES times.
     """
     alg, n = g.alg, g.n
     one = alg.one
@@ -371,25 +396,6 @@ def prescribed_gauss_base(
     if is_central_in_E(g):
         raise PreconditionError("input is central")
     rng = random.Random(seed)
-
-    def try_ldu(m: MatD):
-        work = [list(row) for row in m.rows]
-        v_rows = [list(r) for r in MatD.identity(alg, n).rows]
-        for kk in range(n):
-            piv = work[kk][kk]
-            if piv.is_zero():
-                return None
-            piv_inv = piv.inverse()
-            for r in range(kk + 1, n):
-                if work[r][kk].is_zero():
-                    continue
-                f = work[r][kk] * piv_inv
-                v_rows[r][kk] = f
-                work[r] = [x - f * y for x, y in zip(work[r], work[kk])]
-        d = [work[i][i] for i in range(n)]
-        d_inv = [e.inverse() for e in d]
-        u_m = MatD(alg, [[d_inv[i] * work[i][j] for j in range(n)] for i in range(n)])
-        return MatD(alg, v_rows), d, u_m
 
     def normalize_rightward(v, diag, u):
         """Push slots 1..n-1 to 1; returns (v, diag, u, extra_conj) or
@@ -421,9 +427,9 @@ def prescribed_gauss_base(
         return v, diag, u, extra
 
     gamma = MatD.identity(alg, n)
-    for attempt in range(retries):
+    for attempt in range(GAUSS_RETRIES):
         cand = gamma.inverse() * g * gamma if attempt else g
-        got = try_ldu(cand)
+        got = _try_ldu(cand)
         if got is not None:
             v, diag, u = got
             pushed = normalize_rightward(v, list(diag), u)
@@ -480,13 +486,13 @@ def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
     return out
 
 
-def _rescale_witnesses(a: list[Quat], mode: str, max_tries: int = 64) -> list[Quat]:
+def _rescale_witnesses(a: list[Quat], mode: str) -> list[Quat]:
     """Multiply a_2 ... a_n by central integers until the reduced norms
     are pairwise distinct (nrd(t a) = t^2 nrd(a), so advancing t always
     escapes a coincidence).  In elementary mode a_1 is recomputed as
     (a_2 ... a_n)^-1, preserving its constraint."""
     n = len(a)
-    for round_shift in range(max_tries):
+    for round_shift in range(RESCALE_TRIES):
         out = list(a)
         used = set()
         if mode == "gl":

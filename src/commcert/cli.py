@@ -91,6 +91,8 @@ def cmd_selftest(args) -> int:
             alg = ser.algebra_from_json(data["algebra"])
             cert = cert_from_json(data["certificate"], alg)
             bound = data.get("bound")
+            if bound is not None and type(bound) is not int:
+                raise PreconditionError("bound must be an integer or null")
         ok = cert.verify()
         achieved = len(cert)
         within = bound is None or achieved <= bound

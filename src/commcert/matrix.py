@@ -353,33 +353,49 @@ def _eliminate(alg: QuaternionAlgebra, rows: list[IntRow], col: int, targets: ra
                 _accumulate(row, c, *int_mul(k, fw, fx, fy, fz, ew, ex, ey, ez), fd * ed)
 
 
+def _unit_pivot(alg: QuaternionAlgebra, rows: list[IntRow], col: int) -> None:
+    """Make the pivot p = rows[col][col] a unit, in place, by a row
+    transvection: a p that is not a unit gains t * (the first lower row
+    whose entry e in the column is a unit), t the first of 1, 2, 3 that
+    makes p + t e a unit.  nrd(p + t e) = nrd(p e^-1 + t) nrd(e) is a
+    monic quadratic in t, so at most two values fail; over a division
+    algebra this adds the first nonzero lower row with t = 1.  A column
+    that is zero from the pivot row down certifies singularity; one with
+    no unit there raises NotDivisionAlgebraError."""
+    k = alg.consts
+
+    def is_unit(e) -> bool:
+        return e is not None and int_nrd(k, *e[:4]) != 0
+
+    if is_unit(rows[col][col]):
+        return
+    src = next((r for r in range(col + 1, len(rows)) if is_unit(rows[r][col])), None)
+    if src is None:
+        if all(row[col] is None for row in rows[col:]):
+            raise SingularMatrixError("matrix is singular")
+        raise zero_divisor_error(alg)
+    rows[col] = next(row for t in (1, 2, 3)
+                     if is_unit((row := _add_rows(rows[col], rows[src], t))[col]))
+
+
 def mat_inv(g: MatD) -> MatD:
     """Inverse by Gauss-Jordan elimination over the skew-field.
 
     All multiplications act on the left of rows, so the order of scalar
     factors is respected.  The rows of [g | I] are held as integer
     quaternions, and elimination skips their zero entries; the
-    inverse's entries become Quats once, at the end.  The pivot
-    is the first entry of its column with nonzero reduced norm: a zero
-    column certifies singularity, and a column whose nonzero entries
-    are all zero divisors raises NotDivisionAlgebraError.
+    inverse's entries become Quats once, at the end.  Each pivot is made
+    a unit by `_unit_pivot`, which also raises for a singular g.
     """
     n = g.n
     alg = g.alg
-    k = alg.consts
     rows = []
     for i, row in enumerate(g.rows):
         work = _int_row(row) + [None] * n
         work[n + i] = _ONE
         rows.append(work)
     for col in range(n):
-        cands = [r for r in range(col, n) if rows[r][col] is not None]
-        if not cands:
-            raise SingularMatrixError("matrix is singular")
-        piv = next((r for r in cands if int_nrd(k, *rows[r][col][:4]) != 0), None)
-        if piv is None:
-            raise zero_divisor_error(alg)
-        rows[col], rows[piv] = rows[piv], rows[col]
+        _unit_pivot(alg, rows, col)
         _eliminate(alg, rows, col, range(n))
     zero = alg.zero
     out = [[zero if e is None else Quat(alg, *e) for e in row[n:]] for row in rows]
@@ -406,36 +422,16 @@ class DetClass:
 def dieudonne_det(g: MatD) -> DetClass:
     """Eliminate to triangular form using row transvections only (these
     lie in the kernel of det) and multiply the pivots left to right.
-
-    Pivot repair adds t times a lower row into the pivot row instead of
-    swapping, so every operation is t_{i,j}(xi) and the class is
-    untouched.  A pivot p that is not a unit gains t * (the first lower
-    row whose entry e in the column is a unit), t the first of 1, 2, 3
-    that makes p + t e a unit: nrd(p + t e) = nrd(p e^-1 + t) nrd(e) is
-    a monic quadratic in t, so at most two values fail.  Over a division
-    algebra this is the first nonzero lower row with t = 1.  A column
-    that is zero from the pivot row down certifies singularity; one with
-    no unit below the pivot raises NotDivisionAlgebraError.  Rows are
-    integer quaternions, as in mat_inv.
+    `_unit_pivot` repairs a pivot by adding a lower row instead of
+    swapping, so the class is untouched.  Rows are integer quaternions,
+    as in mat_inv.
     """
     n = g.n
     alg = g.alg
-    k = alg.consts
     rows = [_int_row(row) for row in g.rows]
-
-    def is_unit(e) -> bool:
-        return e is not None and int_nrd(k, *e[:4]) != 0
-
     rep = alg.one
     for col in range(n):
-        if not is_unit(rows[col][col]):
-            src = next((r for r in range(col + 1, n) if is_unit(rows[r][col])), None)
-            if src is None:
-                if all(rows[r][col] is None for r in range(col, n)):
-                    raise SingularMatrixError("matrix is singular")
-                raise zero_divisor_error(alg)
-            rows[col] = next(row for t in (1, 2, 3)
-                             if is_unit((row := _add_rows(rows[col], rows[src], t))[col]))
+        _unit_pivot(alg, rows, col)
         rep = rep * Quat(alg, *rows[col][col])
         _eliminate(alg, rows, col, range(col + 1, n))
     return DetClass(rep, rep.nrd())

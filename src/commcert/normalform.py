@@ -173,44 +173,38 @@ def factor_lower_unitriangular(v: MatD) -> list[tuple[int, Quat]]:
     """
     if not v.is_lower_unitriangular():
         raise PreconditionError("input must be lower unitriangular")
-    alg, n = v.alg, v.n
+    n = v.n
     if v.is_identity():
         return []
-    work = [list(row) for row in v.rows]
+    work = v
     ops: list[tuple[int, Quat]] = []
 
     def apply(k: int, xi: Quat) -> None:
         # work <- work * t_{k+1,k}(xi): column k gains column k+1 times xi
-        if xi.is_zero():
-            return
-        for r in range(n):
-            if not work[r][k].is_zero():
-                work[r][k - 1] = work[r][k - 1] + work[r][k] * xi
-        ops.append((k, xi))
+        nonlocal work
+        if not xi.is_zero():
+            work = work.add_col(k + 1, k, xi)
+            ops.append((k, xi))
 
-    for i in range(n, 1, -1):  # 1-based row
-        ri = work[i - 1]
-        nonzero = [j for j in range(1, i) if not ri[j - 1].is_zero()]
+    for i in range(n, 1, -1):  # 1-based row, read again after each op
+        nonzero = [j for j in range(1, i) if not work.entry(i, j).is_zero()]
         if not nonzero:
             continue
         j0 = nonzero[0]
         if j0 == i - 1:
-            apply(i - 1, -ri[i - 2])
+            apply(i - 1, -work.entry(i, i - 1))
             continue
-        pivot_val = ri[j0 - 1]
+        pivot_val = work.entry(i, j0)
         for k in range(i - 1, j0, -1):
-            cur = ri[k - 1]
-            if cur == pivot_val:
-                continue
-            apply(k, ri[k].inverse() * (pivot_val - cur))
+            cur = work.entry(i, k)
+            if cur != pivot_val:
+                apply(k, work.entry(i, k + 1).inverse() * (pivot_val - cur))
         for k in range(j0, i):
-            entry = ri[k - 1]
-            if entry.is_zero():
-                continue
-            apply(k, -(ri[k].inverse() * entry))
+            entry = work.entry(i, k)
+            if not entry.is_zero():
+                apply(k, -(work.entry(i, k + 1).inverse() * entry))
 
-    if any(not work[r][c].is_zero() if r != c else not work[r][c].is_one()
-           for r in range(n) for c in range(n)):
+    if not work.is_identity():
         raise InternalInvariantError("lower factorization did not reach the identity")
 
     factors = [(k, -xi) for k, xi in reversed(ops)]
@@ -261,36 +255,28 @@ def decompose_huvu(g: MatD) -> tuple[MatD, UVUForm]:
     operation words become u1 (conjugated through the head) and u2.
     """
     alg, n = g.alg, g.n
-    work = [list(row) for row in g.rows]
+    work = g
     p_inv = MatD.identity(alg, n)  # inverse of the accumulated left word
     r_inv = MatD.identity(alg, n)  # inverse of the accumulated right word
 
     for t in range(1, n + 1):
-        if work[t - 1][t - 1].is_zero():
-            src = next(
-                (r for r in range(t + 1, n + 1) if not work[r - 1][t - 1].is_zero()),
-                None,
-            )
+        if work.entry(t, t).is_zero():
+            src = next((r for r in range(t + 1, n + 1) if not work.entry(r, t).is_zero()), None)
             if src is None:
                 raise SingularMatrixError("matrix is singular")
-            # left multiply by t_{t,src}(1)
-            work[t - 1] = [a + b for a, b in zip(work[t - 1], work[src - 1])]
+            work = work.add_row(t, src, alg.one)
             p_inv = p_inv.add_col(t, src, -alg.one)
-        pivot_inv = work[t - 1][t - 1].inverse()
+        pivot_inv = work.entry(t, t).inverse()
         for j in range(t + 1, n + 1):
-            entry = work[t - 1][j - 1]
-            if entry.is_zero():
-                continue
-            xi = -(pivot_inv * entry)
-            # right multiply by t_{t,j}(xi): col_j += col_t * xi
-            for r in range(n):
-                if not work[r][t - 1].is_zero():
-                    work[r][j - 1] = work[r][j - 1] + work[r][t - 1] * xi
-            r_inv = r_inv.add_row(t, j, -xi)
+            entry = work.entry(t, j)
+            if not entry.is_zero():
+                xi = -(pivot_inv * entry)
+                work = work.add_col(t, j, xi)
+                r_inv = r_inv.add_row(t, j, -xi)
 
-    d = [work[i][i] for i in range(n)]
+    d = work.diagonal_entries()
     d_inv = [e.inverse() for e in d]
-    v = MatD(alg, [[d_inv[i] * work[i][j] for j in range(n)] for i in range(n)])
+    v = MatD(alg, [[di * q for q in row] for di, row in zip(d_inv, work.rows)])
     head = MatD.diagonal(alg, d)
     u1 = p_inv.conjugate_by_diagonal(d)
     form = UVUForm(alg, n, HFactorList(alg, n), u1, v, r_inv)

@@ -4,12 +4,16 @@ A refactor that must keep the certificates byte-identical is checked
 here in seconds: factor in gl, e and stable mode, a lower_extract round
 trip, a commutator normal form with an HUVU decomposition, every case
 of the lower absorption, a prescribed decomposition that takes the
-v-side move, and instances over (-1, -3).  A digest changes only when
+v-side move, instances over (-1, -3), and the eliminations' pivot
+repairs: an HUVU decomposition with a zero (1, 1) entry, the lower
+factorization of every small 3 x 3 matrix, and the inverse and
+determinant of a padded gamma.  A digest changes only when
 an output changes; a change that alters outputs on purpose re-pins the
 digests and says why.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -30,13 +34,14 @@ from commcert.certify import (
     random_unitriangular,
     stable_single_commutator,
 )
-from commcert.matrix import MatD, random_invertible
+from commcert.matrix import MatD, dieudonne_det, mat_inv, random_invertible
 from commcert.budget import HFactorList
 from commcert.normalform import (
     UVUForm,
     absorb_lower_transvection,
     commutator_normal_form,
     decompose_huvu,
+    factor_lower_unitriangular,
 )
 from commcert.wordcalc import CommutatorCert, comm, product
 
@@ -132,6 +137,40 @@ def _v_side(alg):
     }
 
 
+def _zero_corner_decomposition(alg):
+    """decompose_huvu of an invertible g with g[1, 1] = 0, so its first
+    pivot is fixed by a row operation."""
+    rng = random.Random(9)
+    x = random_invertible(alg, 4, rng, random_quat)
+    while x.entry(2, 1).is_zero():
+        x = random_invertible(alg, 4, rng, random_quat)
+    g = x.add_row(1, 2, -(x.entry(1, 1) * x.entry(2, 1).inverse()))
+    assert g.entry(1, 1).is_zero()
+    head, dec = decompose_huvu(g)
+    return {"head": ser.mat_to_json(head), "decomposition": ser.uvuform_to_json(dec)}
+
+
+def _lower_factorizations():
+    """Every 3 x 3 lower unitriangular matrix with entries in {0, 1, -1, i}."""
+    alg = QuaternionAlgebra()
+    one, zero = alg.one, alg.zero
+    out = []
+    for a, b, c in itertools.product((zero, one, -one, alg.basis()[1]), repeat=3):
+        v = MatD(alg, [[one, zero, zero], [a, one, zero], [b, c, one]])
+        out.append([[k, ser.quat_to_json(xi)] for k, xi in factor_lower_unitriangular(v)])
+    return out
+
+
+def _padded_gamma():
+    """The stable padding moves a row of the identity into slot n of
+    gamma, so column n meets a zero pivot in mat_inv and dieudonne_det."""
+    inst = certify.embed_instance(_noncentral_instance(3, 3, 4), 6)
+    gamma = inst.gamma
+    assert gamma.entry(3, 3).is_zero()
+    return {"inverse": ser.mat_to_json(mat_inv(gamma)),
+            "det": ser.quat_to_json(dieudonne_det(gamma).representative)}
+
+
 CASES = {
     "factor-gl": lambda: _factor("gl", 1, 4, 5),
     "factor-e": lambda: _factor("e", 2, 4, 3),
@@ -142,6 +181,10 @@ CASES = {
     "v-side-move": lambda: _v_side(QuaternionAlgebra()),
     "v-side-move-(-1,-3)": lambda: _v_side(QuaternionAlgebra(-1, -3)),
     "factor-gl-(-1,-3)": lambda: _factor("gl", 4, 3, 4, QuaternionAlgebra(-1, -3)),
+    "huvu-pivot-fix": lambda: _zero_corner_decomposition(QuaternionAlgebra()),
+    "huvu-pivot-fix-(-1,-3)": lambda: _zero_corner_decomposition(QuaternionAlgebra(-1, -3)),
+    "lower-factorization-exhaustive": _lower_factorizations,
+    "padded-gamma-inverse-det": _padded_gamma,
 }
 
 DIGESTS = {
@@ -150,8 +193,13 @@ DIGESTS = {
     "factor-gl": "8c94e1b17554a977bfd7f8b212ec1e8873e8c0765fb1adb2994b61942eb9e69b",
     "factor-gl-(-1,-3)": "079964902fe4a8b2479423863b17adff2e8548ce2a102f9671aa929db5f665d2",
     "factor-stable": "416fae952bc3d76ffeb7d27863979a24ebe687142e9cb9ea1e711c859f2e8c0c",
+    "huvu-pivot-fix": "fa2c44bf88449e1fad7b3ee3428750ae8b40a165e8b2366191784cd9d368ca71",
+    "huvu-pivot-fix-(-1,-3)": "574f855790ca6387a9f8ba5376b9f7e79a341fc2059da319bf8bb2aa4719b58c",
     "lower-extract": "36a7e87abf56ff6bd678b05d2c6ec35e01d85af8c6a061aa398e41d7c304eccb",
+    "lower-factorization-exhaustive": (
+        "b80307d13ea0407151d62e29193c118267954e632af72b0113a90444f10b7c08"),
     "normal-form": "b5ea81e16a6d899f8f45404b9ce78eb5de25a7bd4d79db29ee2d90e0052503e6",
+    "padded-gamma-inverse-det": "3c509c1e6bd11b323c7ee194273b9312bfa0422d34152021af3b9b4c4afddd92",
     "v-side-move": "58b1b0d695b499f7dcca547c68a0a0e0a6084ceb491806c0ab1ac7e70c7d59bf",
     "v-side-move-(-1,-3)": "e268adb6206ae2fa4277eac6f62006132d250cb115aa1072ebc3361c882ea63b",
 }

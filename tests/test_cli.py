@@ -294,6 +294,38 @@ def test_instance_with_matrix_delta_witnesses_exits_3(tmp_path, capsys, alg):
     assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
 
 
+def _two_by_two(payload):
+    return [row[:2] for row in payload[:2]]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(n="3"),
+    lambda p: p.update(n=True),
+    lambda p: p.update(gamma=_two_by_two(p["gamma"])),
+    lambda p: p.update(v=_two_by_two(p["v"])),
+], ids=["string-n", "bool-n", "2x2-gamma", "2x2-v"])
+def test_instance_of_the_wrong_size_exits_3(tmp_path, capsys, edit):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--c", "2", "--seed", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    rc = main(["factor", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and "Traceback" not in captured.err
+    assert _one_precondition_line(captured)
+
+
+@pytest.mark.parametrize("bound", ["x", [1], True, 1.5])
+def test_verify_bound_that_is_no_integer_exits_3(tmp_path, capsys, bound):
+    payload = _valid_payload()
+    payload["bound"] = bound
+    rc, err = _verify_payload(tmp_path, capsys, payload)
+    assert rc == 3 and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
+
+
 # The documented rational format is "p/q" or "p"; Fraction(str) would
 # also take these, and "1e2000000" would build a two-million-digit integer.
 NOT_RATIONALS = ["1.5", " 7 ", "1_000", "1e2000000"]

@@ -3,6 +3,11 @@ rewrite, the conjugate transpose, the v-side move (the u-side move seen
 through the conjugate transpose) and the corner solve (the upper one
 reduced to the lower one's equation).  The v-side move and the upper
 corner solve as they were written out by hand are kept here as oracles.
+
+So are the eliminations that now run on MatD.add_row/add_col and one
+unit-pivot rule: decompose_huvu, factor_lower_unitriangular and the
+unpivoted LDU of prescribed_gauss_base on lists of Quat rows, and
+mat_inv with its own pivot search and row swap.
 """
 
 import random
@@ -11,11 +16,18 @@ from fractions import Fraction
 import pytest
 
 from commcert import MatD, QuaternionAlgebra, random_quat, solve_twisted, transvection
-from commcert.certify import _move_v_side, _solve_corner, random_unitriangular
-from commcert.errors import InternalInvariantError
-from commcert.matrix import random_invertible
-from commcert.normalform import rewrite_adjacent, rewrite_relation3
+from commcert.certify import _move_v_side, _solve_corner, _try_ldu, random_unitriangular
+from commcert.errors import InternalInvariantError, SingularMatrixError
+from commcert.matrix import (
+    _ONE, _eliminate, _int_row, mat_inv, random_invertible,
+)
+from commcert.normalform import (
+    decompose_huvu, factor_lower_unitriangular, rewrite_adjacent, rewrite_relation3,
+)
+from commcert.quaternion import Quat, int_nrd, zero_divisor_error
 from commcert.wordcalc import comm
+
+from test_kernel_oracles import matrix_cases, outcome
 
 PARAMS = [(-1, -1), (-1, -3), (Fraction(-1, 2), Fraction(-3, 7))]
 
@@ -73,6 +85,132 @@ def oracle_solve_corner_upper(u, c):
     out = MatD(alg, rows)
     assert comm(MatD.diagonal(alg, c).inverse(), out) == u
     return out
+
+
+def oracle_decompose_huvu(g):
+    """decompose_huvu's elimination on lists of Quat rows: (head, u1, v, u2)."""
+    alg, n = g.alg, g.n
+    work = [list(row) for row in g.rows]
+    p_inv = MatD.identity(alg, n)
+    r_inv = MatD.identity(alg, n)
+    for t in range(1, n + 1):
+        if work[t - 1][t - 1].is_zero():
+            src = next(
+                (r for r in range(t + 1, n + 1) if not work[r - 1][t - 1].is_zero()),
+                None,
+            )
+            if src is None:
+                raise SingularMatrixError("matrix is singular")
+            work[t - 1] = [a + b for a, b in zip(work[t - 1], work[src - 1])]
+            p_inv = p_inv.add_col(t, src, -alg.one)
+        pivot_inv = work[t - 1][t - 1].inverse()
+        for j in range(t + 1, n + 1):
+            entry = work[t - 1][j - 1]
+            if entry.is_zero():
+                continue
+            xi = -(pivot_inv * entry)
+            for r in range(n):
+                if not work[r][t - 1].is_zero():
+                    work[r][j - 1] = work[r][j - 1] + work[r][t - 1] * xi
+            r_inv = r_inv.add_row(t, j, -xi)
+    d = [work[i][i] for i in range(n)]
+    d_inv = [e.inverse() for e in d]
+    v = MatD(alg, [[d_inv[i] * work[i][j] for j in range(n)] for i in range(n)])
+    return MatD.diagonal(alg, d), p_inv.conjugate_by_diagonal(d), v, r_inv
+
+
+def oracle_factor_lower(v):
+    """factor_lower_unitriangular's sweep on a list of Quat rows, whose
+    row i the loop reads through an alias while apply mutates it."""
+    n = v.n
+    if v.is_identity():
+        return []
+    work = [list(row) for row in v.rows]
+    ops = []
+
+    def apply(k, xi):
+        if xi.is_zero():
+            return
+        for r in range(n):
+            if not work[r][k].is_zero():
+                work[r][k - 1] = work[r][k - 1] + work[r][k] * xi
+        ops.append((k, xi))
+
+    for i in range(n, 1, -1):
+        ri = work[i - 1]
+        nonzero = [j for j in range(1, i) if not ri[j - 1].is_zero()]
+        if not nonzero:
+            continue
+        j0 = nonzero[0]
+        if j0 == i - 1:
+            apply(i - 1, -ri[i - 2])
+            continue
+        pivot_val = ri[j0 - 1]
+        for k in range(i - 1, j0, -1):
+            cur = ri[k - 1]
+            if cur == pivot_val:
+                continue
+            apply(k, ri[k].inverse() * (pivot_val - cur))
+        for k in range(j0, i):
+            entry = ri[k - 1]
+            if entry.is_zero():
+                continue
+            apply(k, -(ri[k].inverse() * entry))
+    assert MatD(v.alg, work).is_identity()
+    return [(k, -xi) for k, xi in reversed(ops)]
+
+
+def oracle_try_ldu(m):
+    """The unpivoted LDU of prescribed_gauss_base on lists of Quat rows."""
+    alg, n = m.alg, m.n
+    work = [list(row) for row in m.rows]
+    v_rows = [list(r) for r in MatD.identity(alg, n).rows]
+    for kk in range(n):
+        piv = work[kk][kk]
+        if piv.is_zero():
+            return None
+        piv_inv = piv.inverse()
+        for r in range(kk + 1, n):
+            if work[r][kk].is_zero():
+                continue
+            f = work[r][kk] * piv_inv
+            v_rows[r][kk] = f
+            work[r] = [x - f * y for x, y in zip(work[r], work[kk])]
+    d = [work[i][i] for i in range(n)]
+    d_inv = [e.inverse() for e in d]
+    u_m = MatD(alg, [[d_inv[i] * work[i][j] for j in range(n)] for i in range(n)])
+    return MatD(alg, v_rows), tuple(d), u_m
+
+
+def oracle_mat_inv(g):
+    """mat_inv with its own pivot rule: the first entry of the column,
+    from the pivot row down, with nonzero reduced norm, swapped up."""
+    n, alg = g.n, g.alg
+    k = alg.consts
+    rows = []
+    for i, row in enumerate(g.rows):
+        work = _int_row(row) + [None] * n
+        work[n + i] = _ONE
+        rows.append(work)
+    for col in range(n):
+        cands = [r for r in range(col, n) if rows[r][col] is not None]
+        if not cands:
+            raise SingularMatrixError("matrix is singular")
+        piv = next((r for r in cands if int_nrd(k, *rows[r][col][:4]) != 0), None)
+        if piv is None:
+            raise zero_divisor_error(alg)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        _eliminate(alg, rows, col, range(n))
+    zero = alg.zero
+    return MatD(alg, [[zero if e is None else Quat(alg, *e) for e in row[n:]] for row in rows])
+
+
+def zero_corner(alg, n, rng):
+    """An invertible matrix whose (1, 1) entry is zero."""
+    while True:
+        x = random_invertible(alg, n, rng, random_quat)
+        if not x.entry(2, 1).is_zero():
+            return x.add_row(1, 2, -(x.entry(1, 1) * x.entry(2, 1).inverse()))
 
 
 # -- conjugate transpose -----------------------------------------------------
@@ -181,3 +319,63 @@ class TestMirrorsMatchOracles:
         a = [unit(any_alg, rng).scale(t) for t in (1, 2, 3)]
         with pytest.raises(InternalInvariantError):
             _solve_corner(w, a)
+
+
+# -- the eliminations on the transvection kernel ------------------------------
+
+
+class TestEliminationsMatchOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_decompose_huvu(self, any_alg, n):
+        rng = random.Random(8 + n)
+        cases = [random_invertible(any_alg, n, rng, random_quat) for _ in range(6)]
+        if n >= 2:
+            cases += [zero_corner(any_alg, n, rng) for _ in range(3)]
+        for g in cases:
+            head, form = decompose_huvu(g)
+            assert (head, form.u1, form.v, form.u2) == oracle_decompose_huvu(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_factor_lower_unitriangular(self, any_alg, n):
+        rng = random.Random(9 + n)
+        for trial in range(8):
+            v = random_unitriangular(any_alg, n, rng, lower=True, span=2)
+            if trial % 2:  # rows whose leftmost entry is not subdiagonal
+                for i in range(2, n + 1):
+                    v = with_entry(v, i, i - 1, any_alg.zero)
+            assert factor_lower_unitriangular(v) == oracle_factor_lower(v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_try_ldu(self, any_alg, n):
+        rng = random.Random(10 + n)
+        cases = [random_invertible(any_alg, n, rng, random_quat, extra_factors=2 * n)
+                 for _ in range(6)] + [zero_corner(any_alg, n, rng)]
+        for m in cases:
+            assert _try_ldu(m) == oracle_try_ldu(m)
+        assert _try_ldu(cases[-1]) is None
+
+    def test_try_ldu_factors(self, any_alg):
+        rng = random.Random(11)
+        m = random_invertible(any_alg, 4, rng, random_quat, extra_factors=8)
+        v, d, u = _try_ldu(m)
+        assert v.is_lower_unitriangular() and u.is_upper_unitriangular()
+        assert v * MatD.diagonal(any_alg, d) * u == m
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mat_inv(self, any_alg, n):
+        rng = random.Random(12 + n)
+        for _ in range(4):
+            g = zero_corner(any_alg, n, rng)
+            assert mat_inv(g) == oracle_mat_inv(g)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_mat_inv_over_the_indefinite_algebra(self, seed):
+        """Over (3/2, -5/3) the unit-pivot repair and the swap give the
+        same inverse or raise the same error class."""
+        alg = QuaternionAlgebra(Fraction(3, 2), Fraction(-5, 3))
+        for g in matrix_cases(alg, seed):
+            got, want = outcome(mat_inv, g), outcome(oracle_mat_inv, g)
+            if isinstance(want, MatD):
+                assert got == want
+            else:
+                assert got[0] is want[0]
