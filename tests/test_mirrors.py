@@ -18,9 +18,7 @@ import pytest
 from commcert import MatD, QuaternionAlgebra, random_quat, solve_twisted, transvection
 from commcert.certify import _move_v_side, _solve_corner, _try_ldu, random_unitriangular
 from commcert.errors import InternalInvariantError, SingularMatrixError
-from commcert.matrix import (
-    _ONE, _eliminate, _int_row, mat_inv, random_invertible,
-)
+from commcert.matrix import _ONE, _eliminate, _int_row, mat_inv, random_invertible
 from commcert.normalform import (
     decompose_huvu, factor_lower_unitriangular, rewrite_adjacent, rewrite_relation3,
 )
