@@ -21,12 +21,18 @@ and the sha256 of the canonical output JSON (sorted keys, no spaces).
 
 Each --src LABEL=DIR names a checkout's src directory; with several,
 every rung runs on each side in turn and the file records whether
-their sha256 agree (null where fewer than two sides finished).  The
-file is rewritten after every rung, so an interrupted ladder keeps
-what it measured.  Stdlib only:
+their sha256 agree (null where fewer than two sides finished).
+--kinds picks some of the rows' kinds (default: all).  --repeats N runs
+every rung N times per side, the sides alternating, and records the
+median CPU and wall time with each run's CPU time in cpu_s_runs; a
+repeat whose sha256 differs from the others makes the rung an error,
+and a repeat over the cap ends that side's repeats.  The file is
+rewritten after every rung, so an interrupted ladder keeps what it
+measured.  Stdlib only:
 
     python3 scripts/bench_scaling.py
     python3 scripts/bench_scaling.py --src parent=../parent/src --src change=src
+    python3 scripts/bench_scaling.py --kinds roundtrip --repeats 3 --out BENCH_x.json
 """
 
 from __future__ import annotations
@@ -134,14 +140,38 @@ def child(src: str, kind: str, n: int, c: int, a: int, b: int) -> dict:
     return {"status": "error", "returncode": proc.returncode, "stderr": proc.stderr[-500:]}
 
 
+def fold(runs: list[dict]) -> dict:
+    """One side's row of a rung from its repeats: the last run if it did
+    not finish, an error if the runs disagree on sha256, else the first
+    run with the median times."""
+    if runs[-1]["status"] != "ok":
+        return runs[-1]
+    digests = sorted({r["sha256"] for r in runs})
+    if len(digests) > 1:
+        return {"status": "error", "stderr": f"sha256 differs between repeats: {digests}"}
+    row = dict(runs[0])
+    if len(runs) > 1:
+        for key in ("up_cpu_s", "cpu_s", "wall_s"):
+            if key in row:
+                row[key] = statistics.median(r[key] for r in runs)
+        row["cpu_s_runs"] = [r["cpu_s"] for r in runs]
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a checkout's src directory (repeatable); default change=<this repo>/src")
     ap.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
+    ap.add_argument("--kinds", nargs="+", choices=list(LADDERS), default=list(LADDERS),
+                    help="the kinds of rows to climb (default: all)")
+    ap.add_argument("--repeats", type=int, default=1, metavar="N",
+                    help="runs per rung and side; the median time is recorded (default 1)")
     ap.add_argument("--child", nargs=5, metavar=("KIND", "N", "C", "A", "B"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
     srcs = dict(s.split("=", 1) for s in args.src or
                 [f"change={Path(__file__).resolve().parents[1] / 'src'}"])
     if args.child:
@@ -153,16 +183,20 @@ def main(argv=None) -> int:
     doc = {
         "host": f"{platform.machine()} {platform.python_implementation()} "
                 f"{platform.python_version()}",
-        "cap_s": CAP_S, "sides": list(srcs), "rungs": [],
+        "cap_s": CAP_S, "sides": list(srcs), "repeats": args.repeats, "rungs": [],
     }
-    for kind in LADDERS:
+    for kind in (k for k in LADDERS if k in args.kinds):
         for a, b in ALGEBRAS:
             climbing = set(srcs)
             for n, c in LADDERS[kind]:
                 rung = {"kind": kind, "algebra": [a, b], "n": n, "c": c}
+                runs = {label: [] for label in srcs if label in climbing}
+                for _ in range(args.repeats):
+                    for label, done in runs.items():
+                        if not done or done[-1]["status"] == "ok":
+                            done.append(child(srcs[label], kind, n, c, a, b))
                 for label in srcs:
-                    rung[label] = (child(srcs[label], kind, n, c, a, b)
-                                   if label in climbing else {"status": "skipped"})
+                    rung[label] = fold(runs[label]) if label in runs else {"status": "skipped"}
                     if rung[label]["status"] != "ok":
                         climbing.discard(label)
                 digests = [r["sha256"] for label in srcs if "sha256" in (r := rung[label])]

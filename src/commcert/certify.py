@@ -100,6 +100,10 @@ def scalar_cert_from_hfactors(hf: HFactorList, tau: Quat) -> CommutatorCert:
     product via the inverse-product construction, and each later slot
     equation transfers the certificate across an interleaved identity
     word at a cost of kappa_i - 1 pairs.
+
+    The inverse product and the transfers check their moves and links
+    in O(1) products each; the check() at the end is the pipeline's one
+    full multiplication of the certificate.
     """
     n = hf.n
     diag = hf.diagonal()

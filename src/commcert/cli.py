@@ -47,8 +47,8 @@ EXIT_INVARIANT = 4
 @contextmanager
 def _decoding():
     """Report unreadable or malformed input (a missing key, a bad or
-    zero-denominator rational, a wrongly shaped array) as a
-    precondition violation."""
+    zero-denominator rational, a wrongly shaped array, JSON nested too
+    deeply to parse) as a precondition violation."""
     try:
         yield
     except OSError as exc:
@@ -59,6 +59,8 @@ def _decoding():
         raise PreconditionError(f"malformed input: zero denominator in {exc}") from None
     except (LookupError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed input: {exc}") from None
+    except RecursionError:
+        raise PreconditionError("malformed input: nested too deeply") from None
 
 
 def _parse_algebra(text: str) -> QuaternionAlgebra:

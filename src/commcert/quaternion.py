@@ -275,12 +275,17 @@ class Quat:
         """Reduced trace q + conj(q)."""
         return Fraction(2 * self.wn, self.den)
 
-    def inverse(self) -> "Quat":
+    def _unit_nrd_num(self) -> int:
+        """_nrd_num of a unit; a zero element or a zero divisor raises."""
         if self.is_zero():
             raise ZeroInputError("zero quaternion has no inverse")
         num = self._nrd_num()
         if num == 0:
             raise zero_divisor_error(self.alg)
+        return num
+
+    def inverse(self) -> "Quat":
+        num = self._unit_nrd_num()
         # conj(q) / nrd(q) = (w, -x, -y, -z) * (ad * bd * den) / num
         m = self.alg.consts[0] * self.den
         return Quat(self.alg, self.wn * m, -self.xn * m, -self.yn * m, -self.zn * m, num)
@@ -311,8 +316,24 @@ class Quat:
 def comm(x, y):
     """[x, y] = x y x^-1 y^-1 (the convention every identity in this
     library is validated against), for any group elements with * and
-    inverse(): quaternions and matrices alike."""
-    return x * y * x.inverse() * y.inverse()
+    inverse(): quaternions and matrices alike.
+
+    For quaternions x = P/dx and y = Q/dy, x^-1 = conj(x)/nrd(x) and the
+    coordinate denominators cancel: [x, y] is
+    int_mul(int_mul(int_mul(P, Q), conj P), conj Q) over ad*bd*N(P)*N(Q),
+    with N the norm numerator of int_nrd, so three integer products and
+    one reduction.  The errors are those of the four-product form, in
+    its order.
+    """
+    if not (isinstance(x, Quat) and isinstance(y, Quat)):
+        return x * y * x.inverse() * y.inverse()
+    x._check_same_algebra(y)
+    nx, ny = x._unit_nrd_num(), y._unit_nrd_num()
+    k = x.alg.consts
+    pq = int_mul(k, x.wn, x.xn, x.yn, x.zn, y.wn, y.xn, y.yn, y.zn)
+    pqp = int_mul(k, *pq, x.wn, -x.xn, -x.yn, -x.zn)
+    num = int_mul(k, *pqp, y.wn, -y.xn, -y.yn, -y.zn)
+    return Quat(x.alg, *num, k[0] * nx * ny)
 
 
 def commutator(x: Quat, y: Quat) -> Quat:

@@ -2,8 +2,13 @@
 
 The group elements are duck-typed: anything with *, inverse() and ==
 works, and both Quat and MatD qualify.  Every move on a word emits an
-explicit commutator pair that repairs the evaluation, so certificates
-are built by construction and re-verified before they are returned.
+explicit commutator pair that repairs the evaluation, and the move
+multiplies that pair into the word's running value, so every pair is
+checked once, when it is made.  The builders here check their moves,
+targets and bounds in O(1) products each; they do not multiply out the
+certificate they return.  A pipeline that chains them (the scalar
+extraction in certify.scalar_cert_from_hfactors) multiplies out its
+final certificate once, with check().
 """
 
 from __future__ import annotations
@@ -170,6 +175,11 @@ def cert_inverse_product(elements: Sequence) -> CommutatorCert:
     the word is (a_1 ... a_{j-1}) a_j (a_k ... a_{j+1}): the prefix
     products are computed once and the tail grows by one letter per
     move, so each move costs O(1) products.
+
+    Checks: every move against the running value, the final value
+    against the rotated word, the target and the bound.  The returned
+    certificate is not multiplied out; a caller that does not check it
+    itself must call check().
     """
     k = len(elements)
     if k == 0:
@@ -203,7 +213,7 @@ def cert_inverse_product(elements: Sequence) -> CommutatorCert:
         raise VerificationError("inverse-product certificate has the wrong target")
     if len(cert) > max(0, k - 2):
         raise VerificationError("inverse-product certificate exceeded its bound")
-    return cert.check()
+    return cert
 
 
 def transfer_cert(letters: tuple, cert_a: CommutatorCert) -> CommutatorCert:
@@ -219,6 +229,13 @@ def transfer_cert(letters: tuple, cert_a: CommutatorCert) -> CommutatorCert:
     letters, H the product of the unmoved letters before p, x the
     moving letter and S the suffix product after it, computed once.
     So each move costs O(1) products.
+
+    Checks: every move against the running value, the final value
+    against the moved word, the link and the bound.  The moves prove
+    that the final value is b^-1 a', with a' the conjugated target, so
+    the link is target_b * value == a'.  Neither cert_a nor the returned
+    certificate is multiplied out; a caller that does not check the
+    result itself must call check().
     """
     q = sum(1 for l in letters if l.role == "b")
     if q < 1:
@@ -252,10 +269,12 @@ def transfer_cert(letters: tuple, cert_a: CommutatorCert) -> CommutatorCert:
         moved_value = x * moved_value
     if value != moved_value * head:
         raise VerificationError("front moves do not reach the final word")
+    if target_b * value != cert.target:
+        raise VerificationError("transferred certificate does not link to the conjugated target")
 
     # e = eval(final) * [p_m] ... [p_1] and eval(final) = b^-1 * a', so
     # b = a' * [p_m] ... [p_1].
     out = CommutatorCert(cert.pairs + tuple(reversed(pairs)), target_b)
     if len(out) > len(cert_a) + q - 1:
         raise VerificationError("transferred certificate exceeded its bound")
-    return out.check()
+    return out

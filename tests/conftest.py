@@ -46,3 +46,22 @@ def mat_product(alg, n, ms):
     for m in ms:
         out = out * m
     return out
+
+
+def diagonal_round_trip(alg, n, c, seed):
+    """The gl matrix certificate for diag(1, ..., 1, delta), where delta is
+    a product of c commutators of seeded units with coordinates in
+    {-1, 0, 1} (the shape of the down workload's instances), and delta:
+    the input of a lower_extract round trip."""
+    from commcert.certify import BasedInstance, factor_commutators_gl
+    from commcert.wordcalc import CommutatorCert, comm, product
+
+    rng = random.Random(seed)
+    pairs = tuple(
+        (random_quat(alg, rng, span=1, nonzero=True), random_quat(alg, rng, span=1, nonzero=True))
+        for _ in range(c)
+    )
+    delta = product((comm(a, b) for a, b in pairs), alg.one)
+    ident = MatD.identity(alg, n)
+    inst = BasedInstance(alg, n, ident, ident, delta, CommutatorCert(pairs, delta))
+    return factor_commutators_gl(inst), delta

@@ -1,8 +1,9 @@
 """Seeded outputs pinned by the sha256 of their canonical JSON.
 
 A refactor that must keep the certificates byte-identical is checked
-here in seconds: factor in gl, e and stable mode, a lower_extract round
-trip, a commutator normal form with an HUVU decomposition, every case
+here in seconds: factor in gl, e and stable mode, lower_extract round
+trips at n = 3 and at n = 4 over (-1, -3) (two transfer slots), a
+commutator normal form with an HUVU decomposition, every case
 of the lower absorption, a prescribed decomposition that takes the
 v-side move, instances over (-1, -3), and the eliminations' pivot
 repairs: an HUVU decomposition with a zero (1, 1) entry, the lower
@@ -43,7 +44,9 @@ from commcert.normalform import (
     decompose_huvu,
     factor_lower_unitriangular,
 )
-from commcert.wordcalc import CommutatorCert, comm, product
+from commcert.wordcalc import CommutatorCert, comm
+
+from conftest import diagonal_round_trip
 
 
 def _noncentral_instance(seed, n, c, alg=None):
@@ -66,17 +69,8 @@ def _factor(mode, seed, n, c, alg=None):
     return {"algebra": ser.algebra_to_json(inst.alg), "certificate": ser.cert_to_json(cert)}
 
 
-def _round_trip():
-    alg = QuaternionAlgebra()
-    rng = random.Random(5)
-    pairs = tuple(
-        (random_quat(alg, rng, span=1, nonzero=True), random_quat(alg, rng, span=1, nonzero=True))
-        for _ in range(3)
-    )
-    delta = product((comm(a, b) for a, b in pairs), alg.one)
-    ident = MatD.identity(alg, 3)
-    inst = BasedInstance(alg, 3, ident, ident, delta, CommutatorCert(pairs, delta))
-    mcert = factor_commutators_gl(inst)
+def _round_trip(alg, n, c, seed):
+    mcert, delta = diagonal_round_trip(alg, n, c, seed)
     scalar = lower_extract(list(mcert.pairs), delta)
     return {"matrix": ser.cert_to_json(mcert), "scalar": ser.cert_to_json(scalar)}
 
@@ -175,7 +169,8 @@ CASES = {
     "factor-gl": lambda: _factor("gl", 1, 4, 5),
     "factor-e": lambda: _factor("e", 2, 4, 3),
     "factor-stable": lambda: _factor("stable", 3, 3, 2),
-    "lower-extract": _round_trip,
+    "lower-extract": lambda: _round_trip(QuaternionAlgebra(), 3, 3, 5),
+    "lower-extract-n4-(-1,-3)": lambda: _round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1),
     "normal-form": _normal_form,
     "absorption-cases": _absorptions,
     "v-side-move": lambda: _v_side(QuaternionAlgebra()),
@@ -196,6 +191,7 @@ DIGESTS = {
     "huvu-pivot-fix": "fa2c44bf88449e1fad7b3ee3428750ae8b40a165e8b2366191784cd9d368ca71",
     "huvu-pivot-fix-(-1,-3)": "574f855790ca6387a9f8ba5376b9f7e79a341fc2059da319bf8bb2aa4719b58c",
     "lower-extract": "36a7e87abf56ff6bd678b05d2c6ec35e01d85af8c6a061aa398e41d7c304eccb",
+    "lower-extract-n4-(-1,-3)": "e5f0381bcbdef1795144e74bcddae3b59f717227a7653399a4f8e4dd4e7ccdcc",
     "lower-factorization-exhaustive": (
         "b80307d13ea0407151d62e29193c118267954e632af72b0113a90444f10b7c08"),
     "normal-form": "b5ea81e16a6d899f8f45404b9ce78eb5de25a7bd4d79db29ee2d90e0052503e6",

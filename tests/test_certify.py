@@ -31,12 +31,12 @@ from commcert import (
     width_ratio_lower_bound,
     width_upper_bounds,
 )
-from commcert import wordcalc
+from commcert import certify, wordcalc
 from commcert.budget import HFactor, HFactorList
 from commcert.certify import _ceil_div, _pad_matrix
-from commcert.quaternion import random_quat
+from commcert.quaternion import Quat, random_quat
 
-from conftest import mat_comm, rand_lower, rand_unit, rand_upper
+from conftest import diagonal_round_trip, mat_comm, rand_lower, rand_unit, rand_upper
 
 
 def quat_cert(alg, rng, c):
@@ -196,14 +196,14 @@ class TestScalarExtractionMutations:
         return list(factor_commutators_gl(diag).pairs), inst.delta
 
     @staticmethod
-    def _extract(monkeypatch, round_trip, kind, corrupt_at):
+    def _extract(monkeypatch, round_trip, kind, corrupt_at, corrupted=_corrupted):
         """lower_extract with the outputs of `kind` watched; the
-        corruptible one numbered corrupt_at is corrupted.  Returns how
-        many were corruptible."""
+        corruptible one numbered corrupt_at is corrupted by `corrupted`.
+        Returns how many were corruptible."""
         seen = []
 
         def corrupt(pair):
-            bad = _corrupted(pair)
+            bad = corrupted(pair)
             if bad is None:
                 return pair
             seen.append(pair)
@@ -238,6 +238,49 @@ class TestScalarExtractionMutations:
         assert count >= 2
         with pytest.raises(VerificationError):
             self._extract(monkeypatch, round_trip, kind, 0 if at == "first" else count - 1)
+
+
+def _shifted(pair):
+    """(g + 1, h) for a quaternion pair that does not commute, which
+    changes the commutator; None otherwise."""
+    g, h = pair
+    if not isinstance(g, Quat) or commutator(g, h).is_one():
+        return None
+    return (g + g.alg.one, h)
+
+
+class TestCheckOnceMutations:
+    """The scalar extraction multiplies its certificate out once, in
+    scalar_cert_from_hfactors.  On an n = 4 round trip over (-1, -3),
+    whose h-factor block has two transfer slots, a witness shifted by 1
+    in any conjugated certificate, or in a pair emitted by a letter
+    move, must still make lower_extract raise before it returns."""
+
+    @pytest.fixture(scope="class")
+    def round_trip(self):
+        mcert, delta = diagonal_round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1)
+        return list(mcert.pairs), delta
+
+    def test_round_trip_has_two_transfer_slots(self, monkeypatch, round_trip):
+        calls = []
+        transfer = certify.transfer_cert
+
+        def counted(*args):
+            calls.append(args)
+            return transfer(*args)
+
+        monkeypatch.setattr(certify, "transfer_cert", counted)
+        lower_extract(*round_trip)
+        assert len(calls) >= 2
+
+    @pytest.mark.parametrize("kind", ["move", "conjugated"])
+    def test_shifted_witness_raises(self, monkeypatch, round_trip, kind):
+        extract = TestScalarExtractionMutations._extract
+        count = extract(monkeypatch, round_trip, kind, None, _shifted)
+        assert count >= 2
+        for at in sorted({0, count // 2, count - 1}):
+            with pytest.raises(VerificationError):
+                extract(monkeypatch, round_trip, kind, at, _shifted)
 
 
 class TestPrescribedGaussBase:

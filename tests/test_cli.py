@@ -326,6 +326,19 @@ def test_verify_bound_that_is_no_integer_exits_3(tmp_path, capsys, bound):
     assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor"], ["certify-lower"], ["decompose"], ["selftest", "--verify"],
+], ids=["factor", "certify-lower", "decompose", "selftest-verify"])
+def test_deeply_nested_json_exits_3(tmp_path, capsys, argv):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"algebra": ' + "[" * depth + "]" * depth + "}")
+    rc = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and "Traceback" not in captured.err
+    assert _one_precondition_line(captured)
+
+
 # The documented rational format is "p/q" or "p"; Fraction(str) would
 # also take these, and "1e2000000" would build a two-million-digit integer.
 NOT_RATIONALS = ["1.5", " 7 ", "1_000", "1e2000000"]

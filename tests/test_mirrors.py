@@ -7,9 +7,12 @@ corner solve as they were written out by hand are kept here as oracles.
 So are the eliminations that now run on MatD.add_row/add_col and one
 unit-pivot rule: decompose_huvu, factor_lower_unitriangular and the
 unpivoted LDU of prescribed_gauss_base on lists of Quat rows, and
-mat_inv with its own pivot search and row swap.
+mat_inv with its own pivot search and row swap.  The four-product
+commutator x y x^-1 y^-1 is the oracle for comm's integer quaternion
+case.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +20,13 @@ import pytest
 
 from commcert import MatD, QuaternionAlgebra, random_quat, solve_twisted, transvection
 from commcert.certify import _move_v_side, _solve_corner, _try_ldu, random_unitriangular
-from commcert.errors import InternalInvariantError, SingularMatrixError
+from commcert.errors import (
+    AlgebraMismatchError,
+    InternalInvariantError,
+    NotDivisionAlgebraError,
+    SingularMatrixError,
+    ZeroInputError,
+)
 from commcert.matrix import _ONE, _eliminate, _int_row, mat_inv, random_invertible
 from commcert.normalform import (
     decompose_huvu, factor_lower_unitriangular, rewrite_adjacent, rewrite_relation3,
@@ -211,6 +220,12 @@ def zero_corner(alg, n, rng):
             return x.add_row(1, 2, -(x.entry(1, 1) * x.entry(2, 1).inverse()))
 
 
+def oracle_comm(x, y):
+    """[x, y] as four products and two inverses, the form comm keeps for
+    matrices."""
+    return x * y * x.inverse() * y.inverse()
+
+
 # -- conjugate transpose -----------------------------------------------------
 
 
@@ -377,3 +392,59 @@ class TestEliminationsMatchOracles:
                 assert got == want
             else:
                 assert got[0] is want[0]
+
+
+# -- the integer quaternion commutator ----------------------------------------
+
+COMM_PARAMS = [(-1, -1), (-1, -3), (-2, -5), (Fraction(-1, 2), Fraction(-3, 7))]
+
+
+def comm_outcome(x, y, fn):
+    """The value, or the exception class and message, of fn(x, y)."""
+    try:
+        return fn(x, y)
+    except (AlgebraMismatchError, NotDivisionAlgebraError, ZeroInputError) as exc:
+        return type(exc), str(exc)
+
+
+def tall_quat(alg, rng, bits):
+    """A nonzero element whose numerators and denominator have up to
+    `bits` bits."""
+    def coord():
+        return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+    while True:
+        q = Quat(alg, coord(), coord(), coord(), coord(), rng.getrandbits(bits) + 1)
+        if not q.is_zero():
+            return q
+
+
+class TestQuaternionCommMatchesOracle:
+    @pytest.mark.parametrize("params", COMM_PARAMS, ids=[f"({a},{b})" for a, b in COMM_PARAMS])
+    def test_seeded_heights(self, params):
+        alg = QuaternionAlgebra(*params)
+        rng = random.Random(21)
+        for bits in (10, 40, 200, 800, 3000):
+            for _ in range(4):
+                x, y = tall_quat(alg, rng, bits), tall_quat(alg, rng, rng.choice((10, bits)))
+                assert comm(x, y) == oracle_comm(x, y)
+                assert comm(y, x) == oracle_comm(y, x)
+
+    def test_zero_and_zero_divisor_operands_over_the_indefinite_algebra(self):
+        """Over (3/2, -5/3) a zero or zero-divisor operand in either
+        position raises what the four-product form raises, x before y."""
+        alg = QuaternionAlgebra(Fraction(3, 2), Fraction(-5, 3))
+        z = alg.quat(-1, 3, -3, 1)
+        assert not z.is_zero() and z.nrd() == 0
+        rng = random.Random(22)
+        units = [q for q in (random_quat(alg, rng, nonzero=True) for _ in range(8)) if q.nrd() != 0]
+        cases = [alg.zero, z, -z.conj(), *units[:3]]
+        for x, y in itertools.product(cases, repeat=2):
+            got, want = comm_outcome(x, y, comm), comm_outcome(x, y, oracle_comm)
+            assert got == want
+
+    def test_algebra_mismatch_comes_first(self):
+        a, b = QuaternionAlgebra(), QuaternionAlgebra(-1, -3)
+        for x, y in [(a.zero, b.one), (a.one, b.zero), (a.basis()[1], b.basis()[2])]:
+            assert comm_outcome(x, y, comm)[0] is AlgebraMismatchError
+            assert comm_outcome(x, y, comm) == comm_outcome(x, y, oracle_comm)

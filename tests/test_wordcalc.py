@@ -160,6 +160,23 @@ class TestTransferCert:
             assert cert_b.verify()
             assert len(cert_b) <= len(cert_a) + q - 1
 
+    def test_wrong_conjugated_target_fails_the_link(self, alg, rng, monkeypatch):
+        """transfer_cert does not multiply out its certificates; the link
+        target_b * value == a' ties the conjugated certificate to the
+        moves.  A conjugation that keeps the pairs but returns a target
+        off by a factor i must not pass."""
+        w, cert_a = make_interleaved_word(alg, rng, p=2, q=3)
+        assert transfer_cert(w, cert_a).verify()
+        real = CommutatorCert.conjugated
+
+        def skewed(cert, c):
+            out = real(cert, c)
+            return CommutatorCert(out.pairs, out.target * alg.basis()[1])
+
+        monkeypatch.setattr(CommutatorCert, "conjugated", skewed)
+        with pytest.raises(VerificationError):
+            transfer_cert(w, cert_a)
+
     def test_nonidentity_word_rejected(self, alg, rng):
         letters = (Letter("b", alg.scalar(2)),)
         with pytest.raises(PreconditionError):
