@@ -22,17 +22,15 @@ and the sha256 of the canonical output JSON (sorted keys, no spaces).
 Each --src LABEL=DIR names a checkout's src directory; with several,
 every rung runs on each side in turn and the file records whether
 their sha256 agree (null where fewer than two sides finished).
---kinds picks some of the rows' kinds (default: all).  --repeats N runs
-every rung N times per side, the sides alternating, and records the
-median CPU and wall time with each run's CPU time in cpu_s_runs; a
-repeat whose sha256 differs from the others makes the rung an error,
-and a repeat over the cap ends that side's repeats.  The file is
-rewritten after every rung, so an interrupted ladder keeps what it
-measured.  Stdlib only:
+Every rung runs REPEATS times per side, the sides alternating, and
+records the median CPU and wall time with each run's CPU time in
+cpu_s_runs; a repeat whose sha256 differs from the others makes the
+rung an error, and a repeat over the cap ends that side's repeats.
+The file is rewritten after every rung, so an interrupted ladder keeps
+what it measured.  Stdlib only:
 
     python3 scripts/bench_scaling.py
     python3 scripts/bench_scaling.py --src parent=../parent/src --src change=src
-    python3 scripts/bench_scaling.py --kinds roundtrip --repeats 3 --out BENCH_x.json
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ LADDERS = {
     "roundtrip": [(3, 6), (4, 8), (5, 10), (6, 12)],
 }
 CAP_S = 60.0  # CPU seconds per rung
+REPEATS = 3  # runs per rung and side; the median time is recorded
 MEMORY_CAP = 2 << 30
 
 
@@ -150,11 +149,10 @@ def fold(runs: list[dict]) -> dict:
     if len(digests) > 1:
         return {"status": "error", "stderr": f"sha256 differs between repeats: {digests}"}
     row = dict(runs[0])
-    if len(runs) > 1:
-        for key in ("up_cpu_s", "cpu_s", "wall_s"):
-            if key in row:
-                row[key] = statistics.median(r[key] for r in runs)
-        row["cpu_s_runs"] = [r["cpu_s"] for r in runs]
+    for key in ("up_cpu_s", "cpu_s", "wall_s"):
+        if key in row:
+            row[key] = statistics.median(r[key] for r in runs)
+    row["cpu_s_runs"] = [r["cpu_s"] for r in runs]
     return row
 
 
@@ -163,15 +161,9 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a checkout's src directory (repeatable); default change=<this repo>/src")
     ap.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
-    ap.add_argument("--kinds", nargs="+", choices=list(LADDERS), default=list(LADDERS),
-                    help="the kinds of rows to climb (default: all)")
-    ap.add_argument("--repeats", type=int, default=1, metavar="N",
-                    help="runs per rung and side; the median time is recorded (default 1)")
     ap.add_argument("--child", nargs=5, metavar=("KIND", "N", "C", "A", "B"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
     srcs = dict(s.split("=", 1) for s in args.src or
                 [f"change={Path(__file__).resolve().parents[1] / 'src'}"])
     if args.child:
@@ -183,15 +175,15 @@ def main(argv=None) -> int:
     doc = {
         "host": f"{platform.machine()} {platform.python_implementation()} "
                 f"{platform.python_version()}",
-        "cap_s": CAP_S, "sides": list(srcs), "repeats": args.repeats, "rungs": [],
+        "cap_s": CAP_S, "sides": list(srcs), "repeats": REPEATS, "rungs": [],
     }
-    for kind in (k for k in LADDERS if k in args.kinds):
+    for kind in LADDERS:
         for a, b in ALGEBRAS:
             climbing = set(srcs)
             for n, c in LADDERS[kind]:
                 rung = {"kind": kind, "algebra": [a, b], "n": n, "c": c}
                 runs = {label: [] for label in srcs if label in climbing}
-                for _ in range(args.repeats):
+                for _ in range(REPEATS):
                     for label, done in runs.items():
                         if not done or done[-1]["status"] == "ok":
                             done.append(child(srcs[label], kind, n, c, a, b))

@@ -34,7 +34,7 @@ from commcert import (
 from commcert import certify, wordcalc
 from commcert.budget import HFactor, HFactorList
 from commcert.certify import _ceil_div, _pad_matrix
-from commcert.quaternion import Quat, random_quat
+from commcert.quaternion import random_quat
 
 from conftest import diagonal_round_trip, mat_comm, rand_lower, rand_unit, rand_upper
 
@@ -185,7 +185,10 @@ def _corrupted(pair):
 class TestScalarExtractionMutations:
     """One corrupted pair emitted by a letter move, or one corrupted
     witness of a conjugated certificate, must make lower_extract raise
-    instead of returning."""
+    instead of returning.  The same corruptions are made on an n = 4
+    round trip over (-1, -3), whose h-factor block has two transfer
+    slots, since the extraction multiplies its certificate out only
+    once, in scalar_cert_from_hfactors."""
 
     @pytest.fixture(scope="class")
     def round_trip(self):
@@ -195,15 +198,20 @@ class TestScalarExtractionMutations:
         diag = BasedInstance(alg, 3, ident, ident, inst.delta, inst.delta_cert)
         return list(factor_commutators_gl(diag).pairs), inst.delta
 
+    @pytest.fixture(scope="class")
+    def two_slot_round_trip(self):
+        mcert, delta = diagonal_round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1)
+        return list(mcert.pairs), delta
+
     @staticmethod
-    def _extract(monkeypatch, round_trip, kind, corrupt_at, corrupted=_corrupted):
+    def _extract(monkeypatch, round_trip, kind, corrupt_at):
         """lower_extract with the outputs of `kind` watched; the
-        corruptible one numbered corrupt_at is corrupted by `corrupted`.
-        Returns how many were corruptible."""
+        corruptible one numbered corrupt_at is corrupted.  Returns how
+        many were corruptible."""
         seen = []
 
         def corrupt(pair):
-            bad = corrupted(pair)
+            bad = _corrupted(pair)
             if bad is None:
                 return pair
             seen.append(pair)
@@ -231,37 +239,25 @@ class TestScalarExtractionMutations:
         lower_extract(pairs, delta)
         return len(seen)
 
-    @pytest.mark.parametrize("kind", ["move", "conjugated"])
-    @pytest.mark.parametrize("at", ["first", "last"])
-    def test_corruption_raises(self, monkeypatch, round_trip, kind, at):
+    def _corruption_raises(self, monkeypatch, round_trip, kind, at):
         count = self._extract(monkeypatch, round_trip, kind, corrupt_at=None)
         assert count >= 2
         with pytest.raises(VerificationError):
-            self._extract(monkeypatch, round_trip, kind, 0 if at == "first" else count - 1)
+            self._extract(monkeypatch, round_trip, kind,
+                          {"first": 0, "middle": count // 2, "last": count - 1}[at])
 
+    @pytest.mark.parametrize("kind", ["move", "conjugated"])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_corruption_raises(self, monkeypatch, round_trip, kind, at):
+        self._corruption_raises(monkeypatch, round_trip, kind, at)
 
-def _shifted(pair):
-    """(g + 1, h) for a quaternion pair that does not commute, which
-    changes the commutator; None otherwise."""
-    g, h = pair
-    if not isinstance(g, Quat) or commutator(g, h).is_one():
-        return None
-    return (g + g.alg.one, h)
+    @pytest.mark.parametrize("kind", ["move", "conjugated"])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_corruption_raises_with_two_transfer_slots(
+            self, monkeypatch, two_slot_round_trip, kind, at):
+        self._corruption_raises(monkeypatch, two_slot_round_trip, kind, at)
 
-
-class TestCheckOnceMutations:
-    """The scalar extraction multiplies its certificate out once, in
-    scalar_cert_from_hfactors.  On an n = 4 round trip over (-1, -3),
-    whose h-factor block has two transfer slots, a witness shifted by 1
-    in any conjugated certificate, or in a pair emitted by a letter
-    move, must still make lower_extract raise before it returns."""
-
-    @pytest.fixture(scope="class")
-    def round_trip(self):
-        mcert, delta = diagonal_round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1)
-        return list(mcert.pairs), delta
-
-    def test_round_trip_has_two_transfer_slots(self, monkeypatch, round_trip):
+    def test_round_trip_has_two_transfer_slots(self, monkeypatch, two_slot_round_trip):
         calls = []
         transfer = certify.transfer_cert
 
@@ -270,17 +266,8 @@ class TestCheckOnceMutations:
             return transfer(*args)
 
         monkeypatch.setattr(certify, "transfer_cert", counted)
-        lower_extract(*round_trip)
+        lower_extract(*two_slot_round_trip)
         assert len(calls) >= 2
-
-    @pytest.mark.parametrize("kind", ["move", "conjugated"])
-    def test_shifted_witness_raises(self, monkeypatch, round_trip, kind):
-        extract = TestScalarExtractionMutations._extract
-        count = extract(monkeypatch, round_trip, kind, None, _shifted)
-        assert count >= 2
-        for at in sorted({0, count // 2, count - 1}):
-            with pytest.raises(VerificationError):
-                extract(monkeypatch, round_trip, kind, at, _shifted)
 
 
 class TestPrescribedGaussBase:
