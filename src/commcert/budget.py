@@ -44,9 +44,13 @@ class HFactorList:
         return len(self.factors)
 
     def concat(self, other: "HFactorList") -> "HFactorList":
-        if self.n != other.n or self.alg != other.alg:
+        """Both halves passed __post_init__ and are frozen, so the joined
+        list is built without checking its factors again."""
+        if self.n != other.n or (self.alg is not other.alg and self.alg != other.alg):
             raise PreconditionError("cannot concatenate factor lists of different shapes")
-        return HFactorList(self.alg, self.n, self.factors + other.factors)
+        out = object.__new__(HFactorList)
+        out.__dict__.update(alg=self.alg, n=self.n, factors=self.factors + other.factors)
+        return out
 
     def kappa(self) -> KappaVec:
         counts = [0] * (self.n - 1)

@@ -168,22 +168,62 @@ class MatD:
     def conjugate_by_diagonal(self, d: Sequence[Quat]) -> "MatD":
         """Entrywise d_i^-1 * x_ij * d_j; preserves triangular shape
         exactly, which generic triple products would only do up to a
-        re-check.  Factors equal to 1 and zero entries are passed
-        through without a product."""
-        inv = [None if e.is_one() else e.inverse() for e in d]
-        right = [None if e.is_one() else e for e in d]
-        rows = []
-        for di, row in zip(inv, self.rows):
-            out = []
-            for dj, q in zip(right, row):
+        re-check.
+
+        Only the rows and columns whose factor is not 1 change; zero
+        entries and a diagonal 1 (d_i^-1 * 1 * d_i = 1) stay.  With
+        d_i = D_i / e_i and x = X / f, d_i^-1 = conj(D_i) e_i ad bd / N(D_i),
+        N the norm numerator of int_nrd, so a changed entry is
+        int_mul(int_mul(conj D_i, X), D_j) e_i over ad bd N(D_i) f e_j,
+        reduced once; with d_j = 1 it is int_mul(conj D_i, X) e_i over
+        N(D_i) f, and with d_i = 1 int_mul(X, D_j) over ad bd f e_j.  A
+        zero factor or a zero divisor raises before any entry is made,
+        in slot order."""
+        alg, n = self.alg, self.n
+        if len(d) != n:
+            raise PreconditionError(f"{len(d)} diagonal factors for n={n}")
+        moved = [(j, e, e._unit_nrd_num()) for j, e in enumerate(d) if not e.is_one()]
+        if not moved:
+            return self
+        for _, e, _ in moved:
+            self._check_factor(e)
+        k = alg.consts
+        adbd = k[0]
+        # right[j] = (D_j, ad bd e_j) for each moved column j
+        right = {j: (e.wn, e.xn, e.yn, e.zn, adbd * e.den) for j, e, _ in moved}
+        rows = list(self.rows)
+        for i, e, nrd in moved:
+            cw, cx, cy, cz, ei = e.wn, -e.xn, -e.yn, -e.zn, e.den
+            out = rows[i] = list(rows[i])
+            for j, q in enumerate(out):
+                if q.is_zero() or (i == j and q.is_one()):
+                    continue
+                w, x, y, z = int_mul(k, cw, cx, cy, cz, q.wn, q.xn, q.yn, q.zn)
+                den = nrd * q.den
+                r = right.get(j)
+                if r is not None:
+                    w, x, y, z = int_mul(k, w, x, y, z, r[0], r[1], r[2], r[3])
+                    den *= r[4]
+                if ei != 1:
+                    w, x, y, z = w * ei, x * ei, y * ei, z * ei
+                out[j] = Quat(alg, w, x, y, z, den)
+        # the rows whose factor is 1 change only in the moved columns
+        for i, row in enumerate(rows):
+            if i in right:
+                continue
+            out = None
+            for j, (dw, dx, dy, dz, dd) in right.items():
+                q = row[j]
                 if not q.is_zero():
-                    if di is not None:
-                        q = di * q
-                    if dj is not None:
-                        q = q * dj
-                out.append(q)
-            rows.append(out)
-        return MatD(self.alg, rows)
+                    if out is None:
+                        out = rows[i] = list(row)
+                    out[j] = Quat(alg, *int_mul(k, q.wn, q.xn, q.yn, q.zn, dw, dx, dy, dz),
+                                  q.den * dd)
+        return MatD(alg, rows)
+
+    def _check_factor(self, q: Quat) -> None:
+        if q.alg is not self.alg and q.alg != self.alg:
+            raise AlgebraMismatchError(f"factor over {q.alg!r} for a matrix over {self.alg!r}")
 
     # -- sparse transvection kernel -----------------------------------
 
@@ -192,38 +232,63 @@ class MatD:
             raise PreconditionError(f"no transvection index pair ({i}, {j}) for n={self.n}")
 
     def add_row(self, i: int, j: int, xi: Quat) -> "MatD":
-        """t_{i,j}(xi) * self: row i gains xi * row j, O(n) products."""
+        """t_{i,j}(xi) * self: row i gains xi * row j, O(n) products;
+        each changed entry is reduced once (_plus_product)."""
         self._check_pair(i, j)
         if xi.is_zero():
             return self
+        self._check_factor(xi)
         rows = list(self.rows)
         row = list(rows[i - 1])
         for c, q in enumerate(rows[j - 1]):
             if not q.is_zero():
-                term, cur = xi * q, row[c]
-                row[c] = term if cur.is_zero() else cur + term
+                row[c] = _plus_product(row[c], xi, q)
         rows[i - 1] = row
         return MatD(self.alg, rows)
 
     def add_col(self, i: int, j: int, xi: Quat) -> "MatD":
-        """self * t_{i,j}(xi): column j gains column i * xi, O(n) products."""
+        """self * t_{i,j}(xi): column j gains column i * xi, as add_row."""
         self._check_pair(i, j)
         if xi.is_zero():
             return self
+        self._check_factor(xi)
         i, j = i - 1, j - 1
         rows = []
         for row in self.rows:
             q = row[i]
             if not q.is_zero():
                 row = list(row)
-                term, cur = q * xi, row[j]
-                row[j] = term if cur.is_zero() else cur + term
+                row[j] = _plus_product(row[j], q, xi)
             rows.append(row)
         return MatD(self.alg, rows)
 
     def conj_t(self, i: int, j: int, xi: Quat) -> "MatD":
         """t_{i,j}(xi)^-1 * self * t_{i,j}(xi), using t_{i,j}(xi)^-1 = t_{i,j}(-xi)."""
         return self.add_row(i, j, -xi).add_col(i, j, xi)
+
+
+def _plus_product(cur: Quat, a: Quat, b: Quat) -> Quat:
+    """cur + a * b, reduced once: a factor 1 costs no product and a zero
+    cur no sum."""
+    if a.is_one() or b.is_one():
+        p = b if a.is_one() else a
+        if cur.is_zero():
+            return p
+        w, x, y, z, d = p.wn, p.xn, p.yn, p.zn, p.den
+    else:
+        k = a.alg.consts
+        w, x, y, z = int_mul(k, a.wn, a.xn, a.yn, a.zn, b.wn, b.xn, b.yn, b.zn)
+        d = k[0] * a.den * b.den
+        if cur.is_zero():
+            return Quat(a.alg, w, x, y, z, d)
+    cd = cur.den
+    if cd != d:
+        w, x, y, z = w * cd, x * cd, y * cd, z * cd
+        cw, cx, cy, cz = cur.wn * d, cur.xn * d, cur.yn * d, cur.zn * d
+        d *= cd
+    else:
+        cw, cx, cy, cz = cur.wn, cur.xn, cur.yn, cur.zn
+    return Quat(a.alg, cw + w, cx + x, cy + y, cz + z, d)
 
 
 def transvection(alg: QuaternionAlgebra, n: int, i: int, j: int, xi: Quat) -> MatD:

@@ -1,8 +1,36 @@
 import random
+import sys
 
 import pytest
 
 from commcert import MatD, QuaternionAlgebra, random_quat
+
+
+def _commcert_modules():
+    return {name: mod for name, mod in sys.modules.items()
+            if name == "commcert" or name.startswith("commcert.")}
+
+
+COLLECTED = pytest.StashKey[dict]()
+
+
+def pytest_collection_finish(session):
+    """Every test module is imported now: remember the commcert modules
+    they were imported with."""
+    session.config.stash[COLLECTED] = _commcert_modules()
+
+
+@pytest.fixture(autouse=True)
+def _commcert_as_collected(request):
+    """perfbench's library.load() imports commcert afresh.  A test here
+    that runs after it would mix the classes its module was imported
+    with and the new ones, so the modules of collection time go back
+    into sys.modules first."""
+    collected = request.config.stash.get(COLLECTED, None)
+    if collected and _commcert_modules() != collected:
+        for name in _commcert_modules():
+            del sys.modules[name]
+        sys.modules.update(collected)
 
 
 @pytest.fixture(scope="session")

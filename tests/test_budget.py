@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commcert import MatD, commutator, kappa_p, lambda_vec, mu_vec, s_of
+from commcert import MatD, QuaternionAlgebra, commutator, kappa_p, lambda_vec, mu_vec, s_of
 from commcert.budget import (
     HFactor,
     HFactorList,
@@ -10,6 +10,7 @@ from commcert.budget import (
     vec_add,
     vec_leq,
 )
+from commcert.errors import PreconditionError, ZeroInputError
 
 from conftest import mat_comm, rand_unit
 
@@ -75,7 +76,23 @@ class TestKappaOf:
     def test_concat_adds(self, alg, rng):
         f1 = HFactorList(alg, 4, (HFactor(1, rand_unit(alg, rng)), HFactor(3, rand_unit(alg, rng))))
         f2 = HFactorList(alg, 4, (HFactor(2, rand_unit(alg, rng)),))
-        assert f1.concat(f2).kappa() == vec_add(f1.kappa(), f2.kappa())
+        joined = f1.concat(f2)
+        assert joined.kappa() == vec_add(f1.kappa(), f2.kappa())
+        assert joined == HFactorList(alg, 4, f1.factors + f2.factors)
+
+    def test_concat_refuses_other_shapes(self, alg, rng):
+        f = HFactorList(alg, 4, (HFactor(1, rand_unit(alg, rng)),))
+        for other in (HFactorList(alg, 3), HFactorList(QuaternionAlgebra(-1, -3), 4)):
+            with pytest.raises(PreconditionError):
+                f.concat(other)
+
+    def test_invalid_factor_raises_at_construction(self, alg, rng):
+        eps = rand_unit(alg, rng)
+        for index in (0, 4):
+            with pytest.raises(PreconditionError):
+                HFactorList(alg, 4, (HFactor(index, eps),))
+        with pytest.raises(ZeroInputError):
+            HFactorList(alg, 4, (HFactor(2, eps), HFactor(1, alg.zero)))
 
     def test_evaluation_order(self, alg, rng):
         # slot products multiply in list order, which matters over D

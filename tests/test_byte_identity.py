@@ -3,8 +3,9 @@
 A refactor that must keep the certificates byte-identical is checked
 here in seconds: factor in gl, e and stable mode, lower_extract round
 trips at n = 3 and at n = 4 over (-1, -3) (two transfer slots), a
-commutator normal form with an HUVU decomposition, every case
-of the lower absorption, a prescribed decomposition that takes the
+commutator normal form with an HUVU decomposition and every case
+of the lower absorption, over (-1, -1) and over (-1/2, -3/7), whose
+ad * bd is not 1, a prescribed decomposition that takes the
 v-side move, instances over (-1, -3), and the eliminations' pivot
 repairs: an HUVU decomposition with a zero (1, 1) entry, the lower
 factorization of every small 3 x 3 matrix, and the inverse and
@@ -17,6 +18,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -75,8 +77,7 @@ def _round_trip(alg, n, c, seed):
     return {"matrix": ser.cert_to_json(mcert), "scalar": ser.cert_to_json(scalar)}
 
 
-def _normal_form():
-    alg = QuaternionAlgebra()
+def _normal_form(alg):
     rng = random.Random(6)
     pairs = [tuple(random_invertible(alg, 4, rng, random_quat) for _ in "xy") for _ in range(2)]
     element = MatD.identity(alg, 4)
@@ -90,10 +91,10 @@ def _normal_form():
     }
 
 
-def _absorptions():
+def _absorptions(alg):
     """Every case of the lower absorption: 2, then 3 with eta = 0, 3 with
     eta a unit and 4 at each index."""
-    alg, n = QuaternionAlgebra(), 4
+    n = 4
     rng = random.Random(8)
     u1, v, u2 = (random_unitriangular(alg, n, rng, lower=lower) for lower in (False, True, False))
     empty = HFactorList(alg, n)
@@ -165,14 +166,19 @@ def _padded_gamma():
             "det": ser.quat_to_json(dieudonne_det(gamma).representative)}
 
 
+# ad * bd = 14 != 1, so the normal form's denominators are not those of (-1, -1)
+HALVES = QuaternionAlgebra(Fraction(-1, 2), Fraction(-3, 7))
+
 CASES = {
     "factor-gl": lambda: _factor("gl", 1, 4, 5),
     "factor-e": lambda: _factor("e", 2, 4, 3),
     "factor-stable": lambda: _factor("stable", 3, 3, 2),
     "lower-extract": lambda: _round_trip(QuaternionAlgebra(), 3, 3, 5),
     "lower-extract-n4-(-1,-3)": lambda: _round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1),
-    "normal-form": _normal_form,
-    "absorption-cases": _absorptions,
+    "normal-form": lambda: _normal_form(QuaternionAlgebra()),
+    "normal-form-(-1/2,-3/7)": lambda: _normal_form(HALVES),
+    "absorption-cases": lambda: _absorptions(QuaternionAlgebra()),
+    "absorption-cases-(-1/2,-3/7)": lambda: _absorptions(HALVES),
     "v-side-move": lambda: _v_side(QuaternionAlgebra()),
     "v-side-move-(-1,-3)": lambda: _v_side(QuaternionAlgebra(-1, -3)),
     "factor-gl-(-1,-3)": lambda: _factor("gl", 4, 3, 4, QuaternionAlgebra(-1, -3)),
@@ -184,6 +190,8 @@ CASES = {
 
 DIGESTS = {
     "absorption-cases": "29aad8e1ee229d028ff3593f53af5dce06204c6d5d81811607e5fe85a73f7c3d",
+    "absorption-cases-(-1/2,-3/7)": (
+        "a74c26c53b60b42bd3e29dd0bed144a94dbb8ae60ba2e45e492bdbf78e3b41ef"),
     "factor-e": "b45ecbb02edc9a2965acc9f5defb064d0182c7594715ea0b47b262b48b7a113d",
     "factor-gl": "8c94e1b17554a977bfd7f8b212ec1e8873e8c0765fb1adb2994b61942eb9e69b",
     "factor-gl-(-1,-3)": "079964902fe4a8b2479423863b17adff2e8548ce2a102f9671aa929db5f665d2",
@@ -195,6 +203,7 @@ DIGESTS = {
     "lower-factorization-exhaustive": (
         "b80307d13ea0407151d62e29193c118267954e632af72b0113a90444f10b7c08"),
     "normal-form": "b5ea81e16a6d899f8f45404b9ce78eb5de25a7bd4d79db29ee2d90e0052503e6",
+    "normal-form-(-1/2,-3/7)": "465a1ee4033a7fcfb8a0f3134d6e7e7a9339f4280c7c467688cb5a077af7a8d6",
     "padded-gamma-inverse-det": "3c509c1e6bd11b323c7ee194273b9312bfa0422d34152021af3b9b4c4afddd92",
     "v-side-move": "58b1b0d695b499f7dcca547c68a0a0e0a6084ceb491806c0ab1ac7e70c7d59bf",
     "v-side-move-(-1,-3)": "e268adb6206ae2fa4277eac6f62006132d250cb115aa1072ebc3361c882ea63b",

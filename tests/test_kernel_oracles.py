@@ -1,6 +1,8 @@
-"""The integer matrix product, inverse and determinant and the integer
-twisted solve against the Quat-level and Fraction algorithms they
-replaced, kept here as oracles, plus algebraic properties of the kernels.
+"""The integer matrix product, inverse and determinant, the diagonal
+twist, the transvection kernel and the integer twisted solve against
+the Quat-level and Fraction algorithms they replaced, kept here or in
+tests/test_mirrors.py as oracles, plus algebraic properties of the
+kernels.
 
 Every case runs over five algebras: (-1/2, -3/7) has ad * bd != 1, and
 the last one is indefinite, where twisted systems with
@@ -27,7 +29,13 @@ from commcert import (
     solve_twisted,
 )
 from commcert.certify import random_unitriangular
-from commcert.errors import NotDivisionAlgebraError, SingularTwistedSystemError
+from commcert.errors import (
+    AlgebraMismatchError,
+    NotDivisionAlgebraError,
+    PreconditionError,
+    SingularTwistedSystemError,
+    ZeroInputError,
+)
 from commcert.matrix import random_invertible
 from commcert.quaternion import _det4, int_mul
 
@@ -525,6 +533,164 @@ class TestEliminationsMatchDenseOracles:
         for e in entries:
             norm *= e.nrd()
         assert dieudonne_det(g).invariant == norm
+
+
+# -- diagonal twist ----------------------------------------------------------
+
+
+def sparse(alg, n, rng):
+    """About one entry in four nonzero, the diagonal included."""
+    return MatD(alg, [[dense_quat(alg, rng) if rng.random() < 0.25 else alg.zero
+                       for _ in range(n)] for _ in range(n)])
+
+
+TWIST_FAMILIES = {
+    "dense": random_dense,
+    "upper": lambda alg, n, rng: random_unitriangular(alg, n, rng, lower=False, span=3),
+    "lower": lambda alg, n, rng: random_unitriangular(alg, n, rng, lower=True, span=3),
+    "sparse": sparse,
+}
+
+
+def twist_factors(alg, n, rng):
+    """All ones, the two slots k, k + 1 of an absorption at every k, and
+    every slot; factors are units with denominators up to 35."""
+    def factor():
+        while True:
+            q = dense_quat(alg, rng)
+            if not q.is_zero() and q.nrd() != 0:
+                return q
+
+    out = [[alg.one] * n]
+    for k in range(n - 1):
+        d = [alg.one] * n
+        d[k], d[k + 1] = factor(), factor()
+        out.append(d)
+    out.append([factor() for _ in range(n)])
+    return out
+
+
+def twist_outcome(fn, m, d):
+    try:
+        return fn(m, d)
+    except (ZeroInputError, NotDivisionAlgebraError, AlgebraMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+def numerators(m):
+    return [[(q.wn, q.xn, q.yn, q.zn, q.den) for q in row] for row in m.rows]
+
+
+def mirrors():
+    """tests/test_mirrors.py, which keeps the old bodies of the twist and
+    the transvection kernel; imported on use, because it imports this
+    module at its top."""
+    import test_mirrors
+    return test_mirrors
+
+
+class TestDiagonalTwistMatchesOracle:
+    @pytest.mark.parametrize("family", sorted(TWIST_FAMILIES))
+    def test_matches_oracle(self, any_alg, family):
+        oracle = mirrors().oracle_conjugate_by_diagonal
+        rng = random.Random(sorted(TWIST_FAMILIES).index(family))
+        for n in range(1, 7):
+            for _ in range(3):
+                m = TWIST_FAMILIES[family](any_alg, n, rng)
+                for d in twist_factors(any_alg, n, rng):
+                    got, want = m.conjugate_by_diagonal(d), oracle(m, d)
+                    assert got.rows == want.rows
+                    assert numerators(got) == numerators(want)
+
+    def test_only_moved_entries_are_rebuilt(self, any_alg):
+        rng = random.Random(5)
+        for family in TWIST_FAMILIES.values():
+            m = family(any_alg, 5, rng)
+            for d in twist_factors(any_alg, 5, rng):
+                got = m.conjugate_by_diagonal(d)
+                if all(e.is_one() for e in d):
+                    assert got is m
+                    continue
+                for i, j in itertools.product(range(5), repeat=2):
+                    q = m.rows[i][j]
+                    kept = ((d[i].is_one() and d[j].is_one()) or q.is_zero()
+                            or (i == j and q.is_one()))
+                    if kept:
+                        assert got.rows[i][j] is q
+
+    def test_zero_and_zero_divisor_factors_in_slot_order(self):
+        """Over (3/2, -5/3), a zero factor raises ZeroInputError and a
+        zero divisor NotDivisionAlgebraError, the first in slot order,
+        before any entry is made: as the oracle's inverses do."""
+        alg = ALGEBRAS[-1]
+        z = alg.quat(-1, 3, -3, 1)
+        assert not z.is_zero() and z.nrd() == 0
+        rng = random.Random(6)
+        u = unit(alg, rng)
+        oracle = mirrors().oracle_conjugate_by_diagonal
+        zero = MatD(alg, [[alg.zero] * 3] * 3)
+        for m in (MatD.identity(alg, 3), random_dense(alg, 3, rng), zero):
+            for d, exc in [([u, alg.zero, u], ZeroInputError),
+                           ([alg.one, z, u], NotDivisionAlgebraError),
+                           ([z, alg.zero, alg.one], NotDivisionAlgebraError),
+                           ([alg.zero, z, alg.one], ZeroInputError)]:
+                with pytest.raises(exc):
+                    m.conjugate_by_diagonal(d)
+                assert twist_outcome(MatD.conjugate_by_diagonal, m, d) == twist_outcome(
+                    oracle, m, d)
+
+    def test_factor_from_another_algebra(self):
+        alg, other = ALGEBRAS[0], ALGEBRAS[1]
+        m = random_unitriangular(alg, 3, random.Random(7), lower=False, span=2)
+        d = [alg.one, other.basis()[1], alg.one]
+        for fn in (MatD.conjugate_by_diagonal, mirrors().oracle_conjugate_by_diagonal):
+            assert twist_outcome(fn, m, d)[0] is AlgebraMismatchError
+
+    def test_factor_count_must_match(self, any_alg):
+        m = MatD.identity(any_alg, 3)
+        for d in ([any_alg.one] * 2, [any_alg.one] * 4):
+            with pytest.raises(PreconditionError):
+                m.conjugate_by_diagonal(d)
+
+
+# -- transvection kernel -----------------------------------------------------
+
+
+class TestTransvectionKernelMatchesOracle:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_oracle(self, any_alg, seed):
+        oracle_add_row, oracle_add_col = mirrors().oracle_add_row, mirrors().oracle_add_col
+        rng = random.Random(seed)
+        families = list(TWIST_FAMILIES.values()) + [with_units, with_zero_lines]
+        for n in (2, 3, 5):
+            for family in families:
+                m = family(any_alg, n, rng)
+                for i, j in itertools.permutations(range(1, n + 1), 2):
+                    # 1 and -1 pass entries through; -m[i, j] cancels
+                    # entry (i, j) of a unitriangular m
+                    for xi in (any_alg.one, -any_alg.one, dense_quat(any_alg, rng),
+                               -m.entry(i, j)):
+                        for got, want in ((m.add_row(i, j, xi), oracle_add_row(m, i, j, xi)),
+                                          (m.add_col(i, j, xi), oracle_add_col(m, i, j, xi))):
+                            assert got.rows == want.rows
+                            assert numerators(got) == numerators(want)
+
+    def test_huge_entries(self, any_alg):
+        oracle_add_row, oracle_add_col = mirrors().oracle_add_row, mirrors().oracle_add_col
+        rng = random.Random(3)
+        m = with_huge_entry(any_alg, 3, rng)
+        xi = Quat(any_alg, 3 ** 2000, -1, 7, 2 ** 3000, 5 ** 1000)
+        for i, j in itertools.permutations(range(1, 4), 2):
+            assert m.add_row(i, j, xi) == oracle_add_row(m, i, j, xi)
+            assert m.add_col(i, j, xi) == oracle_add_col(m, i, j, xi)
+
+    def test_factor_from_another_algebra(self):
+        m = MatD.identity(ALGEBRAS[0], 3)
+        xi = ALGEBRAS[1].basis()[1]
+        with pytest.raises(AlgebraMismatchError):
+            m.add_row(1, 2, xi)
+        with pytest.raises(AlgebraMismatchError):
+            m.add_col(1, 2, xi)
 
 
 # -- integer twisted solve ---------------------------------------------------

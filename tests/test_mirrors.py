@@ -9,7 +9,11 @@ unit-pivot rule: decompose_huvu, factor_lower_unitriangular and the
 unpivoted LDU of prescribed_gauss_base on lists of Quat rows, and
 mat_inv with its own pivot search and row swap.  The four-product
 commutator x y x^-1 y^-1 is the oracle for comm's integer quaternion
-case.
+case.  The twist with two Quat products per entry over all n^2
+entries is the oracle for MatD.conjugate_by_diagonal, and the
+transvection kernel that reduces the product and then the sum is the
+oracle for MatD.add_row/add_col (tests/test_kernel_oracles.py compares
+them).
 """
 
 import itertools
@@ -224,6 +228,53 @@ def oracle_comm(x, y):
     """[x, y] as four products and two inverses, the form comm keeps for
     matrices."""
     return x * y * x.inverse() * y.inverse()
+
+
+def oracle_conjugate_by_diagonal(m, d):
+    """d_i^-1 * x_ij * d_j entry by entry: the inverses of the factors
+    other than 1 first, in slot order, then two Quat products for every
+    nonzero entry."""
+    inv = [None if e.is_one() else e.inverse() for e in d]
+    right = [None if e.is_one() else e for e in d]
+    rows = []
+    for di, row in zip(inv, m.rows):
+        out = []
+        for dj, q in zip(right, row):
+            if not q.is_zero():
+                if di is not None:
+                    q = di * q
+                if dj is not None:
+                    q = q * dj
+            out.append(q)
+        rows.append(out)
+    return MatD(m.alg, rows)
+
+
+def oracle_add_row(m, i, j, xi):
+    """t_{i,j}(xi) * m: row i gains xi * row j, each term a Quat product
+    and then a Quat sum."""
+    if xi.is_zero():
+        return m
+    rows = [list(r) for r in m.rows]
+    row = rows[i - 1]
+    for c, q in enumerate(rows[j - 1]):
+        if not q.is_zero():
+            term, cur = xi * q, row[c]
+            row[c] = term if cur.is_zero() else cur + term
+    return MatD(m.alg, rows)
+
+
+def oracle_add_col(m, i, j, xi):
+    """m * t_{i,j}(xi): column j gains column i * xi, as oracle_add_row."""
+    if xi.is_zero():
+        return m
+    rows = [list(r) for r in m.rows]
+    for row in rows:
+        q = row[i - 1]
+        if not q.is_zero():
+            term, cur = q * xi, row[j - 1]
+            row[j - 1] = term if cur.is_zero() else cur + term
+    return MatD(m.alg, rows)
 
 
 # -- conjugate transpose -----------------------------------------------------
