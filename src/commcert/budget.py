@@ -71,10 +71,6 @@ class HFactorList:
         return MatD.diagonal(self.alg, self.diagonal())
 
 
-def vec_add(u: KappaVec, v: KappaVec) -> KappaVec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_leq(u: KappaVec, v: KappaVec) -> bool:
     return all(a <= b for a, b in zip(u, v))
 

@@ -7,12 +7,15 @@ from commcert.budget import (
     HFactor,
     HFactorList,
     h_commutator_factors,
-    vec_add,
     vec_leq,
 )
 from commcert.errors import PreconditionError, ZeroInputError
 
 from conftest import mat_comm, rand_unit
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 class TestKappaVectors:

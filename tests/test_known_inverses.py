@@ -86,22 +86,72 @@ def test_decoded_certificate_carries_no_inverse():
     assert decoded.verify()
 
 
+FACTOR = {
+    # three rounds of single_commutator
+    "gl": (factor_commutators_gl, 3, 7),
+    # two diagonal pairs, then (P, Q)
+    "e": (factor_commutators_e, 4, 5),
+}
+
+
+def _corrupt(pairs, index: int, which: int, stale: bool):
+    """Right-multiply one witness by the transvection t_{n-1,n}(1),
+    which keeps its class in E(n, D), so only a product check can see
+    it; with `stale` the new matrix keeps the true witness's inverse.
+    Slot n carries the longest certificate, so the transvection does
+    not commute with the partner witness, even in a last round whose
+    other slots are exhausted."""
+    pairs = [list(pair) for pair in pairs]
+    g = pairs[index][which]
+    bad = g.add_col(g.n - 1, g.n, g.alg.one)
+    if stale:
+        bad.known_inverse = g.known_inverse
+    pairs[index][which] = bad
+    return tuple(tuple(pair) for pair in pairs)
+
+
 @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale-inverse"])
 @pytest.mark.parametrize("which", [0, 1], ids=["P", "Q"])
-def test_corrupted_witness_is_caught(monkeypatch, which, stale):
-    """One entry of P or Q shifted by 1 after single_commutator, either
-    as a new matrix or keeping the inverse of the true witness."""
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("stage", ["core", "conjugated"])
+@pytest.mark.parametrize("mode", sorted(FACTOR))
+def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, stale):
+    """One witness of the core pairs (as handed to _factor_tail) or of
+    the certificate conjugated by gamma^-1 is corrupted, either as a new
+    matrix or keeping the inverse of the true witness."""
+    factor, n, c = FACTOR[mode]
+    if stage == "core":
+        real_tail = certify._factor_tail
+
+        def tail(inst, gamma, x, pairs, support):
+            return real_tail(inst, gamma, x, _corrupt(pairs, index, which, stale), support)
+
+        monkeypatch.setattr(certify, "_factor_tail", tail)
+    else:
+        real_conjugated = CommutatorCert.conjugated
+
+        def conjugated(self, c):
+            out = real_conjugated(self, c)
+            if isinstance(c, MatD):
+                out = CommutatorCert(_corrupt(out.pairs, index, which, stale), out.target)
+            return out
+
+        monkeypatch.setattr(CommutatorCert, "conjugated", conjugated)
+    _, inst = make_instance(4, n, c)
+    with pytest.raises((InternalInvariantError, VerificationError)):
+        factor(inst)
+
+
+def test_scaled_witness_leaves_elementary_group(monkeypatch):
+    """2 is central, so [2P, Q] = [P, Q] passes the product check, but
+    nrd det(2P) = 2^(2n) puts 2P outside E(n, D)."""
     real = certify.single_commutator
 
-    def corrupt(*args, **kwargs):
-        pair = list(real(*args, **kwargs))
-        bad = _shift_entry(pair[which], 0, 1)
-        if stale:
-            bad.known_inverse = pair[which].known_inverse
-        pair[which] = bad
-        return tuple(pair)
+    def scaled(*args, **kwargs):
+        p, q = real(*args, **kwargs)
+        return MatD(p.alg, [[e.scale(2) for e in row] for row in p.rows]), q
 
-    monkeypatch.setattr(certify, "single_commutator", corrupt)
-    _, inst = make_instance(4, 5, 5)
-    with pytest.raises((InternalInvariantError, VerificationError)):
-        factor_commutators_gl(inst)
+    monkeypatch.setattr(certify, "single_commutator", scaled)
+    _, inst = make_instance(4, *FACTOR["e"][1:])
+    with pytest.raises(InternalInvariantError, match="a witness left the elementary group"):
+        factor_commutators_e(inst)
