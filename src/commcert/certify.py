@@ -5,12 +5,11 @@ hitting diag(1, ..., 1, tau) into an explicit commutator certificate for
 tau inside D*, of length at most s(kappa^d).  The upward pipeline turns
 a based instance (v, diag(1, ..., 1, delta), u, conjugator, certificate
 for delta of length c) into ceil(c/n) matrix commutator pairs, or
-ceil(c/(n-2)) pairs with elementary witnesses.  Every certificate a
-pipeline returns is verified by multiplication before it is returned:
-`factor` multiplies out its emitted certificate once, against the
-instance element, and in elementary mode checks the class of each
-emitted witness once.  The pairs that single_commutator builds on the
-way are not multiplied out.
+ceil(c/(n-2)) pairs with elementary witnesses.  Every certificate is
+verified by multiplication before it is returned: `factor` multiplies
+out its emitted certificate once, against the instance element, and
+checks each emitted witness's class once in e mode; the pair that
+single_commutator returns is not checked.
 """
 
 from __future__ import annotations
@@ -619,10 +618,9 @@ def _factor_head(inst: BasedInstance, support: int):
 
 
 def _factor_tail(inst: BasedInstance, gamma: MatD, x: MatD, pairs, support: int):
-    """The core pairs for x, conjugated by gamma^-1; the target must be
-    the instance element and the length at most ceil(c/support), and
-    the emitted certificate is multiplied out once, here.  This is the
-    upward pipeline's only product check of its pairs."""
+    """The core pairs for x, conjugated by gamma^-1, with target the
+    instance element and at most ceil(c/support) pairs; the upward
+    pipeline's one product check of its pairs runs here."""
     cert = CommutatorCert(tuple(pairs), x).conjugated(gamma.inverse().with_inverse(gamma))
     if cert.target != inst.element():
         raise InternalInvariantError("certificate target is not the instance element")
