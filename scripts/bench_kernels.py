@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Layer timings of the dense matrix kernels: product, inverse and
-Dieudonne determinant, at fixed coefficient heights, and the matrix
-commutator on pipeline witnesses.
+Dieudonne determinant, at fixed coefficient heights, the matrix
+commutator on pipeline witnesses, and the JSON codec of quaternions and
+matrices.
 
 Each cell is one (kernel, n, shape, bits) over the algebra (-1, -1):
 REPS seeded matrices (pairs for the product) whose entries have
@@ -18,7 +19,13 @@ The comm cells time quaternion.comm(P, Q) on the first pair that
 factor_commutators_gl emits for make_instance(0, n, n), at n in
 COMM_SIZES: once as emitted, with the inverses the construction carries
 (where the library stores them), and once on copies rebuilt from the
-rows, which carry none, so both inverses run mat_inv.  Stdlib only;
+rows, which carry none, so both inverses run mat_inv.
+
+The encode and decode cells time serialize.quat_to_json/mat_to_json
+and quat_from_json/mat_from_json (on the parsed JSON of the encoding)
+for REPS seeded quaternions and REPS dense CODEC_N x CODEC_N matrices,
+at HEIGHTS and at LONG_BITS, past the 9900 bits from which the codec
+splits an integer's decimal string.  Stdlib only;
 `--src` picks the library to time, so the same script measures two
 checkouts:
 
@@ -36,11 +43,12 @@ import sys
 import time
 from pathlib import Path
 
-KERNELS = ("mul", "inv", "det", "comm")
+KERNELS = ("mul", "inv", "det", "comm", "encode", "decode")
 SIZES = (3, 6)
 COMM_SIZES = (6, 8)
 SHAPES = ("dense", "unitriangular")
 HEIGHTS = (64, 300, 1000, 3000)
+CODEC_N, LONG_BITS = 6, 12000
 REPS, MIN_SECONDS, MAX_PASSES = 3, 0.5, 1000
 
 
@@ -78,13 +86,16 @@ def timed(calls) -> tuple[list[float], list]:
     return passes, outs
 
 
-def summary(passes, outs) -> dict:
+def stats(passes) -> dict:
     return {
         "passes": len(passes),
         "min_s": float(f"{min(passes):.4g}"),
         "median_s": float(f"{statistics.median(passes):.4g}"),
-        "out_bits": max(height(out) for out in outs),
     }
+
+
+def summary(passes, outs) -> dict:
+    return {**stats(passes), "out_bits": max(height(out) for out in outs)}
 
 
 def cell(lib, alg, kernel, n, shape, bits):
@@ -110,16 +121,36 @@ def comm_cells(lib, n):
                "in_bits": max(map(height, pair)), **summary(*timed([(comm, *pair)]))}
 
 
+def codec_cells(lib, alg, kernel, bits):
+    ser = lib.serialize
+    rng = random.Random(f"{kernel}|{bits}")
+    for shape, make, enc, dec in (
+        ("quat", lambda: entry(lib.Quat, alg, rng, bits), ser.quat_to_json, ser.quat_from_json),
+        ("dense", lambda: matrix(lib, alg, rng, CODEC_N, "dense", bits),
+         ser.mat_to_json, ser.mat_from_json),
+    ):
+        values = [make() for _ in range(REPS)]
+        if kernel == "encode":
+            calls = [(enc, v) for v in values]
+        else:
+            calls = [(dec, json.loads(json.dumps(enc(v))), alg) for v in values]
+        n = 1 if shape == "quat" else CODEC_N
+        yield {"kernel": kernel, "n": n, "shape": shape, "bits": bits,
+               **stats(timed(calls)[0])}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                     help="directory holding the commcert package")
     ap.add_argument("--kernels", nargs="+", choices=KERNELS, default=list(KERNELS))
     ap.add_argument("--sizes", nargs="+", type=int, default=list(SIZES))
-    ap.add_argument("--bits", nargs="+", type=int, default=list(HEIGHTS))
+    ap.add_argument("--bits", nargs="+", type=int,
+                    help="coefficient heights (default: HEIGHTS, plus LONG_BITS for the codec)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src))
     import commcert as lib
+    import commcert.serialize  # noqa: F401  (lib.serialize)
 
     alg = lib.QuaternionAlgebra(-1, -1)
     for kernel in args.kernels:
@@ -128,9 +159,14 @@ def main(argv=None) -> int:
                 for row in comm_cells(lib, n):
                     print(json.dumps(row), flush=True)
             continue
+        if kernel in ("encode", "decode"):
+            for bits in args.bits or (*HEIGHTS, LONG_BITS):
+                for row in codec_cells(lib, alg, kernel, bits):
+                    print(json.dumps(row), flush=True)
+            continue
         for n in args.sizes:
             for shape in SHAPES:
-                for bits in args.bits:
+                for bits in args.bits or HEIGHTS:
                     row = cell(lib, alg, kernel, n, shape, bits)
                     print(json.dumps(row), flush=True)
     return 0

@@ -1,14 +1,22 @@
 """JSON encodings: exact rational strings everywhere, no floats.
 
-A quaternion is ["w", "x", "y", "z"] with each coordinate "p/q" or "p";
-a matrix is a nested array of quaternion encodings with the dimension
-inferred; certificates, h-factor lists, normal forms and based
-instances are tagged dicts built from those two.  Files carry the
+A quaternion is an array of four strings ["w", "x", "y", "z"], each
+coordinate "p/q" or "p" and written in lowest terms; a matrix is an
+array of rows, each an array of quaternion encodings, with the
+dimension inferred; certificates, h-factor lists, normal forms and
+based instances are tagged dicts built from those two.  Files carry the
 algebra parameters alongside the payload so they re-verify standalone.
+
+The quaternion codec works on the integer numerators over one common
+denominator that Quat stores, with no Fraction in between.  The decoder
+accepts only those array shapes, and a coordinate that is not in lowest
+terms ("2/4", "-0", "+3") decodes to the same canonical Quat as its
+reduced form.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -46,20 +54,33 @@ def _int_from_digits(s: str) -> int:
     return _int_from_digits(s[:-k]) * 10**k + _int_from_digits(s[-k:])
 
 
-def rat_to_json(r: Fraction) -> str:
-    num = _int_to_str(r.numerator)
-    return num if r.denominator == 1 else f"{num}/{_int_to_str(r.denominator)}"
+def _ratio_to_json(p: int, q: int) -> str:
+    """p/q, for q > 0 and gcd(p, q) = 1, as "p/q", or "p" when q = 1."""
+    num = _int_to_str(p)
+    return num if q == 1 else f"{num}/{_int_to_str(q)}"
 
 
-def rat_from_json(s: str) -> Fraction:
-    """Parse "p/q" or "p" (ASCII digits, an optional sign on p) and
-    nothing else: no spaces, underscores, decimals or exponents."""
+def _rat_parts(s: str) -> tuple[int, int]:
+    """(p, q) of "p/q" or "p" (ASCII digits, an optional sign on p) and
+    nothing else: no spaces, underscores, decimals or exponents.  The
+    pair is not reduced; q = 0 raises ZeroDivisionError."""
     m = _RAT.fullmatch(s)
     if m is None:
         raise ValueError(f"invalid rational literal {s[:40]!r}")
     sign, num, den = m.groups()
     p = _int_from_digits(num)
-    return Fraction(-p if sign == "-" else p, _int_from_digits(den) if den else 1)
+    q = _int_from_digits(den) if den else 1
+    if q == 0:
+        raise ZeroDivisionError(repr(s[:40]))
+    return -p if sign == "-" else p, q
+
+
+def rat_to_json(r: Fraction) -> str:
+    return _ratio_to_json(r.numerator, r.denominator)
+
+
+def rat_from_json(s: str) -> Fraction:
+    return Fraction(*_rat_parts(s))
 
 
 def algebra_to_json(alg: QuaternionAlgebra) -> dict:
@@ -71,13 +92,22 @@ def algebra_from_json(data: dict) -> QuaternionAlgebra:
 
 
 def quat_to_json(q: Quat) -> list[str]:
-    return [rat_to_json(c) for c in q.coords()]
+    d = q.den
+    if d == 1:
+        return [_int_to_str(n) for n in (q.wn, q.xn, q.yn, q.zn)]
+    out = []
+    for n in (q.wn, q.xn, q.yn, q.zn):
+        g = math.gcd(n, d)
+        out.append(_ratio_to_json(n // g, d // g))
+    return out
 
 
 def quat_from_json(data: list, alg: QuaternionAlgebra) -> Quat:
-    if len(data) != 4:
-        raise PreconditionError("quaternion encoding needs four coordinates")
-    return alg.quat(*(rat_from_json(c) for c in data))
+    if type(data) is not list or len(data) != 4:
+        raise PreconditionError("quaternion encoding needs an array of four coordinates")
+    (w, qw), (x, qx), (y, qy), (z, qz) = map(_rat_parts, data)
+    den = math.lcm(qw, qx, qy, qz)
+    return Quat(alg, w * (den // qw), x * (den // qx), y * (den // qy), z * (den // qz), den)
 
 
 def mat_to_json(m: MatD) -> list:
@@ -108,9 +138,12 @@ def hfactors_to_json(hf: HFactorList) -> list:
 
 
 def hfactors_from_json(data: list, alg: QuaternionAlgebra, n: int) -> HFactorList:
-    return HFactorList(
-        alg, n, tuple(HFactor(d["i"], quat_from_json(d["eps"], alg)) for d in data)
-    )
+    factors = []
+    for d in data:
+        if type(d["i"]) is not int:
+            raise PreconditionError("h factor index must be an integer")
+        factors.append(HFactor(d["i"], quat_from_json(d["eps"], alg)))
+    return HFactorList(alg, n, tuple(factors))
 
 
 def uvuform_to_json(form: UVUForm) -> dict:

@@ -394,3 +394,47 @@ def test_help_exits_0(capsys):
         main(["gen", "--help"])
     assert exc.value.code == 0
     assert "--algebra" in capsys.readouterr().out
+
+
+# A quaternion is an array of four strings and a matrix an array of
+# arrays; a string, an object or a bare quaternion in a matrix's place
+# used to decode by iteration ("1000" as the quaternion 1).
+@pytest.mark.parametrize("target", [
+    "1000",
+    {"1": 0, "0": 0, "2": 0, "3": 0},
+    [["1234"]],
+    [[{"1": 0, "0": 0, "2": 0, "3": 0}]],
+    ["1", "0", "0"],
+], ids=["string", "four-key-object", "one-string-row", "object-entry", "three-coordinates"])
+def test_verify_target_that_is_no_array_encoding_exits_3(tmp_path, capsys, target):
+    payload = {"algebra": {"a": "-1", "b": "-1"}, "certificate": {"pairs": [], "target": target}}
+    rc, err = _verify_payload(tmp_path, capsys, payload)
+    assert rc == 3 and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violation: ")
+
+
+def test_zero_denominator_witness_coordinate_exits_3(tmp_path, capsys):
+    payload = _valid_payload()
+    payload["certificate"]["pairs"][0][0][0][0][0] = "1/0"
+    rc, err = _verify_payload(tmp_path, capsys, payload)
+    assert rc == 3 and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert lines == ["precondition violation: malformed input: zero denominator in '1/0'"]
+
+
+@pytest.mark.parametrize("tau", [
+    ["1_0", "0", "0", "0"], "1000", {"1": 0, "0": 0, "2": 0, "3": 0},
+], ids=["underscore-coordinate", "string", "four-key-object"])
+def test_certify_lower_malformed_tau_exits_3(tmp_path, capsys, alg, tau):
+    x = MatD.identity(alg, 2)
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps({
+        "algebra": ser.algebra_to_json(alg),
+        "pairs": [[ser.mat_to_json(x), ser.mat_to_json(x)]],
+        "tau": tau,
+    }))
+    rc = main(["certify-lower", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and "Traceback" not in captured.err
+    assert _one_precondition_line(captured)

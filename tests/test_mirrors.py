@@ -13,21 +13,27 @@ case.  The twist with two Quat products per entry over all n^2
 entries is the oracle for MatD.conjugate_by_diagonal, and the
 transvection kernel that reduces the product and then the sum is the
 oracle for MatD.add_row/add_col (tests/test_kernel_oracles.py compares
-them).
+them).  The quaternion codec on Fraction coordinates is the oracle for
+the integer-native one in serialize.py.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commcert import serialize as ser
 from commcert import MatD, QuaternionAlgebra, random_quat, solve_twisted, transvection
 from commcert.certify import _move_v_side, _solve_corner, _try_ldu, random_unitriangular
 from commcert.errors import (
     AlgebraMismatchError,
     InternalInvariantError,
     NotDivisionAlgebraError,
+    PreconditionError,
     SingularMatrixError,
     ZeroInputError,
 )
@@ -38,7 +44,7 @@ from commcert.normalform import (
 from commcert.quaternion import Quat, int_nrd, zero_divisor_error
 from commcert.wordcalc import comm
 
-from test_kernel_oracles import matrix_cases, outcome
+from test_kernel_oracles import ALGEBRAS, matrix_cases, outcome
 
 PARAMS = [(-1, -1), (-1, -3), (Fraction(-1, 2), Fraction(-3, 7))]
 
@@ -499,3 +505,110 @@ class TestQuaternionCommMatchesOracle:
         for x, y in [(a.zero, b.one), (a.one, b.zero), (a.basis()[1], b.basis()[2])]:
             assert comm_outcome(x, y, comm)[0] is AlgebraMismatchError
             assert comm_outcome(x, y, comm) == comm_outcome(x, y, oracle_comm)
+
+
+# -- the quaternion codec -----------------------------------------------------
+
+
+def oracle_rat_to_json(r):
+    num = ser._int_to_str(r.numerator)
+    return num if r.denominator == 1 else f"{num}/{ser._int_to_str(r.denominator)}"
+
+
+def oracle_rat_from_json(s):
+    m = ser._RAT.fullmatch(s)
+    if m is None:
+        raise ValueError(f"invalid rational literal {s[:40]!r}")
+    sign, num, den = m.groups()
+    p = ser._int_from_digits(num)
+    return Fraction(-p if sign == "-" else p, ser._int_from_digits(den) if den else 1)
+
+
+def oracle_quat_to_json(q):
+    return [oracle_rat_to_json(c) for c in q.coords()]
+
+
+def oracle_quat_from_json(data, alg):
+    if len(data) != 4:
+        raise PreconditionError("quaternion encoding needs four coordinates")
+    return alg.quat(*(oracle_rat_from_json(c) for c in data))
+
+
+# numerators and denominators: zero, one, small, and past _SHORT_BITS,
+# where the codec splits an integer's decimal string, up to past the
+# interpreter's 4300-digit int <-> str cap
+PAST_SHORT = st.builds(lambda bits, low: (1 << bits) + low,
+                       st.integers(ser._SHORT_BITS + 1, ser._SHORT_BITS + 6000),
+                       st.integers(0, 1 << 64))
+MAGNITUDES = st.one_of(st.just(0), st.just(1), st.integers(0, 1 << 80), PAST_SHORT)
+NUMERATORS = st.builds(lambda sign, m: sign * m, st.sampled_from((1, -1)), MAGNITUDES)
+DENOMINATORS = st.one_of(st.just(1), st.integers(1, 1 << 80), PAST_SHORT)
+
+
+@st.composite
+def raw_quats(draw):
+    alg = draw(st.sampled_from(ALGEBRAS))
+    nums = [draw(st.one_of(st.just(0), NUMERATORS)) for _ in range(4)]
+    return Quat(alg, *nums, draw(DENOMINATORS))
+
+
+@st.composite
+def coordinate_literals(draw):
+    """A coordinate as a writer may spell it: "+" or "-" on zero,
+    leading zeros, and numerator and denominator sharing a factor."""
+    k = draw(st.integers(1, 60))
+    sign = draw(st.sampled_from(("", "+", "-")))
+    zeros = "0" * draw(st.integers(0, 2))
+    num = sign + zeros + ser._int_to_str(draw(MAGNITUDES) * k)
+    if draw(st.booleans()):
+        return num
+    return f"{num}/{zeros}{ser._int_to_str(draw(DENOMINATORS) * k)}"
+
+
+class TestQuaternionCodecMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(q=raw_quats())
+    def test_encoding_is_byte_identical_and_decodes_back(self, q):
+        data = ser.quat_to_json(q)
+        assert data == oracle_quat_to_json(q)
+        assert json.dumps(data) == json.dumps(oracle_quat_to_json(q))
+        assert ser.quat_from_json(data, q.alg) == oracle_quat_from_json(data, q.alg) == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(alg=st.sampled_from(ALGEBRAS), data=st.lists(coordinate_literals(), min_size=4, max_size=4))
+    def test_input_not_in_lowest_terms_decodes_as_the_oracle(self, alg, data):
+        got, want = ser.quat_from_json(data, alg), oracle_quat_from_json(data, alg)
+        assert (got.wn, got.xn, got.yn, got.zn, got.den) == (want.wn, want.xn, want.yn, want.zn, want.den)
+        assert ser.quat_to_json(got) == oracle_quat_to_json(want)
+
+    @pytest.mark.parametrize("den", [1, 3, 10**4400 + 1], ids=["1", "3", "10^4400+1"])
+    def test_past_the_int_str_cap(self, alg, den):
+        q = Quat(alg, -(10**5000), 10**4400 + 9, 0, 1, den)
+        data = ser.quat_to_json(q)
+        assert data == oracle_quat_to_json(q)
+        assert ser.quat_from_json(data, alg) == q
+
+    @pytest.mark.parametrize("coords", [
+        ["2/4", "-0", "+3", "0/7"], ["0", "0", "0", "0"], ["-5", "7", "0", "-1"],
+        ["-1/3", "2/9", "0/5", "+00/1"],
+    ])
+    def test_named_cases(self, alg, coords):
+        assert ser.quat_from_json(coords, alg) == oracle_quat_from_json(coords, alg)
+
+    # the exception class each of these raised before stays the same
+    MALFORMED = [" 1", "1_0", "1.5", "1e3", "", "1/", "/2", "1/-2",
+                 "\uff11\uff12", "\u0661/\u0662", 7, None, ["1"], "1/0", "0/0"]
+
+    @pytest.mark.parametrize("text", MALFORMED, ids=repr)
+    def test_malformed_coordinates_raise_as_before(self, alg, text):
+        def raised(fn, *args):
+            with pytest.raises(Exception) as exc:
+                fn(*args)
+            return exc.type
+
+        want = raised(oracle_rat_from_json, text)
+        assert want in (ValueError, TypeError, ZeroDivisionError)
+        assert raised(ser._rat_parts, text) is want
+        assert raised(ser.rat_from_json, text) is want
+        coords = ["0", "1", text, "2"]
+        assert raised(ser.quat_from_json, coords, alg) is raised(oracle_quat_from_json, coords, alg)

@@ -111,6 +111,44 @@ def test_cert_witnesses_must_match_the_target_kind(alg, rng):
             ser.cert_from_json({"pairs": pairs, "target": target}, alg)
 
 
+@pytest.mark.parametrize("data", [
+    "1000", {"1": 0, "0": 0, "2": 0, "3": 0}, ("1", "0", "0", "0"), ["1", "0", "0"], None,
+], ids=["string", "four-key-object", "tuple", "three-coordinates", "null"])
+def test_a_quaternion_is_an_array_of_four(alg, data):
+    with pytest.raises(PreconditionError):
+        ser.quat_from_json(data, alg)
+
+
+@pytest.mark.parametrize("data", [
+    [["1234"]], [[{"1": 0, "0": 0, "2": 0, "3": 0}]], "1234", [],
+], ids=["one-string-row", "object-entry", "string", "no-rows"])
+def test_a_matrix_is_an_array_of_arrays(alg, data):
+    with pytest.raises(PreconditionError):
+        ser.mat_from_json(data, alg)
+    with pytest.raises(PreconditionError):
+        ser.cert_from_json({"pairs": [], "target": data}, alg)
+
+
+def test_a_bare_quaternion_is_no_matrix(alg):
+    with pytest.raises(PreconditionError):
+        ser.mat_from_json(["1", "0", "0", "0"], alg)
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1", None])
+def test_h_factor_index_is_an_int(alg, index):
+    eps = ser.quat_to_json(alg.basis()[1])
+    assert ser.hfactors_from_json([{"i": 1, "eps": eps}], alg, 3).factors[0].index == 1
+    with pytest.raises(PreconditionError):
+        ser.hfactors_from_json([{"i": index, "eps": eps}], alg, 3)
+
+
+def test_coordinates_not_in_lowest_terms_decode_to_the_canonical_quat(alg):
+    q = ser.quat_from_json(["2/4", "-0", "+3", "0/7"], alg)
+    assert q == alg.quat(Fraction(1, 2), 0, 3, 0)
+    assert ser.quat_to_json(q) == ["1/2", "0", "3", "0"]
+    assert ser.quat_from_json(["6/3", "-4/6", "007", "-0/1"], alg) == alg.quat(2, Fraction(-2, 3), 7)
+
+
 @pytest.mark.parametrize(
     "text", ["1.5", " 7 ", "1_000", "1e2000000", "", "/3", "1/", "1/-3", "--1", "+-1", "\u0663"]
 )
