@@ -124,9 +124,9 @@ def comm_cells(lib, n):
 def codec_cells(lib, alg, kernel, bits):
     ser = lib.serialize
     rng = random.Random(f"{kernel}|{bits}")
-    for shape, make, enc, dec in (
-        ("quat", lambda: entry(lib.Quat, alg, rng, bits), ser.quat_to_json, ser.quat_from_json),
-        ("dense", lambda: matrix(lib, alg, rng, CODEC_N, "dense", bits),
+    for shape, n, make, enc, dec in (
+        ("quat", 1, lambda: entry(lib.Quat, alg, rng, bits), ser.quat_to_json, ser.quat_from_json),
+        ("dense", CODEC_N, lambda: matrix(lib, alg, rng, CODEC_N, "dense", bits),
          ser.mat_to_json, ser.mat_from_json),
     ):
         values = [make() for _ in range(REPS)]
@@ -134,7 +134,6 @@ def codec_cells(lib, alg, kernel, bits):
             calls = [(enc, v) for v in values]
         else:
             calls = [(dec, json.loads(json.dumps(enc(v))), alg) for v in values]
-        n = 1 if shape == "quat" else CODEC_N
         yield {"kernel": kernel, "n": n, "shape": shape, "bits": bits,
                **stats(timed(calls)[0])}
 
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src))
     import commcert as lib
-    import commcert.serialize  # noqa: F401  (lib.serialize)
+    import commcert.serialize  # noqa: F401  (not imported by the package itself)
 
     alg = lib.QuaternionAlgebra(-1, -1)
     for kernel in args.kernels:
