@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Layer timings of the dense matrix kernels: product, inverse and
 Dieudonne determinant, at fixed coefficient heights, the matrix
-commutator on pipeline witnesses, and the JSON codec of quaternions and
-matrices.
+commutator on pipeline witnesses, the twisted quaternion solve, and the
+JSON codec of quaternions and matrices.
 
 Each cell is one (kernel, n, shape, bits) over the algebra (-1, -1):
 REPS seeded matrices (pairs for the product) whose entries have
@@ -20,6 +20,9 @@ factor_commutators_gl emits for make_instance(0, n, n), at n in
 COMM_SIZES: once as emitted, with the inverses the construction carries
 (where the library stores them), and once on copies rebuilt from the
 rows, which carry none, so both inverses run mat_inv.
+
+The twisted cells time quaternion.solve_twisted(p, q, r) on REPS
+seeded triples whose coordinates have about `bits` bits, at HEIGHTS.
 
 The encode and decode cells time serialize.quat_to_json/mat_to_json
 and quat_from_json/mat_from_json (on the parsed JSON of the encoding)
@@ -43,7 +46,7 @@ import sys
 import time
 from pathlib import Path
 
-KERNELS = ("mul", "inv", "det", "comm", "encode", "decode")
+KERNELS = ("mul", "inv", "det", "comm", "twisted", "encode", "decode")
 SIZES = (3, 6)
 COMM_SIZES = (6, 8)
 SHAPES = ("dense", "unitriangular")
@@ -71,8 +74,10 @@ def matrix(lib, alg, rng, n, shape, bits):
 
 
 def height(m):
-    """Largest coordinate bit length of a matrix or a determinant class."""
-    qs = [q for row in m.rows for q in row] if hasattr(m, "rows") else [m.representative]
+    """Largest coordinate bit length of a matrix, a determinant class or
+    a quaternion."""
+    qs = [q for row in m.rows for q in row] if hasattr(m, "rows") else [
+        getattr(m, "representative", m)]
     return max(max(abs(q.wn), abs(q.xn), abs(q.yn), abs(q.zn), q.den).bit_length() for q in qs)
 
 
@@ -121,6 +126,13 @@ def comm_cells(lib, n):
                "in_bits": max(map(height, pair)), **summary(*timed([(comm, *pair)]))}
 
 
+def twisted_cell(lib, alg, bits):
+    rng = random.Random(f"twisted|{bits}")
+    calls = [(lib.solve_twisted, *(entry(lib.Quat, alg, rng, bits) for _ in range(3)))
+             for _ in range(REPS)]
+    return {"kernel": "twisted", "bits": bits, **summary(*timed(calls))}
+
+
 def codec_cells(lib, alg, kernel, bits):
     ser = lib.serialize
     rng = random.Random(f"{kernel}|{bits}")
@@ -157,6 +169,10 @@ def main(argv=None) -> int:
             for n in COMM_SIZES:
                 for row in comm_cells(lib, n):
                     print(json.dumps(row), flush=True)
+            continue
+        if kernel == "twisted":
+            for bits in args.bits or HEIGHTS:
+                print(json.dumps(twisted_cell(lib, alg, bits)), flush=True)
             continue
         if kernel in ("encode", "decode"):
             for bits in args.bits or (*HEIGHTS, LONG_BITS):

@@ -6,10 +6,11 @@ tau inside D*, of length at most s(kappa^d).  The upward pipeline turns
 a based instance (v, diag(1, ..., 1, delta), u, conjugator, certificate
 for delta of length c) into ceil(c/n) matrix commutator pairs, or
 ceil(c/(n-2)) pairs with elementary witnesses.  Every certificate is
-verified by multiplication before it is returned: `factor` multiplies
-out its emitted certificate once, against the instance element, and
-checks each emitted witness's class once in e mode; the pair that
-single_commutator returns is not checked.
+verified by multiplication before it is returned: `factor` builds its
+witnesses already conjugated by gamma^-1, multiplies out the emitted
+certificate once, against the instance element, and checks each
+emitted witness's class once in e mode; the pair that single_commutator
+returns is not checked.
 """
 
 from __future__ import annotations
@@ -290,6 +291,11 @@ def prescribed_gauss(
     adjacent entries vanish, a t_{k,k+1}(1) conjugation manufactures the
     unit out of the commutator with the diagonal first.
     """
+    return _prescribed_gauss(inst, partition, inst.core(), inst.gamma.inverse())
+
+
+def _prescribed_gauss(inst: BasedInstance, partition, x0: MatD, gamma_inv: MatD):
+    """prescribed_gauss on the core x0 and gamma^-1, which factor reuses."""
     alg, n = inst.alg, inst.n
     one = alg.one
     if len(partition) != n or any(d < 0 for d in partition):
@@ -303,7 +309,6 @@ def prescribed_gauss(
     diag: list[Quat] = [one] * (n - 1) + [inst.delta]
     certs: list[CommutatorCert] = [_empty_cert(alg) for _ in range(n - 1)] + [inst.delta_cert]
     accum = MatD.identity(alg, n)
-    x0 = inst.core()
 
     for k in range(n - 1, 0, -1):
         while True:
@@ -361,10 +366,10 @@ def prescribed_gauss(
         if len(cert) > d_i:
             raise InternalInvariantError("a slot certificate exceeded its budget")
         cert.check()
-    if accum.inverse() * x0 * accum != v * MatD.diagonal(alg, diag) * u:
+    # accum^-1 x0 accum = v diag u, with no inverse of accum
+    if x0 * accum != accum * (v * MatD.diagonal(alg, diag) * u):
         raise InternalInvariantError("prescribed decomposition failed to reassemble")
-    gamma_out = inst.gamma.inverse() * accum
-    return gamma_out, v, u, list(zip(diag, certs))
+    return gamma_inv * accum, v, u, list(zip(diag, certs))
 
 
 def _try_ldu(m: MatD):
@@ -470,25 +475,28 @@ def _diagonal_with_inverse(alg: QuaternionAlgebra, entries: list[Quat]) -> MatD:
 
 def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
     """The x with w's unitriangular shape and [x, diag(a)] = w, entry by
-    entry away from the diagonal: x diag(a) = w diag(a) x reads, at
-    (i, j), x_ij a_j - a_i x_ij = w_ij a_j + sum_m w_im a_m x_mj over
-    the m strictly between i and j, one twisted 4x4 solve."""
+    entry away from the diagonal: with y = w diag(a), x diag(a) = y x
+    reads, at (i, j), x_ij a_j - a_i x_ij = y_ij + sum_m y_im x_mj over
+    the m strictly between i and j, one twisted solve; the result is
+    checked on that identity, which needs no inverse."""
     alg, n = w.alg, w.n
     lower = w.is_lower_unitriangular()
     a_inv = [q.inverse() for q in a]
+    d = MatD.diagonal(alg, a)
+    y = w * d
     rows = [list(r) for r in MatD.identity(alg, n).rows]
     for depth in range(1, n):
         for lo in range(1, n - depth + 1):
             i, j = (lo + depth, lo) if lower else (lo, lo + depth)
-            rhs = w.entry(i, j) * a[j - 1]
+            rhs = y.entry(i, j)
             for m in range(lo + 1, lo + depth):
-                if not w.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
-                    rhs = rhs + w.entry(i, m) * a[m - 1] * rows[m - 1][j - 1]
+                if not y.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
+                    rhs = rhs + y.entry(i, m) * rows[m - 1][j - 1]
             if rhs.is_zero():
                 continue
             rows[i - 1][j - 1] = solve_twisted(a[i - 1], a_inv[j - 1], rhs * a_inv[j - 1])
     out = MatD(alg, rows)
-    if comm(out, MatD.diagonal(alg, a)) != w:
+    if out * d != y * out:
         raise InternalInvariantError("corner solve failed")
     return out
 
@@ -519,15 +527,18 @@ def _rescale_witnesses(a: list[Quat], mode: str) -> list[Quat]:
 
 
 def single_commutator(
-    v: MatD, u: MatD, witnesses: list[tuple[Quat, Quat]], mode: str = "gl"
+    v: MatD, u: MatD, witnesses: list[tuple[Quat, Quat]], mode: str = "gl", *,
+    c: MatD | None = None,
 ) -> tuple[MatD, MatD]:
-    """Express v * diag(eps_1, ..., eps_n) * u as one commutator [P, Q],
-    where eps_i = [a_i, b_i] for the supplied witness pairs.
+    """Express c^-1 * v * diag(eps_1, ..., eps_n) * u * c as one
+    commutator [P, Q], where eps_i = [a_i, b_i] for the supplied witness
+    pairs; c defaults to the identity.
 
     After rescaling the a_i to pairwise distinct reduced norms, set
     h1 = diag(a), tau = diag(b), h2 = tau h1^-1 tau^-1 and solve
-    v = [v', h1], u = [h2^-1, u'] entrywise; then P = v' h1 v'^-1 and
-    Q = u' tau v'^-1.
+    v = [v', h1], u = [h2^-1, u'] entrywise.  With M = c^-1 v' and
+    K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1; they carry
+    M h1^-1 M^-1 and M tau^-1 K^-1, each checked by one product.
 
     In mode "e" the first two eps must be 1; the witnesses there are
     renormalized with a_2, b_1 central and a_1, b_2 compensating
@@ -564,14 +575,17 @@ def single_commutator(
 
     h1 = _diagonal_with_inverse(alg, a)
     tau_m = _diagonal_with_inverse(alg, b)
-    c = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
+    h2 = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
     v_pr = _solve_corner(v, a)
-    # [diag(c)^-1, u'] = u is [u', diag(c)] = diag(c) u diag(c)^-1
-    u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in c]), c)
-    v_pr_inv = v_pr.inverse()
-    # P^-1 = v' h1^-1 v'^-1 and Q^-1 = v' tau^-1 u'^-1, each checked by one product
-    p = (v_pr * h1 * v_pr_inv).with_inverse(v_pr * h1.inverse() * v_pr_inv)
-    q = (u_pr * tau_m * v_pr_inv).with_inverse(v_pr * tau_m.inverse() * u_pr.inverse())
+    # [diag(h2)^-1, u'] = u is [u', diag(h2)] = diag(h2) u diag(h2)^-1
+    u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in h2]), h2)
+    if c is None:
+        c = MatD.identity(alg, n).with_inverse(MatD.identity(alg, n))
+    c_inv = c.inverse()
+    m, m_inv = c_inv * v_pr, v_pr.inverse() * c
+    k, k_inv = c_inv * u_pr, u_pr.inverse() * c
+    p = (m * h1 * m_inv).with_inverse(m * h1.inverse() * m_inv)
+    q = (k * tau_m * m_inv).with_inverse(m * tau_m.inverse() * k_inv)
     return p, q
 
 
@@ -607,23 +621,25 @@ def _peel_last_pairs(slots, alg):
 
 def _factor_head(inst: BasedInstance, support: int):
     """Spread the certificate over the last `support` slots; returns
-    (gamma, v, u, slots, x) with x = v * diag(slot values) * u."""
+    (element, c, v, u, slots) with c = gamma^-1 carrying gamma and
+    c * element * c^-1 = v * diag(slot values) * u."""
     if inst.c < 1:
         raise PreconditionError("need a certificate of length >= 1")
-    if is_central_in_E(inst.core()):
+    core = inst.core()
+    if is_central_in_E(core):
         raise PreconditionError("instance element is central")
-    gamma, v, u, slots = prescribed_gauss(inst, balanced_partition(inst.c, inst.n, support))
-    x = v * MatD.diagonal(inst.alg, [val for val, _ in slots]) * u
-    return gamma, v, u, slots, x
+    gamma_inv = inst.gamma.inverse()
+    gamma, v, u, slots = _prescribed_gauss(
+        inst, balanced_partition(inst.c, inst.n, support), core, gamma_inv)
+    element = gamma_inv * core * inst.gamma
+    return element, gamma.inverse().with_inverse(gamma), v, u, slots
 
 
-def _factor_tail(inst: BasedInstance, gamma: MatD, x: MatD, pairs, support: int):
-    """The core pairs for x, conjugated by gamma^-1, with target the
-    instance element and at most ceil(c/support) pairs; the upward
-    pipeline's one product check of its pairs runs here."""
-    cert = CommutatorCert(tuple(pairs), x).conjugated(gamma.inverse().with_inverse(gamma))
-    if cert.target != inst.element():
-        raise InternalInvariantError("certificate target is not the instance element")
+def _factor_tail(inst: BasedInstance, element: MatD, pairs, support: int):
+    """The emitted pairs as a certificate for the instance element with
+    at most ceil(c/support) pairs; the upward pipeline's one product
+    check of its pairs runs here."""
+    cert = CommutatorCert(tuple(pairs), element)
     bound = _ceil_div(inst.c, support)
     if len(cert) > bound:
         raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
@@ -636,7 +652,7 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
     round peel one witness layer off every slot into a single
     commutator, leaving a shorter diagonal for the next round."""
     alg, n = inst.alg, inst.n
-    gamma, v, u, slots, x = _factor_head(inst, n)
+    element, c, v, u, slots = _factor_head(inst, n)
 
     pairs_rev: list[tuple[MatD, MatD]] = []
     identity = MatD.identity(alg, n)
@@ -644,7 +660,7 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
     while True:
         witnesses, slots = _peel_last_pairs(slots, alg)
         v_tilde = cur_v.conjugate_by_diagonal([val for val, _ in slots])
-        p, q = single_commutator(v_tilde, cur_u, witnesses, mode="gl")
+        p, q = single_commutator(v_tilde, cur_u, witnesses, mode="gl", c=c)
         pairs_rev.append((p, q))
         cur_v, cur_u = identity, identity
         if all(len(cert) == 0 for _, cert in slots):
@@ -652,7 +668,7 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
                 raise InternalInvariantError("certificates exhausted but diagonal remains")
             break
 
-    return _factor_tail(inst, gamma, x, reversed(pairs_rev), n)
+    return _factor_tail(inst, element, reversed(pairs_rev), n)
 
 
 def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
@@ -665,11 +681,12 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     one = alg.one
     if n < 3:
         raise PreconditionError("elementary factorization needs n >= 3")
-    gamma, v, u, slots, x = _factor_head(inst, n - 2)
+    element, c, v, u, slots = _factor_head(inst, n - 2)
 
     witnesses, rest = _peel_last_pairs(slots, alg)
     v_tilde = v.conjugate_by_diagonal([val for val, _ in rest])
-    p, q = single_commutator(v_tilde, u, witnesses, mode="e")
+    p, q = single_commutator(v_tilde, u, witnesses, mode="e", c=c)
+    c_inv = c.inverse()
 
     depth = max((len(cert) for _, cert in rest), default=0)
     hpairs: list[tuple[MatD, MatD]] = []
@@ -687,9 +704,11 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
         prod_b = product(b_col, one)
         h_a = _diagonal_with_inverse(alg, [prod_a.inverse(), one] + a_col)
         h_b = _diagonal_with_inverse(alg, [one, prod_b.inverse()] + b_col)
-        hpairs.append((h_a, h_b))
+        # c^-1 h is a column scaling
+        hpairs.append(tuple((c_inv * h * c).with_inverse(c_inv * h.inverse() * c)
+                            for h in (h_a, h_b)))
 
-    cert = _factor_tail(inst, gamma, x, hpairs + [(p, q)], n - 2)
+    cert = _factor_tail(inst, element, hpairs + [(p, q)], n - 2)
     for g1, g2 in cert.pairs:
         if not (is_elementary(g1) and is_elementary(g2)):
             raise InternalInvariantError("a witness left the elementary group")

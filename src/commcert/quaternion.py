@@ -346,59 +346,45 @@ def commutator(x: Quat, y: Quat) -> Quat:
 def solve_twisted(p: Quat, q: Quat, r: Quat) -> Quat:
     """Solve x - p*x*q = r exactly.
 
-    The map x -> x - p*x*q is Q-linear on the 4-dimensional algebra, so
-    this is one 4x4 rational system.  Column c holds the coordinates of
-    e_c - p*e_c*q; scaling it by their common denominator den_c and the
-    right-hand side by r.den leaves an integer system A y = b with
-    x_c = den_c * y_c / r.den, solved by Cramer's rule with fraction-free
-    determinants.  It is invertible whenever nrd(p)*nrd(q) != 1; a
-    singular system raises so the caller can rescale.  The returned x is
-    checked by substitution.
+    Subtracting p (x - p x q) conj(q) from the equation leaves N x = r -
+    p r conj(q) with N = (1 - nrd p nrd q) + (nrd q trd p - trd q) p, as
+    q + conj(q) and q conj(q) are central and p^2 = trd p p - nrd p.
+    The Q-linear map x -> x - p*x*q has determinant nrd(N): over a
+    splitting field both are the product of 1 - alpha_i beta_j over the
+    eigenvalues of p and q.  So the system is singular exactly when
+    nrd(N) = 0 (for one, when q is a conjugate of p^-1), and it raises so
+    the caller can rescale; otherwise x = conj(N) (r - p r conj(q)) /
+    nrd(N).
+
+    On integer numerators, with s = ad*bd*p.den*q.den, N is (A + B P)/s^2
+    for A = s^2 - Np Nq and B = 2 ad*bd (Nq P_w - s Q_w), Np and Nq the
+    int_nrd numerators, and x is p.den*q.den*conj(N)(ad*bd*s R - P R
+    conj Q) over int_nrd(N) * r.den.  The returned x is checked by
+    substitution.
     """
     p._check_same_algebra(q)
     p._check_same_algebra(r)
-    alg = p.alg
-    imgs = [e - p * e * q for e in alg.basis()]
-    # rows index the coordinate, columns the basis element
-    a = [[img.wn for img in imgs], [img.xn for img in imgs],
-         [img.yn for img in imgs], [img.zn for img in imgs]]
-    det = _det4(a)
-    if det == 0:
+    alg, k = p.alg, p.alg.consts
+    pw, px, py, pz = p.wn, p.xn, p.yn, p.zn
+    s = k[0] * p.den * q.den
+    nq = int_nrd(k, q.wn, q.xn, q.yn, q.zn)
+    b = 2 * k[0] * (nq * pw - s * q.wn)
+    nw, nx, ny, nz = s * s - int_nrd(k, pw, px, py, pz) * nq + b * pw, b * px, b * py, b * pz
+    nrd_n = int_nrd(k, nw, nx, ny, nz)
+    if nrd_n == 0:
         raise SingularTwistedSystemError(
             "singular twisted system: reduced norms are not separated"
         )
-    b = (r.wn, r.xn, r.yn, r.zn)
-    num = []
-    for c, img in enumerate(imgs):
-        cramer = [row[:c] + [b[ro]] + row[c + 1:] for ro, row in enumerate(a)]
-        num.append(img.den * _det4(cramer))
-    x = Quat(alg, num[0], num[1], num[2], num[3], r.den * det)
+    t = k[0] * s
+    prq = int_mul(k, *int_mul(k, pw, px, py, pz, r.wn, r.xn, r.yn, r.zn),
+                  q.wn, -q.xn, -q.yn, -q.zn)
+    xw, xx, xy, xz = int_mul(k, nw, -nx, -ny, -nz, t * r.wn - prq[0], t * r.xn - prq[1],
+                             t * r.yn - prq[2], t * r.zn - prq[3])
+    m = p.den * q.den
+    x = Quat(alg, m * xw, m * xx, m * xy, m * xz, nrd_n * r.den)
     if x - p * x * q != r:
         raise SingularTwistedSystemError("twisted solve verification failed")
     return x
-
-
-def _det4(m: list[list[int]]) -> int:
-    """Determinant of a 4x4 integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so entries stay integers of
-    the size of the minors."""
-    m = [row[:] for row in m]
-    sign, prev = 1, 1
-    for k in range(3):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, 4) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pk, mkk = m[k], m[k][k]
-        for r in range(k + 1, 4):
-            mr = m[r]
-            mrk = mr[k]
-            for j in range(k + 1, 4):
-                mr[j] = (mkk * mr[j] - mrk * pk[j]) // prev
-        prev = mkk
-    return sign * m[3][3]
 
 
 def random_quat(

@@ -37,7 +37,7 @@ from commcert.errors import (
     ZeroInputError,
 )
 from commcert.matrix import random_invertible
-from commcert.quaternion import _det4, int_mul
+from commcert.quaternion import int_mul
 
 PARAMS = [(-1, -1), (-1, -3), (-2, -5), (Fraction(-1, 2), Fraction(-3, 7)),
           (Fraction(3, 2), Fraction(-5, 3))]
@@ -153,6 +153,56 @@ def fraction_solve_twisted(p, q, r):
     cols = [(e - p * e * q).coords() for e in alg.basis()]
     mat = [[cols[c][ro] for c in range(4)] for ro in range(4)]
     x = alg.quat(*_solve4(mat, list(r.coords())))
+    if x - p * x * q != r:
+        raise SingularTwistedSystemError("twisted solve verification failed")
+    return x
+
+
+def det4(m):
+    """Determinant of a 4x4 integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so entries stay integers of
+    the size of the minors."""
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(3):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, 4) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk, mkk = m[k], m[k][k]
+        for r in range(k + 1, 4):
+            mr = m[r]
+            mrk = mr[k]
+            for j in range(k + 1, 4):
+                mr[j] = (mkk * mr[j] - mrk * pk[j]) // prev
+        prev = mkk
+    return sign * m[3][3]
+
+
+def bareiss_solve_twisted(p, q, r):
+    """The integer 4x4 route: column c holds the coordinates of
+    e_c - p*e_c*q; scaling it by their common denominator den_c and the
+    right-hand side by r.den leaves an integer system A y = b with
+    x_c = den_c * y_c / r.den, solved by Cramer's rule with Bareiss
+    determinants."""
+    alg = p.alg
+    imgs = [e - p * e * q for e in alg.basis()]
+    # rows index the coordinate, columns the basis element
+    a = [[img.wn for img in imgs], [img.xn for img in imgs],
+         [img.yn for img in imgs], [img.zn for img in imgs]]
+    det = det4(a)
+    if det == 0:
+        raise SingularTwistedSystemError(
+            "singular twisted system: reduced norms are not separated"
+        )
+    b = (r.wn, r.xn, r.yn, r.zn)
+    num = []
+    for c, img in enumerate(imgs):
+        cramer = [row[:c] + [b[ro]] + row[c + 1:] for ro, row in enumerate(a)]
+        num.append(img.den * det4(cramer))
+    x = Quat(alg, num[0], num[1], num[2], num[3], r.den * det)
     if x - p * x * q != r:
         raise SingularTwistedSystemError("twisted solve verification failed")
     return x
@@ -717,13 +767,68 @@ def integer_matrices(rng, count):
     return out
 
 
+def zero_divisors(alg, span=3):
+    """The nonzero elements with coordinates in [-span, span] and nrd 0;
+    none in a division algebra."""
+    rng = range(-span, span + 1)
+    return [q for c in itertools.product(rng, repeat=4)
+            if (q := alg.quat(*c)).nrd() == 0 and not q.is_zero()]
+
+
+INDEFINITE_ZERO_DIVISORS = zero_divisors(ALGEBRAS[-1])
+
+
+def twisted_outcomes(p, q, r):
+    """The closed form and both oracles, which must agree."""
+    got = outcome(solve_twisted, p, q, r)
+    assert outcome(fraction_solve_twisted, p, q, r) == got
+    assert outcome(bareiss_solve_twisted, p, q, r) == got
+    return got
+
+
+@st.composite
+def twisted_systems(draw):
+    """(p, q, r, singular) over one of the five algebras: random at 4, 64
+    or 1100 bits, or with p = 0, p central, q a conjugate of p^-1
+    (nrd(p) * nrd(q) = 1), or, in the indefinite algebra, eigenvalues
+    alpha of p and beta of q with alpha * beta = 1 made from zero
+    divisors; `singular` is True where the construction forces a
+    singular system."""
+    kind = draw(st.sampled_from(["random", "zero", "central", "unit-norms", "indefinite"]))
+    alg = ALGEBRAS[-1] if kind == "indefinite" else draw(st.sampled_from(ALGEBRAS))
+    bits = draw(st.sampled_from((4, 64, 1100)))
+    coord = st.integers(-(1 << bits), 1 << bits)
+
+    def quat():
+        return Quat(alg, *(draw(coord) for _ in range(4)), draw(st.integers(1, 1 << bits)))
+
+    p, q, r = quat(), quat(), quat()
+    singular = kind == "indefinite" or (kind == "unit-norms" and p.nrd() != 0)
+    if kind == "zero":
+        p = alg.zero
+    elif kind == "central":
+        p = Quat(alg, p.wn, 0, 0, 0, p.den)
+    elif kind == "unit-norms" and p.nrd() != 0:
+        t = draw(st.sampled_from(alg.basis()[1:]))
+        q = t * p.inverse() * t.inverse()
+    elif kind == "indefinite":
+        # z has eigenvalues 0 and trd z, so lam + z has lam and lam^-1 + z' has lam^-1
+        z, z2 = (draw(st.sampled_from(INDEFINITE_ZERO_DIVISORS)) for _ in range(2))
+        lam = alg.scalar(draw(st.sampled_from((1, -2, Fraction(3, 5)))))
+        p, q = lam + z, lam.inverse() + z2
+    return p, q, r, singular
+
+
 class TestIntegerTwistedSolve:
+    """solve_twisted's closed form against the Fraction elimination and
+    the integer Cramer route on Bareiss determinants, which it replaced."""
+
     def test_bareiss_matches_leibniz(self):
         rng = random.Random(5)
         singular = 0
         for m in integer_matrices(rng, 400):
             copy = [row[:] for row in m]
-            assert _det4(m) == leibniz_det4(m)
+            assert det4(m) == leibniz_det4(m)
             assert m == copy  # the input is not modified
             singular += leibniz_det4(m) == 0
         assert singular > 50
@@ -731,7 +836,7 @@ class TestIntegerTwistedSolve:
     def test_bareiss_on_permutations(self):
         for perm in itertools.permutations(range(4)):
             m = [[7 if perm[r] == c else 0 for c in range(4)] for r in range(4)]
-            assert _det4(m) == leibniz_det4(m) in (7 ** 4, -(7 ** 4))
+            assert det4(m) == leibniz_det4(m) in (7 ** 4, -(7 ** 4))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_fraction_oracle(self, any_alg, seed):
@@ -742,7 +847,16 @@ class TestIntegerTwistedSolve:
             p = random_quat(any_alg, rng, span=span, denominators=dens)
             q = random_quat(any_alg, rng, span=span, denominators=dens)
             r = random_quat(any_alg, rng, span=span, denominators=dens)
-            assert outcome(solve_twisted, p, q, r) == outcome(fraction_solve_twisted, p, q, r)
+            twisted_outcomes(p, q, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(twisted_systems())
+    def test_closed_form_matches_both_oracles(self, system):
+        p, q, r, singular = system
+        got = twisted_outcomes(p, q, r)
+        if singular:
+            assert got == (SingularTwistedSystemError,
+                           "singular twisted system: reduced norms are not separated")
 
     def test_singular_systems_raise(self, any_alg):
         """x - i x i^-1 vanishes on the centre, whatever the algebra."""
@@ -750,13 +864,12 @@ class TestIntegerTwistedSolve:
         for r in (any_alg.one, any_alg.quat(2, 1, 0, 3)):
             with pytest.raises(SingularTwistedSystemError, match="not separated"):
                 solve_twisted(i, i.inverse(), r)
-            assert outcome(fraction_solve_twisted, i, i.inverse(), r) == outcome(
-                solve_twisted, i, i.inverse(), r
-            )
+            twisted_outcomes(i, i.inverse(), r)
 
     def test_indefinite_singular_beyond_unit_norms(self):
         """In the indefinite algebra the system is singular for some p, q
-        with nrd(p) * nrd(q) != 1; both solvers must refuse them."""
+        with nrd(p) * nrd(q) != 1; all three solvers must refuse them,
+        with no NotDivisionAlgebraError from a zero-divisor N."""
         alg = ALGEBRAS[-1]
         assert not alg.is_definite()
         rng = random.Random(11)
@@ -771,5 +884,5 @@ class TestIntegerTwistedSolve:
                 found += 1
                 assert got == (SingularTwistedSystemError,
                                "singular twisted system: reduced norms are not separated")
-                assert outcome(fraction_solve_twisted, p, q, alg.one) == got
+                assert twisted_outcomes(p, q, alg.one) == got
         assert found > 0

@@ -46,35 +46,35 @@ def test_true_inverse_is_kept(alg, rng):
 
 
 @pytest.fixture
-def conjugations(monkeypatch):
-    """Record (core cert, conjugated cert) for every conjugation of a
-    matrix certificate."""
+def final_checks(monkeypatch):
+    """Record every matrix certificate that check() multiplies out."""
     seen = []
-    real = CommutatorCert.conjugated
+    real = CommutatorCert.check
 
-    def spy(self, c):
-        out = real(self, c)
-        if isinstance(c, MatD):
-            seen.append((self, out))
-        return out
+    def spy(self):
+        if isinstance(self.target, MatD):
+            seen.append(self)
+        return real(self)
 
-    monkeypatch.setattr(CommutatorCert, "conjugated", spy)
+    monkeypatch.setattr(CommutatorCert, "check", spy)
     return seen
 
 
 @pytest.mark.parametrize("factor", [factor_commutators_gl, factor_commutators_e])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_carried_inverses_match_mat_inv(conjugations, factor, seed):
-    _, inst = make_instance(seed, 6, 8)
+def test_carried_inverses_match_mat_inv(final_checks, factor, seed):
+    """The pipeline's one check multiplies out the certificate it
+    returns, against the instance element, and every emitted witness
+    carries its Gauss-Jordan inverse."""
+    g, inst = make_instance(seed, 6, 8)
     cert = factor(inst)
-    (core, conj), = conjugations
-    assert conj.pairs == cert.pairs
-    assert len(core) == len(cert) == 2
-    for certificate in (core, cert):
-        for pair in certificate.pairs:
-            for g in pair:
-                assert g.known_inverse is not None
-                assert g.known_inverse == mat_inv(g)
+    (checked,) = final_checks
+    assert checked is cert and cert.target == g
+    assert len(cert) == 2
+    for pair in cert.pairs:
+        for w in pair:
+            assert w.known_inverse is not None
+            assert w.known_inverse == mat_inv(w)
 
 
 def test_decoded_certificate_carries_no_inverse():
@@ -116,30 +116,45 @@ def _corrupt(pairs, index: int, which: int, stale: bool):
 @pytest.mark.parametrize("stage", ["core", "conjugated"])
 @pytest.mark.parametrize("mode", sorted(FACTOR))
 def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, stale):
-    """One witness of the core pairs (as handed to _factor_tail) or of
-    the certificate conjugated by gamma^-1 is corrupted, either as a new
-    matrix or keeping the inverse of the true witness."""
+    """One emitted witness is corrupted, either as a new matrix or
+    keeping the inverse of the true witness.  The builders make the
+    witnesses already conjugated by gamma^-1: stage "core" corrupts the
+    pairs as they hand them to _factor_tail, stage "conjugated" the
+    certificate that _factor_tail hands to its final check()."""
     factor, n, c = FACTOR[mode]
     if stage == "core":
         real_tail = certify._factor_tail
 
-        def tail(inst, gamma, x, pairs, support):
-            return real_tail(inst, gamma, x, _corrupt(pairs, index, which, stale), support)
+        def tail(inst, element, pairs, support):
+            return real_tail(inst, element, _corrupt(pairs, index, which, stale), support)
 
         monkeypatch.setattr(certify, "_factor_tail", tail)
     else:
-        real_conjugated = CommutatorCert.conjugated
+        real_check = CommutatorCert.check
 
-        def conjugated(self, c):
-            out = real_conjugated(self, c)
-            if isinstance(c, MatD):
-                out = CommutatorCert(_corrupt(out.pairs, index, which, stale), out.target)
-            return out
+        def check(self):
+            if isinstance(self.target, MatD):
+                self = CommutatorCert(_corrupt(self.pairs, index, which, stale), self.target)
+            return real_check(self)
 
-        monkeypatch.setattr(CommutatorCert, "conjugated", conjugated)
+        monkeypatch.setattr(CommutatorCert, "check", check)
     _, inst = make_instance(4, n, c)
     with pytest.raises((InternalInvariantError, VerificationError)):
         factor(inst)
+
+
+def test_wrong_corner_solve_is_caught(monkeypatch):
+    """A twisted solve that is off by 1 makes the corner fail
+    out * diag(a) = w * diag(a) * out."""
+    real = certify.solve_twisted
+
+    def off_by_one(p, q, r):
+        return real(p, q, r) + p.alg.one
+
+    monkeypatch.setattr(certify, "solve_twisted", off_by_one)
+    _, inst = make_instance(4, *FACTOR["gl"][1:])
+    with pytest.raises(InternalInvariantError, match="corner solve failed"):
+        factor_commutators_gl(inst)
 
 
 def test_scaled_witness_leaves_elementary_group(monkeypatch):
