@@ -27,12 +27,10 @@ records the median CPU and wall time with each run's CPU time in
 cpu_s_runs; a repeat whose sha256 differs from the others makes the
 rung an error, and a repeat over the cap ends that side's repeats.
 The file is rewritten after every rung, so an interrupted ladder keeps
-what it measured.  --rungs KIND:C,C... climbs only the listed rungs,
-named by their c.  Stdlib only:
+what it measured.  Stdlib only:
 
     python3 scripts/bench_scaling.py
     python3 scripts/bench_scaling.py --src parent=../parent/src --src change=src
-    python3 scripts/bench_scaling.py --rungs gl:12,16 e:10,12 --out BENCH_x_ladder.json
 """
 
 from __future__ import annotations
@@ -163,8 +161,6 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a checkout's src directory (repeatable); default change=<this repo>/src")
     ap.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
-    ap.add_argument("--rungs", nargs="+", metavar="KIND:C,C",
-                    help="climb only these rungs, e.g. gl:12,16 e:10,12 (default: all)")
     ap.add_argument("--child", nargs=5, metavar=("KIND", "N", "C", "A", "B"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -176,21 +172,15 @@ def main(argv=None) -> int:
         print(json.dumps(run_rung(kind, *map(int, nums))))
         return 0
 
-    ladders = LADDERS
-    if args.rungs:
-        picked = {kind: {int(c) for c in cs.split(",")}
-                  for kind, cs in (r.split(":", 1) for r in args.rungs)}
-        ladders = {kind: [(n, c) for n, c in LADDERS[kind] if c in cs]
-                   for kind, cs in picked.items()}
     doc = {
         "host": f"{platform.machine()} {platform.python_implementation()} "
                 f"{platform.python_version()}",
         "cap_s": CAP_S, "sides": list(srcs), "repeats": REPEATS, "rungs": [],
     }
-    for kind in ladders:
+    for kind in LADDERS:
         for a, b in ALGEBRAS:
             climbing = set(srcs)
-            for n, c in ladders[kind]:
+            for n, c in LADDERS[kind]:
                 rung = {"kind": kind, "algebra": [a, b], "n": n, "c": c}
                 runs = {label: [] for label in srcs if label in climbing}
                 for _ in range(REPEATS):

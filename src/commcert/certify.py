@@ -291,11 +291,6 @@ def prescribed_gauss(
     adjacent entries vanish, a t_{k,k+1}(1) conjugation manufactures the
     unit out of the commutator with the diagonal first.
     """
-    return _prescribed_gauss(inst, partition, inst.core(), inst.gamma.inverse())
-
-
-def _prescribed_gauss(inst: BasedInstance, partition, x0: MatD, gamma_inv: MatD):
-    """prescribed_gauss on the core x0 and gamma^-1, which factor reuses."""
     alg, n = inst.alg, inst.n
     one = alg.one
     if len(partition) != n or any(d < 0 for d in partition):
@@ -366,10 +361,10 @@ def _prescribed_gauss(inst: BasedInstance, partition, x0: MatD, gamma_inv: MatD)
         if len(cert) > d_i:
             raise InternalInvariantError("a slot certificate exceeded its budget")
         cert.check()
-    # accum^-1 x0 accum = v diag u, with no inverse of accum
-    if x0 * accum != accum * (v * MatD.diagonal(alg, diag) * u):
+    # accum^-1 core accum = v diag u, with no inverse of accum
+    if inst.core() * accum != accum * (v * MatD.diagonal(alg, diag) * u):
         raise InternalInvariantError("prescribed decomposition failed to reassemble")
-    return gamma_inv * accum, v, u, list(zip(diag, certs))
+    return inst.gamma.inverse() * accum, v, u, list(zip(diag, certs))
 
 
 def _try_ldu(m: MatD):
@@ -625,13 +620,10 @@ def _factor_head(inst: BasedInstance, support: int):
     c * element * c^-1 = v * diag(slot values) * u."""
     if inst.c < 1:
         raise PreconditionError("need a certificate of length >= 1")
-    core = inst.core()
-    if is_central_in_E(core):
+    element = inst.element()
+    if is_central_in_E(element):
         raise PreconditionError("instance element is central")
-    gamma_inv = inst.gamma.inverse()
-    gamma, v, u, slots = _prescribed_gauss(
-        inst, balanced_partition(inst.c, inst.n, support), core, gamma_inv)
-    element = gamma_inv * core * inst.gamma
+    gamma, v, u, slots = prescribed_gauss(inst, balanced_partition(inst.c, inst.n, support))
     return element, gamma.inverse().with_inverse(gamma), v, u, slots
 
 
