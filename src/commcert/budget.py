@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ZeroInputError
-from .quaternion import Quat, QuaternionAlgebra, comm, commutator
+from .quaternion import Quat, QuaternionAlgebra, comm
 from .matrix import MatD
 
 KappaVec = tuple[int, ...]
@@ -114,7 +114,7 @@ def _slot_commutator_factors(slot: int, xi: Quat, zeta: Quat) -> tuple[HFactor, 
     the arguments cancel in slot i-1 while the inverses compose to the
     commutator in slot i.
     """
-    c = commutator(xi, zeta)
+    c = comm(xi, zeta)
     if c.is_one():
         return ()
     if slot == 1:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .matrix import MatD, is_central_in_E, is_elementary
 from .normalform import commutator_normal_form, extract_H, rewrite_adjacent
-from .quaternion import Quat, QuaternionAlgebra, commutator, random_quat, solve_twisted
+from .quaternion import Quat, QuaternionAlgebra, random_quat, solve_twisted
 from .wordcalc import (
     CommutatorCert,
     Letter,
@@ -214,10 +214,6 @@ class BasedInstance:
         return len(self.delta_cert)
 
 
-def _empty_cert(alg: QuaternionAlgebra) -> CommutatorCert:
-    return CommutatorCert((), alg.one)
-
-
 def _split_cert(cert: CommutatorCert, at: int, alg) -> tuple[CommutatorCert, CommutatorCert]:
     """cert = prefix * suffix split at pair index `at`, with recomputed
     targets."""
@@ -288,8 +284,9 @@ def prescribed_gauss(
     (v side) theta of the slot k+1 certificate is moved into slot k by
     one adjacent conjugation; the moved certificate is transported along
     the conjugacy by the unit zeta that the move consumes.  When both
-    adjacent entries vanish, a t_{k,k+1}(1) conjugation manufactures the
-    unit out of the commutator with the diagonal first.
+    adjacent entries vanish, a t_{k,k+1}(s) conjugation first
+    manufactures a unit zeta out of the commutator with the diagonal, so
+    the move is then a u-side one: at most one move per slot.
     """
     alg, n = inst.alg, inst.n
     one = alg.one
@@ -302,58 +299,47 @@ def prescribed_gauss(
 
     v, u = inst.v, inst.u
     diag: list[Quat] = [one] * (n - 1) + [inst.delta]
-    certs: list[CommutatorCert] = [_empty_cert(alg) for _ in range(n - 1)] + [inst.delta_cert]
+    certs: list[CommutatorCert] = [CommutatorCert((), one)] * (n - 1) + [inst.delta_cert]
     accum = MatD.identity(alg, n)
 
     for k in range(n - 1, 0, -1):
-        while True:
-            cur = certs[k]
-            keep = partition[k]
-            if len(cur) <= keep:
-                break
-            eps_t = cur.target
-            if diag[k] != eps_t:
-                raise InternalInvariantError("slot value drifted from its certificate")
-            if eps_t.is_one():
-                certs[k] = _empty_cert(alg)
-                break
+        cur = certs[k]
+        keep = partition[k]
+        if len(cur) <= keep:
+            continue
+        eps_t = cur.target
+        if diag[k] != eps_t:
+            raise InternalInvariantError("slot value drifted from its certificate")
+        if eps_t.is_one():
+            certs[k] = CommutatorCert((), one)
+            continue
+        zeta = u.entry(k, k + 1)
+        eta = v.entry(k + 1, k)
+        if zeta.is_zero() and eta.is_zero():
+            made = _manufacture_unit(alg, v, diag, u, k)
+            if made is None:
+                raise InternalInvariantError(
+                    "cannot manufacture a unit although the slot value is not 1"
+                )
+            v, u, s = made
+            accum = accum.add_col(k, k + 1, s)
             zeta = u.entry(k, k + 1)
-            eta = v.entry(k + 1, k)
-            if not zeta.is_zero():
-                prefix, suffix = _split_cert(cur, keep, alg)
-                theta = suffix.target
-                if theta.is_one():
-                    certs[k] = CommutatorCert(prefix.pairs, eps_t)
-                    break
-                xi = (theta - one) * zeta.inverse()
+        if not zeta.is_zero():
+            certs[k], moved = _split_cert(cur, keep, alg)
+            if not moved.target.is_one():
+                xi = (moved.target - one) * zeta.inverse()
                 v, diag, u = _move_u_side(v, diag, u, k, xi)
                 accum = accum.add_col(k + 1, k, xi)
-                certs[k] = prefix
-                certs[k - 1] = suffix.conjugated(zeta.inverse())
-            elif not eta.is_zero():
-                moved = len(cur) - keep
-                prefix, suffix = _split_cert(cur, moved, alg)
-                theta = prefix.target
-                if theta.is_one():
-                    certs[k] = CommutatorCert(suffix.pairs, eps_t)
-                    break
-                xi = eta.inverse() * (one - theta)
+                certs[k - 1] = moved.conjugated(zeta.inverse())
+        else:
+            moved, certs[k] = _split_cert(cur, len(cur) - keep, alg)
+            if not moved.target.is_one():
+                xi = eta.inverse() * (one - moved.target)
                 v, diag, u = _move_v_side(v, diag, u, k, xi)
                 accum = accum.add_col(k, k + 1, xi)
-                certs[k] = suffix
-                certs[k - 1] = prefix.conjugated(eta)
-            else:
-                made = _manufacture_unit(alg, v, diag, u, k)
-                if made is None:
-                    raise InternalInvariantError(
-                        "cannot manufacture a unit although the slot value is not 1"
-                    )
-                v, u, s = made
-                accum = accum.add_col(k, k + 1, s)
-                continue
-            if diag[k] != certs[k].target or diag[k - 1] != certs[k - 1].target:
-                raise InternalInvariantError("moved certificates disagree with the diagonal")
-            break
+                certs[k - 1] = moved.conjugated(eta)
+        if diag[k] != certs[k].target or diag[k - 1] != certs[k - 1].target:
+            raise InternalInvariantError("moved certificates disagree with the diagonal")
 
     if not v.is_lower_unitriangular() or not u.is_upper_unitriangular():
         raise InternalInvariantError("prescribed decomposition lost its shape")
@@ -556,7 +542,7 @@ def single_commutator(
     b = [w[1] for w in witnesses]
     if any(q.is_zero() for q in a + b):
         raise ZeroInputError("witnesses must be units")
-    eps = [commutator(a[i], b[i]) for i in range(n)]
+    eps = [comm(a[i], b[i]) for i in range(n)]
     if mode == "e":
         if not (eps[0].is_one() and eps[1].is_one()):
             raise PreconditionError("elementary mode needs eps_1 = eps_2 = 1")
@@ -565,7 +551,7 @@ def single_commutator(
         b[1] = (b[0] * product(b[2:], one)).inverse()
     a = _rescale_witnesses(a, mode)
     for i in range(n):
-        if commutator(a[i], b[i]) != eps[i]:
+        if comm(a[i], b[i]) != eps[i]:
             raise InternalInvariantError("rescaling changed a commutator value")
 
     h1 = _diagonal_with_inverse(alg, a)
@@ -798,7 +784,7 @@ def make_instance(
         )
         for _ in range(c)
     )
-    delta = product((commutator(qa, qb) for qa, qb in pairs), alg.one)
+    delta = product((comm(qa, qb) for qa, qb in pairs), alg.one)
     cert = CommutatorCert(pairs, delta)
     v = random_unitriangular(alg, n, rng, lower=True)
     u = random_unitriangular(alg, n, rng, lower=False)

@@ -449,7 +449,8 @@ def mat_inv(g: MatD) -> MatD:
     All multiplications act on the left of rows, so the order of scalar
     factors is respected.  The rows of [g | I] are held as integer
     quaternions, and elimination skips their zero entries; the
-    inverse's entries become Quats once, at the end.  Each pivot is made
+    inverse's entries, which `_eliminate` keeps reduced, become Quats
+    once, at the end, with no second reduction.  Each pivot is made
     a unit by `_unit_pivot`, which also raises for a singular g.
     """
     n = g.n
@@ -463,7 +464,7 @@ def mat_inv(g: MatD) -> MatD:
         _unit_pivot(alg, rows, col)
         _eliminate(alg, rows, col, range(n))
     zero = alg.zero
-    out = [[zero if e is None else Quat(alg, *e) for e in row[n:]] for row in rows]
+    out = [[zero if e is None else Quat._canonical(alg, *e) for e in row[n:]] for row in rows]
     return MatD(alg, out)
 
 
@@ -497,7 +498,7 @@ def dieudonne_det(g: MatD) -> DetClass:
     rep = alg.one
     for col in range(n):
         _unit_pivot(alg, rows, col)
-        rep = rep * Quat(alg, *rows[col][col])
+        rep = rep * Quat._canonical(alg, *rows[col][col])
         _eliminate(alg, rows, col, range(col + 1, n))
     return DetClass(rep, rep.nrd())
 

@@ -167,6 +167,15 @@ class Quat:
         self.zn = zn
         self.den = den
 
+    @staticmethod
+    def _canonical(alg: QuaternionAlgebra, wn: int, xn: int, yn: int, zn: int,
+                   den: int) -> "Quat":
+        """A Quat from numerators already in the stored form (den > 0,
+        gcd(w, x, y, z, den) = 1), which is not checked or reduced."""
+        q = object.__new__(Quat)
+        q.alg, q.wn, q.xn, q.yn, q.zn, q.den = alg, wn, xn, yn, zn, den
+        return q
+
     # -- coordinate access -------------------------------------------------
 
     @property
@@ -221,16 +230,7 @@ class Quat:
         return self + (-other)
 
     def __neg__(self) -> "Quat":
-        q = object.__new__(Quat)
-        q.alg, q.wn, q.xn, q.yn, q.zn, q.den = (
-            self.alg,
-            -self.wn,
-            -self.xn,
-            -self.yn,
-            -self.zn,
-            self.den,
-        )
-        return q
+        return Quat._canonical(self.alg, -self.wn, -self.xn, -self.yn, -self.zn, self.den)
 
     def __mul__(self, other: "Quat") -> "Quat":
         self._check_same_algebra(other)
@@ -252,16 +252,7 @@ class Quat:
         )
 
     def conj(self) -> "Quat":
-        q = object.__new__(Quat)
-        q.alg, q.wn, q.xn, q.yn, q.zn, q.den = (
-            self.alg,
-            self.wn,
-            -self.xn,
-            -self.yn,
-            -self.zn,
-            self.den,
-        )
-        return q
+        return Quat._canonical(self.alg, self.wn, -self.xn, -self.yn, -self.zn, self.den)
 
     def _nrd_num(self) -> int:
         """Numerator of nrd over the denominator ad * bd * den^2."""
@@ -336,11 +327,8 @@ def comm(x, y):
     return Quat(x.alg, *num, k[0] * nx * ny)
 
 
-def commutator(x: Quat, y: Quat) -> Quat:
-    """[x, y] of two units of D*."""
-    if x.is_zero() or y.is_zero():
-        raise ZeroInputError("commutator needs units of D*")
-    return comm(x, y)
+# the package's name for comm on units: a zero operand raises ZeroInputError
+commutator = comm
 
 
 def solve_twisted(p: Quat, q: Quat, r: Quat) -> Quat:

@@ -48,7 +48,7 @@ from .normalform import (
     decompose_huvu,
     factor_lower_unitriangular,
 )
-from .quaternion import QuaternionAlgebra, commutator, random_quat, solve_twisted
+from .quaternion import QuaternionAlgebra, random_quat, solve_twisted
 from .wordcalc import (
     CommutatorCert,
     Letter,
@@ -138,7 +138,7 @@ def check_scalar_arithmetic(alg, seed, rounds=200):
         _require(p.nrd() * q.nrd() == (p * q).nrd(), "nrd is not multiplicative")
         _require((p * p.inverse()).is_one(), "inverse failed")
         _require((p * q).conj() == q.conj() * p.conj(), "conj is not an anti-automorphism")
-        _require(commutator(p, q).nrd() == 1, "commutator nrd is not 1")
+        _require(comm(p, q).nrd() == 1, "commutator nrd is not 1")
         r = random_quat(alg, rng)
         if p.nrd() * q.nrd() != 1:
             x = solve_twisted(p, q, r)
@@ -334,7 +334,7 @@ def check_round_trips(alg, seed, n, cs):
     rng = random.Random(seed)
     a = random_quat(alg, rng, nonzero=True)
     b = random_quat(alg, rng, nonzero=True)
-    tau = commutator(a, b)
+    tau = comm(a, b)
     pair = (
         MatD.diagonal(alg, [one] * (n - 1) + [a]),
         MatD.diagonal(alg, [one] * (n - 1) + [b]),

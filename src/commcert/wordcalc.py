@@ -50,7 +50,7 @@ class CommutatorCert:
 
     The object is immutable, so a successful verify() is recorded on it
     and later calls on the same object return at once.  A failure is
-    never recorded, and every new object (conjugated, inverse, concat,
+    never recorded, and every new object (conjugated, inverse,
     dataclasses.replace, decoding) starts unverified.  The flag takes no
     part in equality or hashing.
     """
@@ -93,9 +93,6 @@ class CommutatorCert:
             tuple((h, g) for g, h in reversed(self.pairs)),
             self.target.inverse(),
         )
-
-    def concat(self, other: "CommutatorCert") -> "CommutatorCert":
-        return CommutatorCert(self.pairs + other.pairs, self.target * other.target)
 
 
 def _move_pair(u, x, v, value, front: bool):

@@ -65,6 +65,13 @@ def rand_invertible(alg, n, rng):
     return random_invertible(alg, n, rng, random_quat)
 
 
+def with_entry(m, i, j, q):
+    """m with entry (i, j), 1-based, replaced by q."""
+    rows = [list(r) for r in m.rows]
+    rows[i - 1][j - 1] = q
+    return MatD(m.alg, rows)
+
+
 def mat_comm(x, y):
     return x * y * x.inverse() * y.inverse()
 

@@ -48,7 +48,7 @@ from commcert.normalform import (
 )
 from commcert.wordcalc import CommutatorCert, comm
 
-from conftest import diagonal_round_trip
+from conftest import diagonal_round_trip, with_entry
 
 
 def _noncentral_instance(seed, n, c, alg=None):
@@ -104,16 +104,10 @@ def _absorptions(alg):
         xi = -zeta.inverse()
         forms.append(absorb_lower_transvection(UVUForm(alg, n, empty, u1, v, u2), k, zeta))
         for eta in (alg.zero, random_quat(alg, rng, nonzero=True), xi):
-            form = UVUForm(alg, n, empty, u1, _with_entry(v, k + 1, k, eta),
-                           _with_entry(u2, k, k + 1, zeta))
+            form = UVUForm(alg, n, empty, u1, with_entry(v, k + 1, k, eta),
+                           with_entry(u2, k, k + 1, zeta))
             forms.append(absorb_lower_transvection(form, k, xi))
     return [ser.uvuform_to_json(f) for f in forms]
-
-
-def _with_entry(m, i, j, q):
-    rows = [list(r) for r in m.rows]
-    rows[i - 1][j - 1] = q
-    return MatD(m.alg, rows)
 
 
 def _v_side(alg):
@@ -220,16 +214,30 @@ def test_output_digest_is_pinned(name):
     assert digest(CASES[name]()) == DIGESTS[name]
 
 
-def test_v_side_case_takes_the_v_side_move(monkeypatch):
+def _calls_to(monkeypatch, name):
+    """The argument tuples of every call to certify.<name> from now on."""
     calls = []
-    move = certify._move_v_side
+    fn = getattr(certify, name)
 
     def counted(*args):
         calls.append(args)
-        return move(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(certify, "_move_v_side", counted)
+    monkeypatch.setattr(certify, name, counted)
+    return calls
+
+
+def test_v_side_case_takes_the_v_side_move(monkeypatch):
+    calls = _calls_to(monkeypatch, "_move_v_side")
     _v_side(QuaternionAlgebra())
+    assert calls
+
+
+def test_lower_extract_case_manufactures_a_unit(monkeypatch):
+    """v = u = 1 in the round trip's instance, so zeta = eta = 0 at every
+    slot that moves, and the slot step manufactures a unit first."""
+    calls = _calls_to(monkeypatch, "_manufacture_unit")
+    CASES["lower-extract"]()
     assert calls
 
 

@@ -44,6 +44,7 @@ from commcert.normalform import (
 from commcert.quaternion import Quat, int_nrd, zero_divisor_error
 from commcert.wordcalc import comm
 
+from conftest import with_entry
 from test_kernel_oracles import ALGEBRAS, matrix_cases, outcome
 
 PARAMS = [(-1, -1), (-1, -3), (Fraction(-1, 2), Fraction(-3, 7))]
@@ -57,12 +58,6 @@ def any_alg(request):
 
 def unit(alg, rng):
     return random_quat(alg, rng, span=2, nonzero=True)
-
-
-def with_entry(m, i, j, q):
-    rows = [list(r) for r in m.rows]
-    rows[i - 1][j - 1] = q
-    return MatD(m.alg, rows)
 
 
 # -- oracles -----------------------------------------------------------------

@@ -20,7 +20,7 @@ from commcert import (
 )
 from commcert.budget import HFactor, HFactorList, vec_leq
 
-from conftest import mat_comm, rand_invertible, rand_lower, rand_unit, rand_upper
+from conftest import mat_comm, rand_invertible, rand_lower, rand_unit, rand_upper, with_entry
 
 
 def build_form(alg, n, rng, absorptions=3):
@@ -88,12 +88,6 @@ class TestAbsorbLowerTransvection:
         assert out.evaluate() == form.evaluate() * transvection(alg, n, 2, 1, xi)
 
 
-def _with_entry(m, i, j, q):
-    rows = [list(r) for r in m.rows]
-    rows[i - 1][j - 1] = q
-    return MatD(m.alg, rows)
-
-
 class TestAbsorptionCase3:
     """zeta = u2[k, k+1] a unit and xi = -zeta^-1 make 1 + zeta xi = 0,
     so with 1 + eta zeta != 0 (eta = v[k+1, k]) the absorption has to
@@ -111,8 +105,8 @@ class TestAbsorptionCase3:
             n,
             form.hfactors,
             form.u1,
-            _with_entry(form.v, k + 1, k, eta),
-            _with_entry(form.u2, k, k + 1, zeta),
+            with_entry(form.v, k + 1, k, eta),
+            with_entry(form.u2, k, k + 1, zeta),
         )
         xi = -zeta.inverse()
         out = absorb_lower_transvection(form, k, xi)

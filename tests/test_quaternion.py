@@ -135,6 +135,8 @@ class TestCommutator:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInputError):
             commutator(HAM.zero, ONE)
+        with pytest.raises(ZeroInputError):
+            commutator(ONE, HAM.zero)
 
 
 class TestTwistedSolve:

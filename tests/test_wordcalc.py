@@ -298,11 +298,9 @@ class TestVerifyOnce:
 
     def test_new_objects_start_unverified(self, alg, rng, comm_calls):
         cert = _cert(alg, rng).check()
-        other = _cert(alg, rng, k=2).check()
         derived = [
             cert.conjugated(rand_unit(alg, rng)),
             cert.inverse(),
-            cert.concat(other),
             dataclasses.replace(cert),
             cert_from_json(cert_to_json(cert), alg),
         ]
