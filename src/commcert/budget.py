@@ -135,15 +135,15 @@ def h_commutator_factors(h1: MatD, h2: MatD) -> HFactorList:
     if not (h1.is_diagonal() and h2.is_diagonal()):
         raise PreconditionError("h commutator factorization needs diagonal inputs")
     alg, n = h1.alg, h1.n
+    slots = tuple(zip(h1.diagonal_entries(), h2.diagonal_entries()))
     factors: list[HFactor] = []
-    for slot in range(1, n + 1):
-        xi = h1.rows[slot - 1][slot - 1]
-        zeta = h2.rows[slot - 1][slot - 1]
+    for slot, (xi, zeta) in enumerate(slots, 1):
         if xi.is_zero() or zeta.is_zero():
             raise ZeroInputError("diagonal entries must be units")
         factors.extend(_slot_commutator_factors(slot, xi, zeta))
     out = HFactorList(alg, n, tuple(factors))
-    if out.evaluate() != comm(h1, h2):
+    # [h1, h2] of diagonal matrices is diagonal, with [xi, zeta] in each slot
+    if out.diagonal() != tuple(comm(xi, zeta) for xi, zeta in slots):
         raise InternalInvariantError("h commutator factorization failed evaluation check")
     if not vec_leq(out.kappa(), mu_vec(n)):
         raise InternalInvariantError("h commutator factorization exceeded mu")

@@ -10,7 +10,9 @@ verified by multiplication before it is returned: `factor` builds its
 witnesses already conjugated by gamma^-1, multiplies out the emitted
 certificate once, against the instance element, and checks each
 emitted witness's class once in e mode; the pair that single_commutator
-returns is not checked.
+returns is not checked.  Every other fact is checked once, where it is
+made: a moved slot value against its certificate, a carried inverse by
+the product in with_inverse, the normal form's residual in extract_H.
 """
 
 from __future__ import annotations
@@ -155,10 +157,9 @@ def lower_extract(pairs: list[tuple[MatD, MatD]], tau: Quat) -> CommutatorCert:
     expected = MatD.diagonal(alg, [alg.one] * (n - 1) + [tau])
     if target != expected:
         raise PreconditionError("commutator product is not diag(1, ..., 1, tau)")
-    form = commutator_normal_form(pairs)
-    if form.evaluate() != target:
+    hf = extract_H(commutator_normal_form(pairs))
+    if hf.evaluate() != target:
         raise InternalInvariantError("normal form does not evaluate to its input")
-    hf = extract_H(form)
     cert = scalar_cert_from_hfactors(hf, tau)
     if len(cert) > s_of(kappa_p(len(pairs), n)):
         raise VerificationError("extracted certificate exceeded s(kappa^d)")
@@ -307,10 +308,7 @@ def prescribed_gauss(
         keep = partition[k]
         if len(cur) <= keep:
             continue
-        eps_t = cur.target
-        if diag[k] != eps_t:
-            raise InternalInvariantError("slot value drifted from its certificate")
-        if eps_t.is_one():
+        if cur.target.is_one():
             certs[k] = CommutatorCert((), one)
             continue
         zeta = u.entry(k, k + 1)
@@ -448,12 +446,6 @@ def prescribed_gauss_base(g: MatD, seed: int = 0) -> tuple[MatD, MatD, Quat, Mat
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_with_inverse(alg: QuaternionAlgebra, entries: list[Quat]) -> MatD:
-    """diag(entries), carrying diag(entries^-1) as its inverse."""
-    return MatD.diagonal(alg, entries).with_inverse(
-        MatD.diagonal(alg, [q.inverse() for q in entries]))
-
-
 def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
     """The x with w's unitriangular shape and [x, diag(a)] = w, entry by
     entry away from the diagonal: with y = w diag(a), x diag(a) = y x
@@ -554,8 +546,8 @@ def single_commutator(
         if comm(a[i], b[i]) != eps[i]:
             raise InternalInvariantError("rescaling changed a commutator value")
 
-    h1 = _diagonal_with_inverse(alg, a)
-    tau_m = _diagonal_with_inverse(alg, b)
+    h1, h1_inv = MatD.diagonal(alg, a), MatD.diagonal(alg, [q.inverse() for q in a])
+    tau_m, tau_inv = MatD.diagonal(alg, b), MatD.diagonal(alg, [q.inverse() for q in b])
     h2 = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
     v_pr = _solve_corner(v, a)
     # [diag(h2)^-1, u'] = u is [u', diag(h2)] = diag(h2) u diag(h2)^-1
@@ -565,8 +557,8 @@ def single_commutator(
     c_inv = c.inverse()
     m, m_inv = c_inv * v_pr, v_pr.inverse() * c
     k, k_inv = c_inv * u_pr, u_pr.inverse() * c
-    p = (m * h1 * m_inv).with_inverse(m * h1.inverse() * m_inv)
-    q = (k * tau_m * m_inv).with_inverse(m * tau_m.inverse() * k_inv)
+    p = (m * h1 * m_inv).with_inverse(m * h1_inv * m_inv)
+    q = (k * tau_m * m_inv).with_inverse(m * tau_inv * k_inv)
     return p, q
 
 
@@ -678,13 +670,13 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
                 ai, bi = one, one
             a_col.append(ai)
             b_col.append(bi)
-        prod_a = product(a_col, one)
-        prod_b = product(b_col, one)
-        h_a = _diagonal_with_inverse(alg, [prod_a.inverse(), one] + a_col)
-        h_b = _diagonal_with_inverse(alg, [one, prod_b.inverse()] + b_col)
+        h_a = [product(a_col, one).inverse(), one] + a_col
+        h_b = [one, product(b_col, one).inverse()] + b_col
         # c^-1 h is a column scaling
-        hpairs.append(tuple((c_inv * h * c).with_inverse(c_inv * h.inverse() * c)
-                            for h in (h_a, h_b)))
+        hpairs.append(tuple(
+            (c_inv * MatD.diagonal(alg, h) * c).with_inverse(
+                c_inv * MatD.diagonal(alg, [q.inverse() for q in h]) * c)
+            for h in (h_a, h_b)))
 
     cert = _factor_tail(inst, element, hpairs + [(p, q)], n - 2)
     for g1, g2 in cert.pairs:

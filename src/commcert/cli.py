@@ -131,28 +131,35 @@ def cmd_certify_lower(args) -> int:
             (ser.mat_from_json(x, alg), ser.mat_from_json(y, alg)) for x, y in data["pairs"]
         ]
         tau = ser.quat_from_json(data["tau"], alg)
+    # lower_extract checks what it returns, and raises VerificationError
+    # (exit 2) when the check fails
     cert = lower_extract(pairs, tau)
-    n = pairs[0][0].n if pairs else 2
-    d = max(1, len(pairs))
-    bound = s_of(kappa_p(d, n))
-    ok = cert.verify()
+    if pairs:
+        n, d = pairs[0][0].n, len(pairs)
+        bound, closed_form = s_of(kappa_p(d, n)), dstar_length_bound(n, d)
+    else:  # the empty certificate of tau = 1; no closed form applies
+        bound, closed_form = 0, None
     _emit(
         {
             "algebra": ser.algebra_to_json(alg),
             "certificate": ser.cert_to_json(cert),
-            "verified": ok,
+            "verified": True,
             "bound": bound,
             "achieved": len(cert),
-            "closed_form_bound": dstar_length_bound(n, d),
+            "closed_form_bound": closed_form,
         },
         args.out,
     )
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def cmd_factor(args) -> int:
     with _decoding():
         inst = ser.instance_from_json(_load_json(args.path))
+    # the gl and e pipelines check what they return (a failure raises
+    # VerificationError); the stable pair is checked here, against the
+    # padded input element
+    ok = True
     if args.mode == "gl":
         cert = factor_commutators_gl(inst)
         bound = width_upper_bounds(inst.n, inst.c)[0]
@@ -163,7 +170,7 @@ def cmd_factor(args) -> int:
         n2, p, q = stable_single_commutator(inst)
         cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
         bound = 1
-    ok = cert.verify()
+        ok = cert.verify()
     _emit(
         {
             "algebra": ser.algebra_to_json(inst.alg),

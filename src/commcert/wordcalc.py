@@ -8,12 +8,14 @@ checked once, when it is made.  The builders here check their moves,
 targets and bounds in O(1) products each; they do not multiply out the
 certificate they return.  A pipeline that chains them (the scalar
 extraction in certify.scalar_cert_from_hfactors) multiplies out its
-final certificate once, with check().
+final certificate once, with check().  A certificate remembers nothing:
+every verify() and check() multiplies all of its pairs out again, so a
+caller does not re-check what a pipeline has already checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -48,31 +50,19 @@ class Letter(NamedTuple):
 class CommutatorCert:
     """Ordered witness pairs whose commutator product equals target.
 
-    The object is immutable, so a successful verify() is recorded on it
-    and later calls on the same object return at once.  A failure is
-    never recorded, and every new object (conjugated, inverse,
-    dataclasses.replace, decoding) starts unverified.  The flag takes no
-    part in equality or hashing.
+    verify() multiplies every pair out and compares the product with
+    target, on every call; nothing is remembered between calls.
     """
 
     pairs: tuple[tuple[object, object], ...]
     target: object
-    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def verify(self) -> bool:
-        if self._verified:
-            return True
         e = group_identity(self.target)
-        acc = e
-        for g, h in self.pairs:
-            acc = acc * comm(g, h)
-        ok = acc == self.target
-        if ok:
-            object.__setattr__(self, "_verified", True)
-        return ok
+        return product((comm(g, h) for g, h in self.pairs), e) == self.target
 
     def check(self) -> "CommutatorCert":
         if not self.verify():

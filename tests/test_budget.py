@@ -9,7 +9,8 @@ from commcert.budget import (
     h_commutator_factors,
     vec_leq,
 )
-from commcert.errors import PreconditionError, ZeroInputError
+from commcert import budget
+from commcert.errors import InternalInvariantError, PreconditionError, ZeroInputError
 
 from conftest import mat_comm, rand_unit
 
@@ -132,6 +133,21 @@ class TestHCommutatorFactors:
             hf = h_commutator_factors(h1, h2)
             assert vec_leq(hf.kappa(), (6, 3))
             assert hf.evaluate() == mat_comm(h1, h2)
+
+    def test_wrong_slot_factors_are_caught(self, monkeypatch, alg, rng):
+        """The slotwise check catches a slot whose factors do not give
+        [xi, zeta]: here each slot's first factor is doubled."""
+        real = budget._slot_commutator_factors
+
+        def doubled(slot, xi, zeta):
+            first, *rest = real(slot, xi, zeta)
+            return (HFactor(first.index, first.eps.scale(2)), *rest)
+
+        monkeypatch.setattr(budget, "_slot_commutator_factors", doubled)
+        h1 = MatD.diagonal(alg, [rand_unit(alg, rng) for _ in range(3)])
+        h2 = MatD.diagonal(alg, [rand_unit(alg, rng) for _ in range(3)])
+        with pytest.raises(InternalInvariantError, match="failed evaluation check"):
+            h_commutator_factors(h1, h2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_eval_and_budget_random(self, alg, rng, n):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from commcert import (
     BasedInstance,
     CommutatorCert,
+    InternalInvariantError,
     MatD,
     PreconditionError,
     QuaternionAlgebra,
@@ -379,6 +381,84 @@ class TestPrescribedGauss:
         d = [val for val, _ in slots]
         out = v * MatD.diagonal(alg, d) * u
         assert dieudonne_det(out).invariant == dieudonne_det(g).invariant
+
+
+class TestStandingChecks:
+    """Each of these checks of prescribed_gauss and lower_extract is the
+    only one that catches its fault, so each test corrupts one move's or
+    one form's output and expects that check's own message; with the
+    check deleted, a later check or none fires instead."""
+
+    @staticmethod
+    def _edit_moves(monkeypatch, at, edit):
+        """Pass the state (v, diag, u) that the slot-`at` move returns
+        through edit.  The central scalar 2 that the edits use survives
+        the starring inside a v-side move, so no edit cancels itself."""
+        for name in ("_move_u_side", "_move_v_side"):
+            def moved(v, diag, u, k, xi, real=getattr(certify, name)):
+                out = real(v, diag, u, k, xi)
+                return edit(*out) if k == at else out
+
+            monkeypatch.setattr(certify, name, moved)
+
+    @staticmethod
+    def _gauss():
+        _, inst = make_instance(5, 4, 8)
+        return prescribed_gauss(inst, balanced_partition(8, 4))
+
+    def test_moved_slot_value_is_checked(self, monkeypatch, alg):
+        def scaled(v, diag, u):
+            return v, diag[:-1] + [diag[-1] * alg.scalar(2)], u
+
+        self._edit_moves(monkeypatch, 3, scaled)
+        with pytest.raises(InternalInvariantError, match="disagree with the diagonal"):
+            self._gauss()
+
+    def test_shape_is_checked(self, monkeypatch, alg):
+        def sheared(v, diag, u):
+            return v, diag, u.add_row(2, 1, alg.scalar(2))
+
+        self._edit_moves(monkeypatch, 1, sheared)
+        with pytest.raises(InternalInvariantError, match="lost its shape"):
+            self._gauss()
+
+    def test_reassembly_is_checked(self, monkeypatch, alg):
+        def sheared(v, diag, u):
+            return v, diag, u.add_row(1, 2, alg.scalar(2))
+
+        self._edit_moves(monkeypatch, 1, sheared)
+        with pytest.raises(InternalInvariantError, match="failed to reassemble"):
+            self._gauss()
+
+    def test_normal_form_value_is_checked(self, monkeypatch, alg):
+        """An extra h factor leaves the triangular residual the identity
+        but changes the value of the form."""
+        real = certify.commutator_normal_form
+
+        def extra(pairs):
+            form = real(pairs)
+            hf = form.hfactors
+            more = HFactorList(hf.alg, hf.n, (HFactor(1, alg.scalar(2)),))
+            return dataclasses.replace(form, hfactors=hf.concat(more))
+
+        monkeypatch.setattr(certify, "commutator_normal_form", extra)
+        mcert, delta = diagonal_round_trip(alg, 3, 4, 1)
+        with pytest.raises(InternalInvariantError, match="does not evaluate to its input"):
+            lower_extract(list(mcert.pairs), delta)
+
+    def test_normal_form_residual_is_checked(self, monkeypatch, alg):
+        """A sheared u1 keeps the form's shape and its h factors, so the
+        h ledger alone would still give a certificate for tau."""
+        real = certify.commutator_normal_form
+
+        def sheared(pairs):
+            form = real(pairs)
+            return dataclasses.replace(form, u1=form.u1.add_row(1, 2, alg.scalar(2)))
+
+        monkeypatch.setattr(certify, "commutator_normal_form", sheared)
+        mcert, delta = diagonal_round_trip(alg, 3, 4, 1)
+        with pytest.raises(InternalInvariantError, match="nonidentity triangular residual"):
+            lower_extract(list(mcert.pairs), delta)
 
 
 class TestSingleCommutator:

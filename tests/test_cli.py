@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from commcert import MatD, cli, commutator, make_instance
+from commcert import MatD, certify, cli, commutator, make_instance
 from commcert import serialize as ser
 from commcert.certify import _pad_matrix
 from commcert.cli import main
@@ -104,22 +104,25 @@ def test_decompose(tmp_path, capsys, alg, rng):
     assert head * form.u1 * form.v * form.u2 == g
 
 
-def test_certify_lower(tmp_path, capsys, alg, rng):
-    a, b = rand_unit(alg, rng), rand_unit(alg, rng)
-    tau = commutator(a, b)
-    one = alg.one
-    x = MatD.diagonal(alg, [one, one, a])
-    y = MatD.diagonal(alg, [one, one, b])
+def _lower_input(tmp_path, alg, pairs, tau):
     path = tmp_path / "low.json"
     path.write_text(
         json.dumps(
             {
                 "algebra": ser.algebra_to_json(alg),
-                "pairs": [[ser.mat_to_json(x), ser.mat_to_json(y)]],
+                "pairs": [[ser.mat_to_json(x), ser.mat_to_json(y)] for x, y in pairs],
                 "tau": ser.quat_to_json(tau),
             }
         )
     )
+    return path
+
+
+def test_certify_lower(tmp_path, capsys, alg, rng):
+    a, b = rand_unit(alg, rng), rand_unit(alg, rng)
+    one = alg.one
+    pairs = [(MatD.diagonal(alg, [one, one, a]), MatD.diagonal(alg, [one, one, b]))]
+    path = _lower_input(tmp_path, alg, pairs, commutator(a, b))
     out_file = tmp_path / "cert.json"
     rc, _ = run(capsys, "certify-lower", str(path), "--out", str(out_file))
     assert rc == 0
@@ -130,43 +133,43 @@ def test_certify_lower(tmp_path, capsys, alg, rng):
 
 
 def test_certify_lower_unverified_certificate_exits_2(tmp_path, capsys, monkeypatch, alg, rng):
-    """A certificate that does not multiply out to its target is printed
-    with "verified": false and exit 2."""
+    """A pair corrupted inside the pipeline fails the pipeline's own
+    multiplication check: exit 2, and no payload is printed."""
     a, b = rand_unit(alg, rng), rand_unit(alg, rng)
-    tau = commutator(a, b)
     one = alg.one
-    x = MatD.diagonal(alg, [one, one, a])
-    y = MatD.diagonal(alg, [one, one, b])
-    path = tmp_path / "low.json"
-    path.write_text(
-        json.dumps(
-            {
-                "algebra": ser.algebra_to_json(alg),
-                "pairs": [[ser.mat_to_json(x), ser.mat_to_json(y)]],
-                "tau": ser.quat_to_json(tau),
-            }
-        )
-    )
-    # [b, a] = [a, b]^-1 = tau^-1
-    assert tau.inverse() != tau
-    monkeypatch.setattr(cli, "lower_extract", lambda pairs, t: CommutatorCert(((b, a),), t))
-    rc, out = run(capsys, "certify-lower", str(path))
-    assert json.loads(out)["verified"] is False
+    pairs = [(MatD.diagonal(alg, [one, one, a]), MatD.diagonal(alg, [one, one, b]))]
+    path = _lower_input(tmp_path, alg, pairs, commutator(a, b))
+    real = certify.cert_inverse_product
+
+    def swapped(elements):
+        # [h, g] = [g, h]^-1, which differs from [g, h] here
+        cert = real(elements)
+        (g, h), *rest = cert.pairs
+        assert commutator(g, h) != commutator(h, g)
+        return CommutatorCert(((h, g), *rest), cert.target)
+
+    monkeypatch.setattr(certify, "cert_inverse_product", swapped)
+    rc = main(["certify-lower", str(path)])
+    captured = capsys.readouterr()
     assert rc == 2
+    assert captured.out == ""
+    assert "commutator certificate failed to verify" in captured.err
+
+
+def test_certify_lower_without_pairs_reports_the_empty_bound(tmp_path, capsys, alg):
+    """No pairs certify tau = 1 by the empty certificate: bound 0, and no
+    closed-form bound, since no n or d is given."""
+    rc, out = run(capsys, "certify-lower", str(_lower_input(tmp_path, alg, [], alg.one)))
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["certificate"]["pairs"] == []
+    assert (payload["verified"], payload["achieved"]) == (True, 0)
+    assert payload["bound"] == 0 and payload["closed_form_bound"] is None
 
 
 def test_certify_lower_bad_shape_exits_3(tmp_path, capsys, alg, rng):
     x = rand_invertible(alg, 2, rng)
-    path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps(
-            {
-                "algebra": ser.algebra_to_json(alg),
-                "pairs": [[ser.mat_to_json(x), ser.mat_to_json(x)]],
-                "tau": ser.quat_to_json(alg.scalar(2)),
-            }
-        )
-    )
+    path = _lower_input(tmp_path, alg, [(x, x)], alg.scalar(2))
     rc = main(["certify-lower", str(path)])
     capsys.readouterr()
     assert rc == 3

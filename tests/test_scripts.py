@@ -1,9 +1,13 @@
-"""Smoke runs of the example scripts: each exits 0 and prints its report."""
+"""Smoke runs of the example and benchmark scripts: each exits 0 and
+prints its report."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,24 @@ def test_bounds_table():
     # one s(kappa^d) row per (n, d) and one width row per n, for n = 2..4
     assert sum(len(r) == 4 and r[0].isdigit() for r in rows) == 6
     assert sum(len(r) == 5 and r[0].isdigit() for r in rows) == 3
+
+
+def json_rows(stdout):
+    return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
+
+
+def test_bench_kernels_twisted_cell():
+    proc = run_script("bench_kernels.py", "--kernels", "twisted", "--bits", "64")
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json_rows(proc.stdout)
+    assert row["kernel"] == "twisted" and row["bits"] == 64 and row["min_s"] > 0
+
+
+@pytest.mark.parametrize("rung", [("gl", 3, 3), ("stable", 3, 4), ("roundtrip", 3, 6)])
+def test_bench_scaling_child_rung(rung):
+    kind, n, c = rung
+    proc = run_script("bench_scaling.py", "--child", kind, str(n), str(c), "-1", "-1",
+                      "--src", f"_={ROOT / 'src'}")
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json_rows(proc.stdout)
+    assert len(row["sha256"]) == 64 and row["pairs"] <= row["bound"]
