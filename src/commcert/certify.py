@@ -6,13 +6,27 @@ tau inside D*, of length at most s(kappa^d).  The upward pipeline turns
 a based instance (v, diag(1, ..., 1, delta), u, conjugator, certificate
 for delta of length c) into ceil(c/n) matrix commutator pairs, or
 ceil(c/(n-2)) pairs with elementary witnesses.  Every certificate is
-verified by multiplication before it is returned: `factor` builds its
-witnesses already conjugated by gamma^-1, multiplies out the emitted
-certificate once, against the instance element, and checks each
-emitted witness's class once in e mode; the pair that single_commutator
-returns is not checked.  Every other fact is checked once, where it is
-made: a moved slot value against its certificate, a carried inverse by
-the product in with_inverse, the normal form's residual in extract_H.
+verified by multiplication before it is returned.  Every fact is
+checked once, where it is made: a moved slot value against its
+certificate, a carried inverse by the product in with_inverse, the
+normal form's residual in extract_H.
+
+`factor` builds its witnesses already conjugated by gamma^-1 and checks
+each emitted witness's class once in e mode.  It checks the emitted
+certificate once, against the instance element X, without inverting
+the last pair (P, Q) that single_commutator builds: with R the product
+of the earlier pairs' commutators, it checks R P Q = X Q P.  That is
+R [P, Q] = X as soon as P and Q are invertible, and they are by their
+shape.  P = M h1 M^-1 and Q = K tau M^-1, with M = c^-1 v', K = c^-1 u'
+and M^-1 formed as v'^-1 c, where:
+  - c carries gamma as its inverse, checked by with_inverse;
+  - v' and the matrix used as v'^-1 are lower unitriangular and u' is
+    upper unitriangular, a shape check in single_commutator;
+  - h1 and tau are diagonals of units.
+So P and Q are products of invertible matrices, whether or not v'^-1
+is the true inverse of v', and a wrong factor breaks the identity.  A
+singular factor cannot pass the shape check.  The pair carries no
+inverses, and single_commutator does not check it.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from .errors import (
     VerificationError,
     ZeroInputError,
 )
-from .matrix import MatD, is_central_in_E, is_elementary
+from .matrix import MatD, is_central_in_E, is_elementary, mat_inv
 from .normalform import commutator_normal_form, extract_H, rewrite_adjacent
 from .quaternion import Quat, QuaternionAlgebra, random_quat, solve_twisted
 from .wordcalc import (
@@ -510,8 +524,10 @@ def single_commutator(
     After rescaling the a_i to pairwise distinct reduced norms, set
     h1 = diag(a), tau = diag(b), h2 = tau h1^-1 tau^-1 and solve
     v = [v', h1], u = [h2^-1, u'] entrywise.  With M = c^-1 v' and
-    K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1; they carry
-    M h1^-1 M^-1 and M tau^-1 K^-1, each checked by one product.
+    K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1, where M^-1 = v'^-1 c
+    and c carries its inverse.  v', v'^-1 and u' must be unitriangular
+    (InternalInvariantError otherwise), which makes P and Q invertible;
+    P and Q carry no inverses.
 
     In mode "e" the first two eps must be 1; the witnesses there are
     renormalized with a_2, b_1 central and a_1, b_2 compensating
@@ -519,8 +535,9 @@ def single_commutator(
 
     The pair is built, not checked: comm(P, Q) is not multiplied out and
     the class of P and Q is not tested.  The factor pipelines check the
-    certificate they emit; an outside caller checks the pair with
-    CommutatorCert(((P, Q),), target).check().
+    certificate they emit, without inverting P or Q; an outside caller
+    checks the pair with CommutatorCert(((P, Q),), target).check(),
+    which inverts P and Q with mat_inv.
     """
     alg, n = v.alg, v.n
     one = alg.one
@@ -546,19 +563,21 @@ def single_commutator(
         if comm(a[i], b[i]) != eps[i]:
             raise InternalInvariantError("rescaling changed a commutator value")
 
-    h1, h1_inv = MatD.diagonal(alg, a), MatD.diagonal(alg, [q.inverse() for q in a])
-    tau_m, tau_inv = MatD.diagonal(alg, b), MatD.diagonal(alg, [q.inverse() for q in b])
     h2 = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
     v_pr = _solve_corner(v, a)
     # [diag(h2)^-1, u'] = u is [u', diag(h2)] = diag(h2) u diag(h2)^-1
     u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in h2]), h2)
+    v_pr_inv = mat_inv(v_pr)
+    # the shapes make P and Q invertible; see the module docstring
+    if not (v_pr.is_lower_unitriangular() and v_pr_inv.is_lower_unitriangular()
+            and u_pr.is_upper_unitriangular()):
+        raise InternalInvariantError("a corner factor lost its unitriangular shape")
     if c is None:
         c = MatD.identity(alg, n).with_inverse(MatD.identity(alg, n))
     c_inv = c.inverse()
-    m, m_inv = c_inv * v_pr, v_pr.inverse() * c
-    k, k_inv = c_inv * u_pr, u_pr.inverse() * c
-    p = (m * h1 * m_inv).with_inverse(m * h1_inv * m_inv)
-    q = (k * tau_m * m_inv).with_inverse(m * tau_inv * k_inv)
+    m, m_inv = c_inv * v_pr, v_pr_inv * c
+    p = m * MatD.diagonal(alg, a) * m_inv
+    q = c_inv * u_pr * MatD.diagonal(alg, b) * m_inv
     return p, q
 
 
@@ -605,6 +624,18 @@ def _factor_head(inst: BasedInstance, support: int):
     return element, gamma.inverse().with_inverse(gamma), v, u, slots
 
 
+def _check_last_pair(pairs, element: MatD) -> None:
+    """R * [P, Q] = element, with (P, Q) the last pair and R the product
+    of the earlier pairs' commutators, checked as R P Q = element Q P:
+    no inverse of P or Q is built.  The earlier pairs are e mode's
+    diagonal pairs, which carry their inverses, or gl mode's later
+    rounds, which mat_inv inverts."""
+    *head, (p, q) = pairs
+    r = product((comm(g, h) for g, h in head), MatD.identity(element.alg, element.n))
+    if r * p * q != element * q * p:
+        raise VerificationError("emitted pairs do not multiply out to the instance element")
+
+
 def _factor_tail(inst: BasedInstance, element: MatD, pairs, support: int):
     """The emitted pairs as a certificate for the instance element with
     at most ceil(c/support) pairs; the upward pipeline's one product
@@ -613,7 +644,8 @@ def _factor_tail(inst: BasedInstance, element: MatD, pairs, support: int):
     bound = _ceil_div(inst.c, support)
     if len(cert) > bound:
         raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
-    return cert.check()
+    _check_last_pair(cert.pairs, element)
+    return cert
 
 
 def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:

@@ -156,10 +156,10 @@ def cmd_certify_lower(args) -> int:
 def cmd_factor(args) -> int:
     with _decoding():
         inst = ser.instance_from_json(_load_json(args.path))
-    # the gl and e pipelines check what they return (a failure raises
-    # VerificationError); the stable pair is checked here, against the
-    # padded input element
-    ok = True
+    # every mode's pipeline checks what it returns (a failure raises
+    # VerificationError).  The stable pair was checked against the padded
+    # instance's element, which embed_instance checked to be the padded
+    # input element.
     if args.mode == "gl":
         cert = factor_commutators_gl(inst)
         bound = width_upper_bounds(inst.n, inst.c)[0]
@@ -170,19 +170,18 @@ def cmd_factor(args) -> int:
         n2, p, q = stable_single_commutator(inst)
         cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
         bound = 1
-        ok = cert.verify()
     _emit(
         {
             "algebra": ser.algebra_to_json(inst.alg),
             "mode": args.mode,
             "certificate": ser.cert_to_json(cert),
-            "verified": ok,
+            "verified": True,
             "bound": bound,
             "achieved": len(cert),
         },
         args.out,
     )
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def cmd_bounds(args) -> int:

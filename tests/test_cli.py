@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from commcert import MatD, certify, cli, commutator, make_instance
+from commcert import MatD, certify, commutator, make_instance
 from commcert import serialize as ser
 from commcert.certify import _pad_matrix
 from commcert.cli import main
@@ -73,20 +73,20 @@ def test_factor_modes(tmp_path, capsys):
 
 
 def test_stable_certificate_is_checked_against_the_element(tmp_path, capsys, monkeypatch):
-    """A pair whose commutator is not the element is reported unverified:
-    [q, p] is the inverse of [p, q]."""
+    """A pair whose commutator is not the element fails the pipeline's
+    check and prints no payload: [q, p] is the inverse of [p, q]."""
     inst_file = tmp_path / "inst.json"
     run(capsys, "gen", "--n", "3", "--c", "2", "--seed", "2", "--out", str(inst_file))
-    real = cli.stable_single_commutator
+    real = certify.single_commutator
 
-    def swapped(inst):
-        n2, p, q = real(inst)
-        return n2, q, p
+    def swapped(*args, **kwargs):
+        p, q = real(*args, **kwargs)
+        return q, p
 
-    monkeypatch.setattr(cli, "stable_single_commutator", swapped)
+    monkeypatch.setattr(certify, "single_commutator", swapped)
     rc, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
-    assert json.loads(out)["verified"] is False
     assert rc == 2
+    assert out == ""
 
 
 def test_decompose(tmp_path, capsys, alg, rng):

@@ -1,8 +1,12 @@
-"""Inverses that constructions store on their matrices.
+"""Inverses that constructions store on their matrices, and the
+inverse-free check of the pairs that carry none.
 
 A stored inverse must pass g * g^-1 = I before it is kept, must equal
 the Gauss-Jordan inverse (mat_inv is the oracle here), and must never
-let a corrupted witness through the pipelines' own checks.
+let a corrupted witness through the pipelines' own checks.  The pairs
+that single_commutator builds carry no inverse: the upward pipeline
+checks them as R P Q = X Q P, and their invertibility rests on a shape
+check that must refuse a corner factor that is not unitriangular.
 """
 
 import pytest
@@ -47,34 +51,46 @@ def test_true_inverse_is_kept(alg, rng):
 
 @pytest.fixture
 def final_checks(monkeypatch):
-    """Record every matrix certificate that check() multiplies out."""
-    seen = []
-    real = CommutatorCert.check
+    """Record every matrix check: the (pairs, element) of each
+    _check_last_pair call and each matrix certificate that check()
+    multiplies out."""
+    seen = {"last_pair": [], "check": []}
+    real_last_pair = certify._check_last_pair
+    real_check = CommutatorCert.check
 
-    def spy(self):
+    def last_pair(pairs, element):
+        seen["last_pair"].append((pairs, element))
+        return real_last_pair(pairs, element)
+
+    def check(self):
         if isinstance(self.target, MatD):
-            seen.append(self)
-        return real(self)
+            seen["check"].append(self)
+        return real_check(self)
 
-    monkeypatch.setattr(CommutatorCert, "check", spy)
+    monkeypatch.setattr(certify, "_check_last_pair", last_pair)
+    monkeypatch.setattr(CommutatorCert, "check", check)
     return seen
 
 
 @pytest.mark.parametrize("factor", [factor_commutators_gl, factor_commutators_e])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_carried_inverses_match_mat_inv(final_checks, factor, seed):
-    """The pipeline's one check multiplies out the certificate it
-    returns, against the instance element, and every emitted witness
-    carries its Gauss-Jordan inverse."""
+    """The pipeline's one matrix check is R P Q = X Q P against the
+    instance element X; e mode's diagonal pairs carry their Gauss-Jordan
+    inverses, and the pairs single_commutator builds carry none."""
     g, inst = make_instance(seed, 6, 8)
     cert = factor(inst)
-    (checked,) = final_checks
-    assert checked is cert and cert.target == g
+    assert final_checks["check"] == []
+    ((pairs, element),) = final_checks["last_pair"]
+    assert pairs == cert.pairs and element == g and cert.target == g
     assert len(cert) == 2
-    for pair in cert.pairs:
+    diagonal_pairs = 0 if factor is factor_commutators_gl else len(cert) - 1
+    for i, pair in enumerate(cert.pairs):
         for w in pair:
-            assert w.known_inverse is not None
-            assert w.known_inverse == mat_inv(w)
+            if i < diagonal_pairs:
+                assert w.known_inverse == mat_inv(w)
+            else:
+                assert w.known_inverse is None
 
 
 def test_decoded_certificate_carries_no_inverse():
@@ -117,10 +133,11 @@ def _corrupt(pairs, index: int, which: int, stale: bool):
 @pytest.mark.parametrize("mode", sorted(FACTOR))
 def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, stale):
     """One emitted witness is corrupted, either as a new matrix or
-    keeping the inverse of the true witness.  The builders make the
+    keeping the inverse of the true witness (the pairs that
+    single_commutator builds carry none).  The builders make the
     witnesses already conjugated by gamma^-1: stage "core" corrupts the
     pairs as they hand them to _factor_tail, stage "conjugated" the
-    certificate that _factor_tail hands to its final check()."""
+    pairs that _factor_tail hands to its final check, _check_last_pair."""
     factor, n, c = FACTOR[mode]
     if stage == "core":
         real_tail = certify._factor_tail
@@ -130,17 +147,40 @@ def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, sta
 
         monkeypatch.setattr(certify, "_factor_tail", tail)
     else:
-        real_check = CommutatorCert.check
+        real_last_pair = certify._check_last_pair
 
-        def check(self):
-            if isinstance(self.target, MatD):
-                self = CommutatorCert(_corrupt(self.pairs, index, which, stale), self.target)
-            return real_check(self)
+        def last_pair(pairs, element):
+            return real_last_pair(_corrupt(pairs, index, which, stale), element)
 
-        monkeypatch.setattr(CommutatorCert, "check", check)
+        monkeypatch.setattr(certify, "_check_last_pair", last_pair)
     _, inst = make_instance(4, n, c)
     with pytest.raises((InternalInvariantError, VerificationError)):
         factor(inst)
+
+
+def test_corner_inverse_off_shape_is_refused(monkeypatch):
+    """A v'^-1 that is not lower unitriangular fails the shape check that
+    makes P and Q invertible, before single_commutator multiplies
+    anything."""
+    handed_back = []
+
+    def off_shape(g):
+        bad = _shift_entry(mat_inv(g), 0, g.n - 1)
+        handed_back.append(bad)
+        return bad
+
+    real_mul = MatD.__mul__
+
+    def mul(self, other):
+        assert not handed_back, "a product after the shape check failed"
+        return real_mul(self, other)
+
+    monkeypatch.setattr(certify, "mat_inv", off_shape)
+    monkeypatch.setattr(MatD, "__mul__", mul)
+    _, inst = make_instance(4, *FACTOR["gl"][1:])
+    with pytest.raises(InternalInvariantError, match="lost its unitriangular shape"):
+        factor_commutators_gl(inst)
+    assert len(handed_back) == 1
 
 
 def test_wrong_corner_solve_is_caught(monkeypatch):
