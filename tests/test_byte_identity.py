@@ -1,7 +1,8 @@
 """Seeded outputs pinned by the sha256 of their canonical JSON.
 
 A refactor that must keep the certificates byte-identical is checked
-here in seconds: factor in gl, e and stable mode, lower_extract round
+here in seconds: factor in gl, e and stable mode, with one and with
+three diagonal layers before the last pair in gl and e, lower_extract round
 trips at n = 3 and at n = 4 over (-1, -3) (two transfer slots), a
 commutator normal form with an HUVU decomposition and every case
 of the lower absorption, over (-1, -1) and over (-1/2, -3/7), whose
@@ -166,6 +167,9 @@ HALVES = QuaternionAlgebra(Fraction(-1, 2), Fraction(-3, 7))
 CASES = {
     "factor-gl": lambda: _factor("gl", 1, 4, 5),
     "factor-e": lambda: _factor("e", 2, 4, 3),
+    # three diagonal layers before (P, Q), so a change of layer order shows
+    "factor-gl-layers": lambda: _factor("gl", 1, 4, 13),
+    "factor-e-layers": lambda: _factor("e", 2, 4, 7),
     "factor-stable": lambda: _factor("stable", 3, 3, 2),
     "lower-extract": lambda: _round_trip(QuaternionAlgebra(), 3, 3, 5),
     "lower-extract-n4-(-1,-3)": lambda: _round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1),
@@ -187,8 +191,10 @@ DIGESTS = {
     "absorption-cases-(-1/2,-3/7)": (
         "a74c26c53b60b42bd3e29dd0bed144a94dbb8ae60ba2e45e492bdbf78e3b41ef"),
     "factor-e": "b45ecbb02edc9a2965acc9f5defb064d0182c7594715ea0b47b262b48b7a113d",
+    "factor-e-layers": "7957c1d321343f43c1e0cb833d1be24dd9ba0d63bff76b629836fcf87aed9863",
     "factor-gl": "8c94e1b17554a977bfd7f8b212ec1e8873e8c0765fb1adb2994b61942eb9e69b",
     "factor-gl-(-1,-3)": "079964902fe4a8b2479423863b17adff2e8548ce2a102f9671aa929db5f665d2",
+    "factor-gl-layers": "073a9987197096703cc3474c30d87496f9ad7c76cd2c2c5035876168b010dc1d",
     "factor-stable": "416fae952bc3d76ffeb7d27863979a24ebe687142e9cb9ea1e711c859f2e8c0c",
     "huvu-pivot-fix": "fa2c44bf88449e1fad7b3ee3428750ae8b40a165e8b2366191784cd9d368ca71",
     "huvu-pivot-fix-(-1,-3)": "574f855790ca6387a9f8ba5376b9f7e79a341fc2059da319bf8bb2aa4719b58c",
