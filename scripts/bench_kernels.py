@@ -17,9 +17,7 @@ coordinate bit length of the outputs.
 
 The comm cells time quaternion.comm(P, Q) on the first pair that
 factor_commutators_gl emits for make_instance(0, n, n), at n in
-COMM_SIZES: once as emitted, with the inverses the construction carries
-(where the library stores them), and once on copies rebuilt from the
-rows, which carry none, so both inverses run mat_inv.
+COMM_SIZES; both inverses run mat_inv.
 
 The twisted cells time quaternion.solve_twisted(p, q, r) on REPS
 seeded triples whose coordinates have about `bits` bits, at HEIGHTS.
@@ -114,16 +112,13 @@ def cell(lib, alg, kernel, n, shape, bits):
     return {"kernel": kernel, "n": n, "shape": shape, "bits": bits, **summary(*timed(calls))}
 
 
-def comm_cells(lib, n):
+def comm_cell(lib, n):
     from commcert.quaternion import comm
 
     _, inst = lib.make_instance(0, n, n)
-    p, q = lib.factor_commutators_gl(inst).pairs[0]
-    bare = lib.MatD(p.alg, p.rows), lib.MatD(q.alg, q.rows)
-    for pair in ((p, q), bare):
-        carried = getattr(pair[0], "known_inverse", None) is not None
-        yield {"kernel": "comm", "n": n, "carried": carried,
-               "in_bits": max(map(height, pair)), **summary(*timed([(comm, *pair)]))}
+    pair = lib.factor_commutators_gl(inst).pairs[0]
+    return {"kernel": "comm", "n": n, "in_bits": max(map(height, pair)),
+            **summary(*timed([(comm, *pair)]))}
 
 
 def twisted_cell(lib, alg, bits):
@@ -167,8 +162,7 @@ def main(argv=None) -> int:
     for kernel in args.kernels:
         if kernel == "comm":
             for n in COMM_SIZES:
-                for row in comm_cells(lib, n):
-                    print(json.dumps(row), flush=True)
+                print(json.dumps(comm_cell(lib, n)), flush=True)
             continue
         if kernel == "twisted":
             for bits in args.bits or HEIGHTS:

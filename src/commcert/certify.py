@@ -8,25 +8,31 @@ for delta of length c) into ceil(c/n) matrix commutator pairs, or
 ceil(c/(n-2)) pairs with elementary witnesses.  Every certificate is
 verified by multiplication before it is returned.  Every fact is
 checked once, where it is made: a moved slot value against its
-certificate, a carried inverse by the product in with_inverse, the
-normal form's residual in extract_H.
+certificate, the conjugator's inverse by one product in _factor_head,
+the normal form's residual in extract_H.
 
-`factor` builds its witnesses already conjugated by gamma^-1 and checks
-each emitted witness's class once in e mode.  It checks the emitted
-certificate once, against the instance element X, without inverting
-the last pair (P, Q) that single_commutator builds: with R the product
-of the earlier pairs' commutators, it checks R P Q = X Q P.  That is
-R [P, Q] = X as soon as P and Q are invertible, and they are by their
-shape.  P = M h1 M^-1 and Q = K tau M^-1, with M = c^-1 v', K = c^-1 u'
-and M^-1 formed as v'^-1 c, where:
-  - c carries gamma as its inverse, checked by with_inverse;
-  - v' and the matrix used as v'^-1 are lower unitriangular and u' is
-    upper unitriangular, a shape check in single_commutator;
-  - h1 and tau are diagonals of units.
-So P and Q are products of invertible matrices, whether or not v'^-1
-is the true inverse of v', and a wrong factor breaks the identity.  A
-singular factor cannot pass the shape check.  The pair carries no
-inverses, and single_commutator does not check it.
+`factor` builds its witnesses already conjugated by c = gamma^-1 and
+checks each emitted witness's class once in e mode.  In both modes one
+single_commutator pair (P, Q) absorbs the unipotent parts, and every
+earlier pair is a diagonal layer (a, b), emitted as
+(c^-1 diag(a) c, c^-1 diag(b) c).  _check_emitted checks the emitted
+certificate once, against the instance element X, and inverts no
+witness:
+  - c gamma = I, checked in _factor_head, makes c invertible;
+  - c G = diag(a) c for each diagonal witness G, with units on the
+    diagonal, gives G = c^-1 diag(a) c, so
+    [G, H] = c^-1 diag([a_i, b_i]) c, and the earlier pairs multiply
+    out to R = c^-1 diag(r) c with r_i the slotwise product of the
+    [a_i, b_i];
+  - R P Q = X Q P is then R [P, Q] = X, as P and Q are invertible.
+P and Q are invertible by their shape.  P = M h1 M^-1 and
+Q = K tau M^-1, with M = c^-1 v', K = c^-1 u' and M^-1 formed as
+v'^-1 c, where v' and the matrix used as v'^-1 are lower unitriangular
+and u' is upper unitriangular (a shape check in single_commutator), and
+h1 and tau are diagonals of units.  So P and Q are products of
+invertible matrices, whether or not v'^-1 is the true inverse of v',
+and a wrong factor breaks the identity.  A singular factor cannot pass
+the shape check.  single_commutator does not check its pair.
 """
 
 from __future__ import annotations
@@ -515,19 +521,18 @@ def _rescale_witnesses(a: list[Quat], mode: str) -> list[Quat]:
 
 def single_commutator(
     v: MatD, u: MatD, witnesses: list[tuple[Quat, Quat]], mode: str = "gl", *,
-    c: MatD | None = None,
+    c: tuple[MatD, MatD] | None = None,
 ) -> tuple[MatD, MatD]:
     """Express c^-1 * v * diag(eps_1, ..., eps_n) * u * c as one
     commutator [P, Q], where eps_i = [a_i, b_i] for the supplied witness
-    pairs; c defaults to the identity.
+    pairs; c is given as the pair (c, c^-1) and defaults to the identity.
 
     After rescaling the a_i to pairwise distinct reduced norms, set
     h1 = diag(a), tau = diag(b), h2 = tau h1^-1 tau^-1 and solve
     v = [v', h1], u = [h2^-1, u'] entrywise.  With M = c^-1 v' and
-    K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1, where M^-1 = v'^-1 c
-    and c carries its inverse.  v', v'^-1 and u' must be unitriangular
-    (InternalInvariantError otherwise), which makes P and Q invertible;
-    P and Q carry no inverses.
+    K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1, where M^-1 = v'^-1 c.
+    v', v'^-1 and u' must be unitriangular (InternalInvariantError
+    otherwise), which makes P and Q invertible when c is.
 
     In mode "e" the first two eps must be 1; the witnesses there are
     renormalized with a_2, b_1 central and a_1, b_2 compensating
@@ -572,9 +577,7 @@ def single_commutator(
     if not (v_pr.is_lower_unitriangular() and v_pr_inv.is_lower_unitriangular()
             and u_pr.is_upper_unitriangular()):
         raise InternalInvariantError("a corner factor lost its unitriangular shape")
-    if c is None:
-        c = MatD.identity(alg, n).with_inverse(MatD.identity(alg, n))
-    c_inv = c.inverse()
+    c, c_inv = c if c is not None else (MatD.identity(alg, n),) * 2
     m, m_inv = c_inv * v_pr, v_pr_inv * c
     p = m * MatD.diagonal(alg, a) * m_inv
     q = c_inv * u_pr * MatD.diagonal(alg, b) * m_inv
@@ -613,72 +616,87 @@ def _peel_last_pairs(slots, alg):
 
 def _factor_head(inst: BasedInstance, support: int):
     """Spread the certificate over the last `support` slots; returns
-    (element, c, v, u, slots) with c = gamma^-1 carrying gamma and
-    c * element * c^-1 = v * diag(slot values) * u."""
+    (element, (c, gamma), v, u, slots) with c = gamma^-1, checked by
+    c * gamma = I, and c * element * c^-1 = v * diag(slot values) * u."""
     if inst.c < 1:
         raise PreconditionError("need a certificate of length >= 1")
     element = inst.element()
     if is_central_in_E(element):
         raise PreconditionError("instance element is central")
     gamma, v, u, slots = prescribed_gauss(inst, balanced_partition(inst.c, inst.n, support))
-    return element, gamma.inverse().with_inverse(gamma), v, u, slots
+    c = gamma.inverse()
+    # over a division ring a one-sided inverse of a square matrix is two-sided
+    if not (c * gamma).is_identity():
+        raise InternalInvariantError("the conjugator fails c * gamma = I")
+    return element, (c, gamma), v, u, slots
 
 
-def _check_last_pair(pairs, element: MatD) -> None:
-    """R * [P, Q] = element, with (P, Q) the last pair and R the product
-    of the earlier pairs' commutators, checked as R P Q = element Q P:
-    no inverse of P or Q is built.  The earlier pairs are e mode's
-    diagonal pairs, which carry their inverses, or gl mode's later
-    rounds, which mat_inv inverts."""
-    *head, (p, q) = pairs
-    r = product((comm(g, h) for g, h in head), MatD.identity(element.alg, element.n))
-    if r * p * q != element * q * p:
+def _check_emitted(c, layers, pairs, element: MatD) -> None:
+    """The emitted pairs multiply out to element, checked without
+    inverting a witness (see the module docstring): c G = diag(a) c for
+    each witness G of a diagonal layer (a, b), then R P Q = element Q P
+    with (P, Q) the last pair and R = c^-1 diag(r) c the product of the
+    diagonal pairs' commutators.  c is the pair (c, c^-1); comm inverts
+    every a_i and b_i, so a layer entry that is not a unit raises."""
+    c, c_inv = c
+    alg, n = element.alg, element.n
+    *diagonal, (p, q) = pairs
+    for layer, pair in zip(layers, diagonal, strict=True):
+        for d, g in zip(layer, pair):
+            if c * g != MatD.diagonal(alg, d) * c:
+                raise VerificationError("an emitted witness is not its diagonal layer")
+    lhs = p * q
+    if layers:
+        r = [product((comm(a[i], b[i]) for a, b in layers), alg.one) for i in range(n)]
+        lhs = c_inv * MatD.diagonal(alg, r) * c * lhs
+    if lhs != element * q * p:
         raise VerificationError("emitted pairs do not multiply out to the instance element")
 
 
-def _factor_tail(inst: BasedInstance, element: MatD, pairs, support: int):
-    """The emitted pairs as a certificate for the instance element with
-    at most ceil(c/support) pairs; the upward pipeline's one product
-    check of its pairs runs here."""
-    cert = CommutatorCert(tuple(pairs), element)
+def _factor_tail(inst: BasedInstance, element: MatD, c, layers, last, support: int):
+    """Emit each diagonal layer (a, b) as (c^-1 diag(a) c, c^-1 diag(b) c),
+    then the last pair, as a certificate for the instance element with
+    at most ceil(inst.c/support) pairs; the upward pipeline's one
+    product check of its pairs runs here.  c is the pair (c, c^-1)."""
+    c_mat, c_inv = c
+    pairs = tuple(tuple(c_inv * MatD.diagonal(inst.alg, d) * c_mat for d in layer)
+                  for layer in layers)
+    cert = CommutatorCert(pairs + (last,), element)
     bound = _ceil_div(inst.c, support)
     if len(cert) > bound:
         raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
-    _check_last_pair(cert.pairs, element)
+    _check_emitted(c, layers, cert.pairs, element)
     return cert
 
 
 def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
     """Factor the instance element into at most ceil(c/n) commutators in
-    GL(n, D): spread the certificate with a balanced partition, then per
-    round peel one witness layer off every slot into a single
-    commutator, leaving a shorter diagonal for the next round."""
+    GL(n, D): spread the certificate with a balanced partition, peel one
+    witness layer off every slot into a single commutator, and peel the
+    rest into diagonal layers, deepest first."""
     alg, n = inst.alg, inst.n
     element, c, v, u, slots = _factor_head(inst, n)
-
-    pairs_rev: list[tuple[MatD, MatD]] = []
-    identity = MatD.identity(alg, n)
-    cur_v, cur_u = v, u
-    while True:
+    witnesses, slots = _peel_last_pairs(slots, alg)
+    v_tilde = v.conjugate_by_diagonal([val for val, _ in slots])
+    last = single_commutator(v_tilde, u, witnesses, mode="gl", c=c)
+    layers = []
+    while any(len(cert) for _, cert in slots):
         witnesses, slots = _peel_last_pairs(slots, alg)
-        v_tilde = cur_v.conjugate_by_diagonal([val for val, _ in slots])
-        p, q = single_commutator(v_tilde, cur_u, witnesses, mode="gl", c=c)
-        pairs_rev.append((p, q))
-        cur_v, cur_u = identity, identity
-        if all(len(cert) == 0 for _, cert in slots):
-            if any(not val.is_one() for val, _ in slots):
-                raise InternalInvariantError("certificates exhausted but diagonal remains")
-            break
-
-    return _factor_tail(inst, element, reversed(pairs_rev), n)
+        # the rescaling that single_commutator gives its a_i, so the
+        # emitted witnesses stay byte-identical
+        layers.append((_rescale_witnesses([a for a, _ in witnesses], "gl"),
+                       [b for _, b in witnesses]))
+    if any(not val.is_one() for val, _ in slots):
+        raise InternalInvariantError("certificates exhausted but diagonal remains")
+    return _factor_tail(inst, element, c, layers[::-1], last, n)
 
 
 def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     """Factor the instance element into at most ceil(c/(n-2)) commutators
     with witnesses in E(n, D): the certificate lives on slots 3..n, one
     elementary-mode single commutator absorbs the unipotent parts plus a
-    witness layer, and the remaining diagonal splits into explicit
-    diagonal commutator pairs with trivial determinant."""
+    witness layer, and the remaining diagonal splits into diagonal
+    layers with trivial determinant."""
     alg, n = inst.alg, inst.n
     one = alg.one
     if n < 3:
@@ -687,30 +705,16 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
 
     witnesses, rest = _peel_last_pairs(slots, alg)
     v_tilde = v.conjugate_by_diagonal([val for val, _ in rest])
-    p, q = single_commutator(v_tilde, u, witnesses, mode="e", c=c)
-    c_inv = c.inverse()
+    last = single_commutator(v_tilde, u, witnesses, mode="e", c=c)
 
-    depth = max((len(cert) for _, cert in rest), default=0)
-    hpairs: list[tuple[MatD, MatD]] = []
-    for layer in range(depth):
-        a_col, b_col = [], []
-        for slot in range(2, n):
-            _, cert = rest[slot]
-            if layer < len(cert):
-                ai, bi = cert.pairs[layer]
-            else:
-                ai, bi = one, one
-            a_col.append(ai)
-            b_col.append(bi)
-        h_a = [product(a_col, one).inverse(), one] + a_col
-        h_b = [one, product(b_col, one).inverse()] + b_col
-        # c^-1 h is a column scaling
-        hpairs.append(tuple(
-            (c_inv * MatD.diagonal(alg, h) * c).with_inverse(
-                c_inv * MatD.diagonal(alg, [q.inverse() for q in h]) * c)
-            for h in (h_a, h_b)))
+    layers = []
+    for layer in range(max((len(cert) for _, cert in rest), default=0)):
+        col = [cert.pairs[layer] if layer < len(cert) else (one, one) for _, cert in rest[2:]]
+        a_col, b_col = [a for a, _ in col], [b for _, b in col]
+        layers.append(([product(a_col, one).inverse(), one] + a_col,
+                       [one, product(b_col, one).inverse()] + b_col))
 
-    cert = _factor_tail(inst, element, hpairs + [(p, q)], n - 2)
+    cert = _factor_tail(inst, element, c, layers, last, n - 2)
     for g1, g2 in cert.pairs:
         if not (is_elementary(g1) and is_elementary(g2)):
             raise InternalInvariantError("a witness left the elementary group")

@@ -109,18 +109,19 @@ def cmd_decompose(args) -> int:
         data = _load_json(args.path)
         alg = ser.algebra_from_json(data["algebra"])
         g = ser.mat_from_json(data["matrix"], alg)
+    # decompose_huvu checks head * u1 * v * u2 = g, and raises
+    # InternalInvariantError (exit 4) when the check fails
     head, form = decompose_huvu(g)
-    ok = head * form.u1 * form.v * form.u2 == g
     _emit(
         {
             "algebra": ser.algebra_to_json(alg),
             "head": ser.mat_to_json(head),
             "form": ser.uvuform_to_json(form),
-            "verified": ok,
+            "verified": True,
         },
         args.out,
     )
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def cmd_certify_lower(args) -> int:

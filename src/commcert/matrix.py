@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 from .errors import (
     AlgebraMismatchError,
-    InternalInvariantError,
     PreconditionError,
     SingularMatrixError,
     ZeroInputError,
@@ -27,12 +26,10 @@ from .quaternion import (
 
 
 class MatD:
-    """Immutable square matrix with Quat entries.
+    """Immutable square matrix with Quat entries; it stores its rows and
+    nothing derived from them."""
 
-    `known_inverse` is None unless a construction that knows the
-    inverse stored it with `with_inverse`, which checks it first."""
-
-    __slots__ = ("alg", "n", "rows", "known_inverse")
+    __slots__ = ("alg", "n", "rows")
 
     def __init__(self, alg: QuaternionAlgebra, rows: Sequence[Sequence[Quat]]):
         n = len(rows)
@@ -41,7 +38,6 @@ class MatD:
         self.alg = alg
         self.n = n
         self.rows = tuple(tuple(r) for r in rows)
-        self.known_inverse = None
 
     # -- constructors --------------------------------------------------
 
@@ -145,19 +141,7 @@ class MatD:
         return f"MatD[{self.n}]({body})"
 
     def inverse(self) -> "MatD":
-        """The stored inverse if a construction gave one, else mat_inv."""
-        if self.known_inverse is not None:
-            return self.known_inverse
         return mat_inv(self)
-
-    def with_inverse(self, inv: "MatD") -> "MatD":
-        """Store inv as the inverse once self * inv = I holds (over a
-        division ring a one-sided inverse of a square matrix is
-        two-sided); return self."""
-        if not (self * inv).is_identity():
-            raise InternalInvariantError("claimed inverse fails g * g^-1 = I")
-        self.known_inverse = inv
-        return self
 
     def star(self) -> "MatD":
         """Conjugate transpose, entry (i, j) = conj(entry (j, i)): an

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from commcert import MatD, certify, commutator, make_instance
+from commcert import normalform
 from commcert import serialize as ser
 from commcert.certify import _pad_matrix
 from commcert.cli import main
@@ -102,6 +103,26 @@ def test_decompose(tmp_path, capsys, alg, rng):
     head = ser.mat_from_json(payload["head"], alg)
     form = ser.uvuform_from_json(payload["form"], alg)
     assert head * form.u1 * form.v * form.u2 == g
+
+
+def test_decompose_is_checked_by_the_pipeline(tmp_path, capsys, alg, rng, monkeypatch):
+    """A decomposition that does not reassemble fails decompose_huvu's
+    own check, exits 4 and prints no payload."""
+    g = rand_invertible(alg, 3, rng)
+    path = tmp_path / "mat.json"
+    path.write_text(
+        json.dumps({"algebra": ser.algebra_to_json(alg), "matrix": ser.mat_to_json(g)})
+    )
+    real = normalform.UVUForm
+
+    def corrupted(alg, n, hfactors, u1, v, u2):
+        # still lower unitriangular, so only the reassembly check sees it
+        return real(alg, n, hfactors, u1, v.add_row(2, 1, alg.one), u2)
+
+    monkeypatch.setattr(normalform, "UVUForm", corrupted)
+    rc, out = run(capsys, "decompose", str(path))
+    assert rc == 4
+    assert out == ""
 
 
 def _lower_input(tmp_path, alg, pairs, tau):

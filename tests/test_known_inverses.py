@@ -1,12 +1,15 @@
-"""Inverses that constructions store on their matrices, and the
-inverse-free check of the pairs that carry none.
+"""The one inverse the upward pipeline keeps, c = gamma^-1, and the
+inverse-free check of the certificate it emits.
 
-A stored inverse must pass g * g^-1 = I before it is kept, must equal
-the Gauss-Jordan inverse (mat_inv is the oracle here), and must never
-let a corrupted witness through the pipelines' own checks.  The pairs
-that single_commutator builds carry no inverse: the upward pipeline
-checks them as R P Q = X Q P, and their invertibility rests on a shape
-check that must refuse a corner factor that is not unitriangular.
+_factor_head checks c * gamma = I by one product and hands the pair
+(c, gamma) on.  Every pair that factor emits before the last is a
+diagonal layer (a, b), emitted as (c^-1 diag(a) c, c^-1 diag(b) c);
+_check_emitted checks each such witness G as c G = diag(a) c and the
+whole certificate as R P Q = X Q P, with R = c^-1 diag(r) c.  No
+emitted witness is inverted, and a corrupted witness or layer must
+never get through.  The invertibility of the last pair (P, Q) rests on
+a shape check that must refuse a corner factor that is not
+unitriangular.
 """
 
 import pytest
@@ -19,12 +22,10 @@ from commcert import (
     factor_commutators_gl,
     make_instance,
 )
-from commcert import certify
+from commcert import certify, matrix
 from commcert import serialize as ser
 from commcert.matrix import mat_inv
 from commcert.wordcalc import CommutatorCert
-
-from conftest import rand_invertible
 
 
 def _shift_entry(m: MatD, i: int, j: int) -> MatD:
@@ -33,41 +34,85 @@ def _shift_entry(m: MatD, i: int, j: int) -> MatD:
     return MatD(m.alg, rows)
 
 
-def test_wrong_inverse_is_refused(alg, rng):
-    g = rand_invertible(alg, 4, rng)
-    wrong = _shift_entry(mat_inv(g), 1, 2)
-    with pytest.raises(InternalInvariantError):
-        g.with_inverse(wrong)
-    assert g.known_inverse is None
-    assert g.inverse() == mat_inv(g)
+def _spy(monkeypatch, name):
+    """The argument tuples of every call to certify.<name> from now on."""
+    calls = []
+    real = getattr(certify, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, name, spy)
+    return calls
 
 
-def test_true_inverse_is_kept(alg, rng):
-    g = rand_invertible(alg, 4, rng)
-    inv = mat_inv(g)
-    assert g.with_inverse(inv) is g
-    assert g.inverse() is inv
+def _gauss_with_inverse(monkeypatch, inverse):
+    """Make prescribed_gauss return a gamma whose inverse() is
+    inverse(gamma); returns the list of gammas it returned."""
+    real = certify.prescribed_gauss
+    seen = []
+
+    class Gamma(MatD):
+        __slots__ = ()
+
+        def inverse(self):
+            return inverse(MatD(self.alg, self.rows))
+
+    def gauss(*args):
+        gamma, v, u, slots = real(*args)
+        seen.append(Gamma(gamma.alg, gamma.rows))
+        return seen[-1], v, u, slots
+
+    monkeypatch.setattr(certify, "prescribed_gauss", gauss)
+    return seen
+
+
+def test_wrong_inverse_is_refused(monkeypatch):
+    """A wrong gamma^-1 fails _factor_head's c * gamma = I, before any
+    witness is built."""
+    _gauss_with_inverse(monkeypatch, lambda g: _shift_entry(mat_inv(g), 1, 2))
+    built = _spy(monkeypatch, "single_commutator")
+    _, inst = make_instance(4, *FACTOR["gl"][1:])
+    with pytest.raises(InternalInvariantError, match="the conjugator fails c \\* gamma = I"):
+        factor_commutators_gl(inst)
+    assert built == []
+
+
+def test_true_inverse_is_kept(monkeypatch):
+    """The checked pair (c, gamma) reaches single_commutator and the
+    final check as it is, with c the Gauss-Jordan inverse of gamma, in
+    both modes."""
+    for factor, n, c in FACTOR.values():
+        gammas = _gauss_with_inverse(monkeypatch, mat_inv)
+        built = _spy(monkeypatch, "single_commutator")
+        checked = _spy(monkeypatch, "_check_emitted")
+        factor(make_instance(4, n, c)[1])
+        ((gamma,), ((_, kwargs),), ((args, _),)) = gammas, built, checked
+        assert kwargs["c"] is args[0]
+        c, c_inv = kwargs["c"]
+        assert c_inv is gamma and c == mat_inv(gamma)
+        monkeypatch.undo()
 
 
 @pytest.fixture
 def final_checks(monkeypatch):
-    """Record every matrix check: the (pairs, element) of each
-    _check_last_pair call and each matrix certificate that check()
-    multiplies out."""
-    seen = {"last_pair": [], "check": []}
-    real_last_pair = certify._check_last_pair
+    """Record every matrix check: the arguments of each _check_emitted
+    call and each matrix certificate that check() multiplies out."""
+    seen = {"emitted": [], "check": []}
+    real_emitted = certify._check_emitted
     real_check = CommutatorCert.check
 
-    def last_pair(pairs, element):
-        seen["last_pair"].append((pairs, element))
-        return real_last_pair(pairs, element)
+    def emitted(c, layers, pairs, element):
+        seen["emitted"].append((c, layers, pairs, element))
+        return real_emitted(c, layers, pairs, element)
 
     def check(self):
         if isinstance(self.target, MatD):
             seen["check"].append(self)
         return real_check(self)
 
-    monkeypatch.setattr(certify, "_check_last_pair", last_pair)
+    monkeypatch.setattr(certify, "_check_emitted", emitted)
     monkeypatch.setattr(CommutatorCert, "check", check)
     return seen
 
@@ -75,22 +120,45 @@ def final_checks(monkeypatch):
 @pytest.mark.parametrize("factor", [factor_commutators_gl, factor_commutators_e])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_carried_inverses_match_mat_inv(final_checks, factor, seed):
-    """The pipeline's one matrix check is R P Q = X Q P against the
-    instance element X; e mode's diagonal pairs carry their Gauss-Jordan
-    inverses, and the pairs single_commutator builds carry none."""
+    """The pipeline's one matrix check is _check_emitted against the
+    instance element X.  Each pair before the last is its diagonal
+    layer conjugated by c, so c^-1 diag(a^-1) c, the inverse the layer
+    implies, is the Gauss-Jordan inverse of the witness."""
     g, inst = make_instance(seed, 6, 8)
     cert = factor(inst)
     assert final_checks["check"] == []
-    ((pairs, element),) = final_checks["last_pair"]
+    (((c, c_inv), layers, pairs, element),) = final_checks["emitted"]
     assert pairs == cert.pairs and element == g and cert.target == g
-    assert len(cert) == 2
-    diagonal_pairs = 0 if factor is factor_commutators_gl else len(cert) - 1
-    for i, pair in enumerate(cert.pairs):
-        for w in pair:
-            if i < diagonal_pairs:
-                assert w.known_inverse == mat_inv(w)
-            else:
-                assert w.known_inverse is None
+    assert len(cert) == 2 and len(layers) == 1
+    for layer, pair in zip(layers, cert.pairs):
+        for d, w in zip(layer, pair):
+            assert w == c_inv * MatD.diagonal(w.alg, d) * c
+            assert c_inv * MatD.diagonal(w.alg, [e.inverse() for e in d]) * c == mat_inv(w)
+
+
+@pytest.mark.parametrize("factor", [factor_commutators_gl, factor_commutators_e])
+def test_inversions_do_not_grow_with_pairs(monkeypatch, factor):
+    """No emitted witness is inverted.  A factor call inverts the
+    instance's gamma twice (for the element and in prescribed_gauss),
+    the conjugator gamma once and the corner factor v' once, whether it
+    emits 2 or 4 pairs."""
+    calls = []
+    real = matrix.mat_inv
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(matrix, "mat_inv", counted)
+    monkeypatch.setattr(certify, "mat_inv", counted)
+    counts = []
+    for c in (5, 13) if factor is factor_commutators_gl else (3, 7):
+        _, inst = make_instance(1, 4, c)
+        del calls[:]
+        cert = factor(inst)
+        counts.append((len(cert), len(calls)))
+    assert [pairs for pairs, _ in counts] == [2, 4]
+    assert counts[0][1] == counts[1][1] == 4
 
 
 def test_decoded_certificate_carries_no_inverse():
@@ -98,32 +166,31 @@ def test_decoded_certificate_carries_no_inverse():
     cert = factor_commutators_gl(inst)
     decoded = ser.cert_from_json(ser.cert_to_json(cert), inst.alg)
     assert decoded == cert
-    assert all(g.known_inverse is None for pair in decoded.pairs for g in pair)
+    assert MatD.__slots__ == ("alg", "n", "rows")
     assert decoded.verify()
 
 
 FACTOR = {
-    # three rounds of single_commutator
+    # two diagonal layers, then (P, Q), in both modes
     "gl": (factor_commutators_gl, 3, 7),
-    # two diagonal pairs, then (P, Q)
     "e": (factor_commutators_e, 4, 5),
 }
 
 
-def _corrupt(pairs, index: int, which: int, stale: bool):
-    """Right-multiply one witness by the transvection t_{n-1,n}(1),
-    which keeps its class in E(n, D), so only a product check can see
-    it; with `stale` the new matrix keeps the true witness's inverse.
-    Slot n carries the longest certificate, so the transvection does
-    not commute with the partner witness, even in a last round whose
-    other slots are exhausted."""
-    pairs = [list(pair) for pair in pairs]
-    g = pairs[index][which]
-    bad = g.add_col(g.n - 1, g.n, g.alg.one)
-    if stale:
-        bad.known_inverse = g.known_inverse
-    pairs[index][which] = bad
-    return tuple(tuple(pair) for pair in pairs)
+def _bump(layers, index: int, which: int, alg):
+    """The layers with one added to slot n of one layer's diagonal."""
+    layers = [list(layer) for layer in layers]
+    d = layers[index][which]
+    layers[index][which] = list(d[:-1]) + [d[-1] + alg.one]
+    return [tuple(layer) for layer in layers]
+
+
+def _transvect(pair, which: int):
+    """The pair with one witness right-multiplied by t_{n-1,n}(1)."""
+    pair = list(pair)
+    g = pair[which]
+    pair[which] = g.add_col(g.n - 1, g.n, g.alg.one)
+    return tuple(pair)
 
 
 @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale-inverse"])
@@ -132,30 +199,71 @@ def _corrupt(pairs, index: int, which: int, stale: bool):
 @pytest.mark.parametrize("stage", ["core", "conjugated"])
 @pytest.mark.parametrize("mode", sorted(FACTOR))
 def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, stale):
-    """One emitted witness is corrupted, either as a new matrix or
-    keeping the inverse of the true witness (the pairs that
-    single_commutator builds carry none).  The builders make the
-    witnesses already conjugated by gamma^-1: stage "core" corrupts the
-    pairs as they hand them to _factor_tail, stage "conjugated" the
-    pairs that _factor_tail hands to its final check, _check_last_pair."""
+    """One emitted witness is corrupted.  The last pair has no layer: its
+    witness is right-multiplied by the transvection t_{n-1,n}(1), which
+    keeps its class in E(n, D), so only a product check can see it.  A
+    diagonal witness is corrupted either fresh, through its layer (slot
+    n gains one and the witness is built from the new layer, so only
+    R P Q = X Q P can see it), or stale, by the same transvection,
+    keeping the true witness's layer, which implied its inverse.  Slot
+    n carries the longest certificate, so neither change commutes with
+    the partner witness.
+
+    Stage "core" corrupts a layer or the last pair as the builders hand
+    them to _factor_tail; no diagonal witness is built yet, so there a
+    layer is the only description of its witness and stale is fresh.
+    Stage "conjugated" corrupts the layers and pairs that _factor_tail
+    hands to its check, _check_emitted."""
     factor, n, c = FACTOR[mode]
     if stage == "core":
         real_tail = certify._factor_tail
 
-        def tail(inst, element, pairs, support):
-            return real_tail(inst, element, _corrupt(pairs, index, which, stale), support)
+        def tail(inst, element, c, layers, last, support):
+            if index < len(layers):
+                layers = _bump(layers, index, which, inst.alg)
+            else:
+                last = _transvect(last, which)
+            return real_tail(inst, element, c, layers, last, support)
 
         monkeypatch.setattr(certify, "_factor_tail", tail)
     else:
-        real_last_pair = certify._check_last_pair
+        real_emitted = certify._check_emitted
 
-        def last_pair(pairs, element):
-            return real_last_pair(_corrupt(pairs, index, which, stale), element)
+        def emitted(c, layers, pairs, element):
+            pairs = list(pairs)
+            if index < len(layers) and not stale:
+                layers = _bump(layers, index, which, element.alg)
+                c_mat, c_inv = c
+                pairs[index] = tuple(c_inv * MatD.diagonal(element.alg, d) * c_mat
+                                     for d in layers[index])
+            else:
+                pairs[index] = _transvect(pairs[index], which)
+            return real_emitted(c, layers, tuple(pairs), element)
 
-        monkeypatch.setattr(certify, "_check_last_pair", last_pair)
+        monkeypatch.setattr(certify, "_check_emitted", emitted)
     _, inst = make_instance(4, n, c)
-    with pytest.raises((InternalInvariantError, VerificationError)):
+    if stage == "conjugated" and index < 2 and stale:
+        caught = "an emitted witness is not its diagonal layer"
+    else:
+        caught = "emitted pairs do not multiply out to the instance element"
+    with pytest.raises(VerificationError, match=caught):
         factor(inst)
+
+
+def test_scaled_diagonal_witness_is_refused(monkeypatch):
+    """2 is central, so [2G, H] = [G, H] and the certificate still
+    multiplies out to X, but 2G is not its layer c^-1 diag(a) c."""
+    real_emitted = certify._check_emitted
+
+    def emitted(c, layers, pairs, element):
+        (g, h), *rest = pairs
+        scaled = MatD(g.alg, [[e.scale(2) for e in row] for row in g.rows])
+        return real_emitted(c, layers, ((scaled, h), *rest), element)
+
+    monkeypatch.setattr(certify, "_check_emitted", emitted)
+    _, inst = make_instance(4, *FACTOR["gl"][1:])
+    with pytest.raises(VerificationError, match="an emitted witness is not its diagonal layer"):
+        factor_commutators_gl(inst)
 
 
 def test_corner_inverse_off_shape_is_refused(monkeypatch):
