@@ -11,10 +11,10 @@ checked once, where it is made: a moved slot value against its
 certificate, the conjugator's inverse by one product in _factor_head,
 the normal form's residual in extract_H.
 
-`factor` builds its witnesses already conjugated by c = gamma^-1 and
-checks each emitted witness's class once in e mode.  In both modes one
-single_commutator pair (P, Q) absorbs the unipotent parts, and every
-earlier pair is a diagonal layer (a, b), emitted as
+`factor` builds its witnesses already conjugated by c = gamma^-1 and,
+in e mode, reads each emitted witness's class from how it was built.
+In both modes one single_commutator pair (P, Q) absorbs the unipotent
+parts, and every earlier pair is a diagonal layer (a, b), emitted as
 (c^-1 diag(a) c, c^-1 diag(b) c).  _check_emitted checks the emitted
 certificate once, against the instance element X, and inverts no
 witness:
@@ -25,18 +25,34 @@ witness:
     out to R = c^-1 diag(r) c with r_i the slotwise product of the
     [a_i, b_i];
   - R P Q = X Q P is then R [P, Q] = X, as P and Q are invertible.
-P and Q are invertible by their shape.  P = M h1 M^-1 and
-Q = K tau M^-1, with M = c^-1 v', K = c^-1 u' and M^-1 formed as
-v'^-1 c, where v' and the matrix used as v'^-1 are lower unitriangular
-and u' is upper unitriangular (a shape check in single_commutator), and
-h1 and tau are diagonals of units.  So P and Q are products of
-invertible matrices, whether or not v'^-1 is the true inverse of v',
-and a wrong factor breaks the identity.  A singular factor cannot pass
-the shape check.  single_commutator does not check its pair.
+P and Q are invertible by their shape.  P = c^-1 R_P and
+Q = c^-1 R_Q with R_P = v' diag(a) (V c) and R_Q = u' diag(b) (V c),
+where v' and V, the matrix used as v'^-1, are lower unitriangular and
+u' is upper unitriangular (a shape check in single_commutator), and a
+and b are units.  So P and Q are products of invertible matrices,
+whether or not V is the true inverse of v', and a wrong factor breaks
+the identity.  A singular factor cannot pass the shape check.
+single_commutator does not check its pair.
+
+In e mode the class of each witness in D*/[D*, D*] (its Dieudonne
+determinant) is read from its frame, with no determinant:
+  1. c gamma = I makes c invertible;
+  2. the shape check puts v', V and u' in E(n, D), as unitriangular
+     matrices are products of transvections;
+  3. factor_commutators_e checks c P = R_P, so P = c^-1 v' diag(a) V c
+     and class(P) = class(diag(a)) = prod a_i; likewise c Q = R_Q gives
+     class(Q) = prod b_i, and c G = diag(a) c (checked in
+     _check_emitted) gives class(G) = prod a_i for a diagonal witness;
+  4. SK_1 of D is trivial, the model assumption that DetClass records,
+     so a witness lies in E(n, D) iff nrd of its product is 1, which
+     factor_commutators_e checks for the last pair's a and b and for
+     every layer.
+A P scaled by a central 2 keeps [P, Q] but fails c (2P) = R_P.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,6 +308,22 @@ def _manufacture_unit(alg, v, diag, u, k):
     return None
 
 
+def _times_word(m: MatD, word) -> MatD:
+    """m * t_1 * ... * t_k for the word [(i, j, xi), ...] of
+    transvections t = t_{i,j}(xi): column operations, first letter first."""
+    for i, j, xi in word:
+        m = m.add_col(i, j, xi)
+    return m
+
+
+def _word_inverse_times(word, m: MatD) -> MatD:
+    """(t_1 * ... * t_k)^-1 * m = t_k^-1 * ... * t_1^-1 * m, by
+    t_{i,j}(xi)^-1 = t_{i,j}(-xi): row operations, first letter first."""
+    for i, j, xi in word:
+        m = m.add_row(i, j, -xi)
+    return m
+
+
 def prescribed_gauss(
     inst: BasedInstance, partition: tuple[int, ...]
 ) -> tuple[MatD, MatD, MatD, list[tuple[Quat, CommutatorCert]]]:
@@ -299,7 +331,17 @@ def prescribed_gauss(
 
     Returns (gamma, v, u, slots) with
     gamma^-1 * element * gamma = v * diag(eps_1, ..., eps_n) * u and a
-    verified certificate of length at most partition[i] for each eps_i.
+    verified certificate of length at most partition[i] for each eps_i;
+    gamma is inst.gamma^-1 times the word of _gauss_word.
+    """
+    word, v, u, slots = _gauss_word(inst, partition, inst.core())
+    return _times_word(mat_inv(inst.gamma), word), v, u, slots
+
+
+def _gauss_word(inst: BasedInstance, partition: tuple[int, ...], core: MatD):
+    """prescribed_gauss on the instance's core: returns (word, v, u,
+    slots) with word^-1 * core * word = v * diag(eps_1, ..., eps_n) * u,
+    the conjugator kept as its word of transvections (see _times_word).
 
     Walking k = n-1 down to 1, the overweight suffix (u side) or prefix
     (v side) theta of the slot k+1 certificate is moved into slot k by
@@ -321,7 +363,7 @@ def prescribed_gauss(
     v, u = inst.v, inst.u
     diag: list[Quat] = [one] * (n - 1) + [inst.delta]
     certs: list[CommutatorCert] = [CommutatorCert((), one)] * (n - 1) + [inst.delta_cert]
-    accum = MatD.identity(alg, n)
+    word = []
 
     for k in range(n - 1, 0, -1):
         cur = certs[k]
@@ -340,21 +382,21 @@ def prescribed_gauss(
                     "cannot manufacture a unit although the slot value is not 1"
                 )
             v, u, s = made
-            accum = accum.add_col(k, k + 1, s)
+            word.append((k, k + 1, s))
             zeta = u.entry(k, k + 1)
         if not zeta.is_zero():
             certs[k], moved = _split_cert(cur, keep, alg)
             if not moved.target.is_one():
                 xi = (moved.target - one) * zeta.inverse()
                 v, diag, u = _move_u_side(v, diag, u, k, xi)
-                accum = accum.add_col(k + 1, k, xi)
+                word.append((k + 1, k, xi))
                 certs[k - 1] = moved.conjugated(zeta.inverse())
         else:
             moved, certs[k] = _split_cert(cur, len(cur) - keep, alg)
             if not moved.target.is_one():
                 xi = eta.inverse() * (one - moved.target)
                 v, diag, u = _move_v_side(v, diag, u, k, xi)
-                accum = accum.add_col(k, k + 1, xi)
+                word.append((k, k + 1, xi))
                 certs[k - 1] = moved.conjugated(eta)
         if diag[k] != certs[k].target or diag[k - 1] != certs[k - 1].target:
             raise InternalInvariantError("moved certificates disagree with the diagonal")
@@ -365,10 +407,9 @@ def prescribed_gauss(
         if len(cert) > d_i:
             raise InternalInvariantError("a slot certificate exceeded its budget")
         cert.check()
-    # accum^-1 core accum = v diag u, with no inverse of accum
-    if inst.core() * accum != accum * (v * MatD.diagonal(alg, diag) * u):
+    if _word_inverse_times(word, _times_word(core, word)) != v * MatD.diagonal(alg, diag) * u:
         raise InternalInvariantError("prescribed decomposition failed to reassemble")
-    return inst.gamma.inverse() * accum, v, u, list(zip(diag, certs))
+    return word, v, u, list(zip(diag, certs))
 
 
 def _try_ldu(m: MatD):
@@ -544,6 +585,14 @@ def single_commutator(
     checks the pair with CommutatorCert(((P, Q),), target).check(),
     which inverts P and Q with mat_inv.
     """
+    return _commutator_frame(v, u, witnesses, mode, c=c)[:2]
+
+
+def _commutator_frame(v, u, witnesses, mode, *, c):
+    """single_commutator's pair with its frame: (P, Q, R_P, R_Q, a, b)
+    with P = c^-1 R_P, Q = c^-1 R_Q, R_P = v' diag(a) (V c) and
+    R_Q = u' diag(b) (V c), V the matrix used as v'^-1 and a, b the
+    witnesses after renormalization and rescaling."""
     alg, n = v.alg, v.n
     one = alg.one
     if mode not in ("gl", "e"):
@@ -578,10 +627,10 @@ def single_commutator(
             and u_pr.is_upper_unitriangular()):
         raise InternalInvariantError("a corner factor lost its unitriangular shape")
     c, c_inv = c if c is not None else (MatD.identity(alg, n),) * 2
-    m, m_inv = c_inv * v_pr, v_pr_inv * c
-    p = m * MatD.diagonal(alg, a) * m_inv
-    q = c_inv * u_pr * MatD.diagonal(alg, b) * m_inv
-    return p, q
+    vc = v_pr_inv * c
+    r_p = v_pr * MatD.diagonal(alg, a) * vc
+    r_q = u_pr * MatD.diagonal(alg, b) * vc
+    return c_inv * r_p, c_inv * r_q, r_p, r_q, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +666,21 @@ def _peel_last_pairs(slots, alg):
 def _factor_head(inst: BasedInstance, support: int):
     """Spread the certificate over the last `support` slots; returns
     (element, (c, gamma), v, u, slots) with c = gamma^-1, checked by
-    c * gamma = I, and c * element * c^-1 = v * diag(slot values) * u."""
+    c * gamma = I, and c * element * c^-1 = v * diag(slot values) * u.
+    inst.gamma is inverted once, and the core is made once."""
     if inst.c < 1:
         raise PreconditionError("need a certificate of length >= 1")
-    element = inst.element()
+    core = inst.core()
+    gamma_inv = mat_inv(inst.gamma)
+    element = gamma_inv * core * inst.gamma
     if is_central_in_E(element):
         raise PreconditionError("instance element is central")
-    gamma, v, u, slots = prescribed_gauss(inst, balanced_partition(inst.c, inst.n, support))
-    c = gamma.inverse()
-    # over a division ring a one-sided inverse of a square matrix is two-sided
+    word, v, u, slots = _gauss_word(inst, balanced_partition(inst.c, inst.n, support), core)
+    # gamma = inst.gamma^-1 word and c = word^-1 inst.gamma, by row and
+    # column operations; over a division ring a one-sided inverse of a
+    # square matrix is two-sided
+    gamma = _times_word(gamma_inv, word)
+    c = _word_inverse_times(word, inst.gamma)
     if not (c * gamma).is_identity():
         raise InternalInvariantError("the conjugator fails c * gamma = I")
     return element, (c, gamma), v, u, slots
@@ -696,7 +751,9 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     with witnesses in E(n, D): the certificate lives on slots 3..n, one
     elementary-mode single commutator absorbs the unipotent parts plus a
     witness layer, and the remaining diagonal splits into diagonal
-    layers with trivial determinant."""
+    layers with trivial determinant.  The class of every witness is read
+    from its frame and its diagonal (module docstring), so no Dieudonne
+    determinant runs."""
     alg, n = inst.alg, inst.n
     one = alg.one
     if n < 3:
@@ -705,20 +762,37 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
 
     witnesses, rest = _peel_last_pairs(slots, alg)
     v_tilde = v.conjugate_by_diagonal([val for val, _ in rest])
-    last = single_commutator(v_tilde, u, witnesses, mode="e", c=c)
+    p, q, r_p, r_q, a, b = _commutator_frame(v_tilde, u, witnesses, "e", c=c)
+    layers = _elementary_layers(rest, one)
+    # the class of each witness, read from its frame (module docstring)
+    if not (_nrd_is_one(a) and _nrd_is_one(b)):
+        raise InternalInvariantError("a witness left the elementary group: nrd of its diagonal")
+    if any(not _nrd_is_one(d) for layer in layers for d in layer):
+        raise InternalInvariantError("a witness left the elementary group: nrd of a layer")
+    c_mat = c[0]
+    if c_mat * p != r_p:
+        raise InternalInvariantError("a witness left the elementary group: c P is not R_P")
+    if c_mat * q != r_q:
+        raise InternalInvariantError("a witness left the elementary group: c Q is not R_Q")
+    return _factor_tail(inst, element, c, layers, (p, q), n - 2)
 
+
+def _elementary_layers(rest, one):
+    """The diagonal layers of e mode, deepest first: layer l takes the
+    l-th pair (a_i, b_i) of each of slots 3..n and fills slots 1 and 2
+    with (prod a)^-1 and (prod b)^-1, so prod a = prod b = 1."""
     layers = []
     for layer in range(max((len(cert) for _, cert in rest), default=0)):
         col = [cert.pairs[layer] if layer < len(cert) else (one, one) for _, cert in rest[2:]]
         a_col, b_col = [a for a, _ in col], [b for _, b in col]
         layers.append(([product(a_col, one).inverse(), one] + a_col,
                        [one, product(b_col, one).inverse()] + b_col))
+    return layers
 
-    cert = _factor_tail(inst, element, c, layers, last, n - 2)
-    for g1, g2 in cert.pairs:
-        if not (is_elementary(g1) and is_elementary(g2)):
-            raise InternalInvariantError("a witness left the elementary group")
-    return cert
+
+def _nrd_is_one(d: list[Quat]) -> bool:
+    """nrd(d_1 ... d_n) = 1, by the multiplicativity of the reduced norm."""
+    return math.prod(e.nrd() for e in d) == 1
 
 
 def _pad_matrix(m: MatD, n2: int) -> MatD:
@@ -799,7 +873,8 @@ def make_instance(
 ) -> tuple[MatD, BasedInstance]:
     """Seeded random based instance: v, u, gamma random with small
     entries, delta a product of c random quaternion commutators with the
-    witnesses recorded as its certificate."""
+    witnesses recorded as its certificate.  gamma is drawn as a word of
+    transvections, so the element needs no inverse of gamma."""
     if c < 0:
         raise PreconditionError("need c >= 0")
     if alg is None:
@@ -816,11 +891,12 @@ def make_instance(
     cert = CommutatorCert(pairs, delta)
     v = random_unitriangular(alg, n, rng, lower=True)
     u = random_unitriangular(alg, n, rng, lower=False)
-    gamma = MatD.identity(alg, n)
+    word = []
     for _ in range(n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j:
-            gamma = gamma.add_col(i, j, random_quat(alg, rng, span=1))
-    inst = BasedInstance(alg, n, v, u, delta, cert, gamma)
-    return inst.element(), inst
+            word.append((i, j, random_quat(alg, rng, span=1)))
+    inst = BasedInstance(alg, n, v, u, delta, cert, _times_word(MatD.identity(alg, n), word))
+    # the element gamma^-1 core gamma, with gamma the word drawn
+    return _word_inverse_times(word, _times_word(inst.core(), word)), inst

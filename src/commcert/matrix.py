@@ -95,33 +95,72 @@ class MatD:
     # -- arithmetic -----------------------------------------------------
 
     def __mul__(self, other: "MatD") -> "MatD":
-        """Each output entry is summed on integer numerators over the lcm
-        of its terms' denominators and normalized once; zero entries are
-        skipped and a unit left factor passes the right entry through."""
+        """One pass over the terms of each output entry, summed on integer
+        numerators over a running lcm of their denominators and reduced
+        once.  The partial sum is rescaled only when a term's denominator
+        does not divide the lcm so far.  Zero entries are skipped, a unit
+        left factor passes the right entry through, and the algebra's
+        structure constants are folded into each left entry once per
+        product (see int_mul)."""
         if self.alg is not other.alg and self.alg != other.alg:
             raise AlgebraMismatchError("matrix product across different algebras")
         if self.n != other.n:
             raise PreconditionError("dimension mismatch")
         alg = self.alg
-        adbd = alg.consts[0]
+        adbd, anbd, bnad, anbn = alg.consts
         zero = alg.zero
+        gcd = math.gcd
         # the nonzero entries of each column of other, with their numerators
-        cols = [[(j, (b.wn, b.xn, b.yn, b.zn, b.den), b) for j, b in enumerate(col)
+        cols = [[(j, b.wn, b.xn, b.yn, b.zn, b.den, b) for j, b in enumerate(col)
                  if not b.is_zero()] for col in zip(*other.rows)]
         out = []
         for arow in self.rows:
-            # None for a zero entry, True for a unit, else numerators and den * ad * bd
-            left = [None if a.is_zero() else True if a.is_one()
-                    else (a.wn, a.xn, a.yn, a.zn, a.den * adbd) for a in arow]
+            # None for a zero entry, True for a unit, else the products of
+            # its numerators with the structure constants and den * ad * bd
+            left = [None if a.is_zero() else True if a.is_one() else
+                    (adbd * a.wn, adbd * a.xn, adbd * a.yn, adbd * a.zn, anbd * a.xn,
+                     anbd * a.zn, bnad * a.yn, bnad * a.zn, anbn * a.zn, adbd * a.den)
+                    for a in arow]
             row = []
             for col in cols:
-                terms = [(a, e, b) for j, e, b in col if (a := left[j]) is not None]
-                if not terms:
+                lcm = 0  # no term yet
+                for j, w2, x2, y2, z2, d2, b in col:
+                    a = left[j]
+                    if a is None:
+                        continue
+                    if a is True:
+                        w, x, y, z, d = w2, x2, y2, z2, d2
+                    else:
+                        aw, ax, ay, az, nx, nz, by, bz, cz, ad = a
+                        w = aw * w2 + nx * x2 + by * y2 - cz * z2
+                        x = aw * x2 + ax * w2 - by * z2 + bz * y2
+                        y = aw * y2 + ay * w2 + nx * z2 - nz * x2
+                        z = aw * z2 + az * w2 + ax * y2 - ay * x2
+                        d = ad * d2
+                    if not lcm:
+                        sw, sx, sy, sz, lcm = w, x, y, z, d
+                        only = b if a is True else None  # passed through if alone
+                        continue
+                    only = None
+                    if d != lcm:
+                        m, r = divmod(lcm, d)
+                        if r:  # d does not divide the lcm: it grows by d / g
+                            g = gcd(r, d)  # = gcd(lcm, d)
+                            k = d // g
+                            sw, sx, sy, sz = sw * k, sx * k, sy * k, sz * k
+                            m = lcm // g if g != 1 else lcm  # the new lcm / d
+                            lcm *= k
+                        w, x, y, z = w * m, x * m, y * m, z * m
+                    sw += w
+                    sx += x
+                    sy += y
+                    sz += z
+                if not lcm:
                     row.append(zero)
-                elif len(terms) == 1 and terms[0][0] is True:
-                    row.append(terms[0][2])
+                elif only is not None:
+                    row.append(only)
                 else:
-                    row.append(_sum_products(alg, terms))
+                    row.append(Quat(alg, sw, sx, sy, sz, lcm))
             out.append(row)
         return MatD(alg, out)
 
@@ -296,30 +335,6 @@ def h_elem(alg: QuaternionAlgebra, n: int, i: int, j: int, eps: Quat) -> MatD:
     entries[i - 1] = eps
     entries[j - 1] = eps.inverse()
     return MatD.diagonal(alg, entries)
-
-
-def _sum_products(alg: QuaternionAlgebra, terms: list[tuple]) -> Quat:
-    """One Quat for the sum of the products a * e over the terms (a, e, _):
-    e is (w, x, y, z, den) and a is True for 1 or (w, x, y, z, den * ad * bd).
-    The products are added over the lcm of their denominators as they
-    are made, so one product's numerators are alive at a time."""
-    k = alg.consts
-    dens = [e[4] if a is True else a[4] * e[4] for a, e, _ in terms]
-    lcm = math.lcm(*dens)
-    sw = sx = sy = sz = 0
-    for (a, (ew, ex, ey, ez, _), _), d in zip(terms, dens):
-        if a is True:
-            w, x, y, z = ew, ex, ey, ez
-        else:
-            w, x, y, z = int_mul(k, a[0], a[1], a[2], a[3], ew, ex, ey, ez)
-        if d != lcm:
-            m = lcm // d
-            w, x, y, z = w * m, x * m, y * m, z * m
-        sw += w
-        sx += x
-        sy += y
-        sz += z
-    return Quat(alg, sw, sx, sy, sz, lcm)
 
 
 # Integer rows for the eliminations: a row holds, for each nonzero

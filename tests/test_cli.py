@@ -75,16 +75,17 @@ def test_factor_modes(tmp_path, capsys):
 
 def test_stable_certificate_is_checked_against_the_element(tmp_path, capsys, monkeypatch):
     """A pair whose commutator is not the element fails the pipeline's
-    check and prints no payload: [q, p] is the inverse of [p, q]."""
+    check and prints no payload: [q, p] is the inverse of [p, q].  The
+    pair is swapped with its frame, so each witness keeps its class."""
     inst_file = tmp_path / "inst.json"
     run(capsys, "gen", "--n", "3", "--c", "2", "--seed", "2", "--out", str(inst_file))
-    real = certify.single_commutator
+    real = certify._commutator_frame
 
     def swapped(*args, **kwargs):
-        p, q = real(*args, **kwargs)
-        return q, p
+        p, q, r_p, r_q, a, b = real(*args, **kwargs)
+        return q, p, r_q, r_p, b, a
 
-    monkeypatch.setattr(certify, "single_commutator", swapped)
+    monkeypatch.setattr(certify, "_commutator_frame", swapped)
     rc, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
     assert rc == 2
     assert out == ""

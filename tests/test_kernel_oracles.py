@@ -385,6 +385,49 @@ class TestProductMatchesOracles:
         for x, y in product_cases(any_alg, seed):
             assert x * y == dense_mat_mul(x, y)
 
+    @pytest.mark.parametrize("dens", [
+        ((3, 3, 3), (5, 5, 5)),  # every term over the same denominator
+        ((12, 6, 2), (1, 1, 1)),  # each later denominator divides the lcm
+        ((5, 7, 11), (1, 1, 1)),  # coprime: the lcm grows by the whole term's
+        ((2, 6, 30), (1, 1, 1)),  # the lcm divides the term's and grows
+        ((4, 1, 9), (3, 8, 1)),  # all three kinds in one entry
+    ], ids=["equal", "dividing", "coprime", "multiple", "mixed"])
+    def test_running_lcm_branches(self, any_alg, dens):
+        """Entry (1, 1) sums three terms over the denominators
+        ad bd dx_j dy_j, so each relation between a term's denominator
+        and the running lcm is taken; the first row and column are
+        unit-free, so no term passes through."""
+        rng = random.Random(11)
+        zero = any_alg.zero
+
+        def over(den):
+            # a numerator coordinate 1 keeps den in lowest terms
+            return Quat(any_alg, 1, rng.randrange(-5, 6), rng.randrange(-5, 6), 2, den)
+
+        (dx, dy), n = dens, 3
+        rows_x = [[over(d) for d in dx]] + [[zero] * n for _ in range(n - 1)]
+        rows_y = [[over(d)] + [zero] * (n - 1) for d in dy]
+        x, y = MatD(any_alg, rows_x), MatD(any_alg, rows_y)
+        assert x * y == dense_mat_mul(x, y)
+        dense = random_dense(any_alg, n, rng)
+        assert x * dense == dense_mat_mul(x, dense) and dense * y == dense_mat_mul(dense, y)
+
+    def test_sum_cancelling_to_zero(self, any_alg):
+        """q r / 2 and (2q)(-r / 4) cancel over a grown lcm, and q r and
+        q (-r) over an equal one: each entry is the stored zero."""
+        rng = random.Random(12)
+        q, r = dense_quat(any_alg, rng), dense_quat(any_alg, rng)
+        zero, half, quarter = any_alg.zero, any_alg.scalar(Fraction(1, 2)), any_alg.scalar(
+            Fraction(-1, 4))
+        x = MatD(any_alg, [[q, q.scale(2)], [q, q]])
+        y = MatD(any_alg, [[r * half, zero], [r * quarter, zero]])
+        y2 = MatD(any_alg, [[r, zero], [-r, zero]])
+        for a, b, cancelled in ((x, y, (1, 1)), (x, y2, (2, 1))):
+            got = a * b
+            assert got == dense_mat_mul(a, b)
+            entry = got.entry(*cancelled)
+            assert entry.is_zero() and entry.den == 1
+
     def test_unit_rows_pass_entries_through(self, any_alg):
         y = random_dense(any_alg, 3, random.Random(9))
         assert all(a is b for ra, rb in zip((MatD.identity(any_alg, 3) * y).rows, y.rows)

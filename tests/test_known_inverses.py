@@ -1,15 +1,20 @@
-"""The one inverse the upward pipeline keeps, c = gamma^-1, and the
-inverse-free check of the certificate it emits.
+"""The inverses the upward pipeline keeps, of the instance's gamma and
+of the corner factor v', and the inverse-free check of the certificate
+it emits.
 
-_factor_head checks c * gamma = I by one product and hands the pair
-(c, gamma) on.  Every pair that factor emits before the last is a
+_factor_head makes the conjugator gamma and c = gamma^-1 from the
+instance's gamma, its inverse and the transvection word of
+prescribed_gauss, checks c * gamma = I by one product and hands the
+pair (c, gamma) on.  Every pair that factor emits before the last is a
 diagonal layer (a, b), emitted as (c^-1 diag(a) c, c^-1 diag(b) c);
 _check_emitted checks each such witness G as c G = diag(a) c and the
 whole certificate as R P Q = X Q P, with R = c^-1 diag(r) c.  No
 emitted witness is inverted, and a corrupted witness or layer must
 never get through.  The invertibility of the last pair (P, Q) rests on
 a shape check that must refuse a corner factor that is not
-unitriangular.
+unitriangular.  In e mode the class of each witness is read from its
+frame, c P = R_P and c Q = R_Q, and from the reduced norm of its
+diagonal, with no determinant.
 """
 
 import pytest
@@ -18,9 +23,12 @@ from commcert import (
     InternalInvariantError,
     MatD,
     VerificationError,
+    balanced_partition,
     factor_commutators_e,
     factor_commutators_gl,
     make_instance,
+    prescribed_gauss,
+    stable_single_commutator,
 )
 from commcert import certify, matrix
 from commcert import serialize as ser
@@ -47,51 +55,36 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _gauss_with_inverse(monkeypatch, inverse):
-    """Make prescribed_gauss return a gamma whose inverse() is
-    inverse(gamma); returns the list of gammas it returned."""
-    real = certify.prescribed_gauss
-    seen = []
-
-    class Gamma(MatD):
-        __slots__ = ()
-
-        def inverse(self):
-            return inverse(MatD(self.alg, self.rows))
-
-    def gauss(*args):
-        gamma, v, u, slots = real(*args)
-        seen.append(Gamma(gamma.alg, gamma.rows))
-        return seen[-1], v, u, slots
-
-    monkeypatch.setattr(certify, "prescribed_gauss", gauss)
-    return seen
-
-
 def test_wrong_inverse_is_refused(monkeypatch):
-    """A wrong gamma^-1 fails _factor_head's c * gamma = I, before any
-    witness is built."""
-    _gauss_with_inverse(monkeypatch, lambda g: _shift_entry(mat_inv(g), 1, 2))
-    built = _spy(monkeypatch, "single_commutator")
+    """A wrong inst.gamma^-1, where _factor_head makes it, fails
+    c * gamma = I, before any witness is built."""
     _, inst = make_instance(4, *FACTOR["gl"][1:])
+
+    def wrong(g):
+        return _shift_entry(mat_inv(g), 1, 2) if g is inst.gamma else mat_inv(g)
+
+    monkeypatch.setattr(certify, "mat_inv", wrong)
+    built = _spy(monkeypatch, "_commutator_frame")
     with pytest.raises(InternalInvariantError, match="the conjugator fails c \\* gamma = I"):
         factor_commutators_gl(inst)
     assert built == []
 
 
 def test_true_inverse_is_kept(monkeypatch):
-    """The checked pair (c, gamma) reaches single_commutator and the
-    final check as it is, with c the Gauss-Jordan inverse of gamma, in
-    both modes."""
+    """The checked pair (c, gamma) reaches the pair builder and the final
+    check as it is, in both modes: gamma is the conjugator that
+    prescribed_gauss returns, and c its Gauss-Jordan inverse."""
     for factor, n, c in FACTOR.values():
-        gammas = _gauss_with_inverse(monkeypatch, mat_inv)
-        built = _spy(monkeypatch, "single_commutator")
+        _, inst = make_instance(4, n, c)
+        built = _spy(monkeypatch, "_commutator_frame")
         checked = _spy(monkeypatch, "_check_emitted")
-        factor(make_instance(4, n, c)[1])
-        ((gamma,), ((_, kwargs),), ((args, _),)) = gammas, built, checked
+        factor(inst)
+        (((_, kwargs),), ((args, _),)) = built, checked
         assert kwargs["c"] is args[0]
-        c, c_inv = kwargs["c"]
-        assert c_inv is gamma and c == mat_inv(gamma)
+        c_mat, gamma = kwargs["c"]
+        support = n if factor is factor_commutators_gl else n - 2
+        assert gamma == prescribed_gauss(inst, balanced_partition(inst.c, n, support))[0]
+        assert c_mat == mat_inv(gamma)
         monkeypatch.undo()
 
 
@@ -139,9 +132,9 @@ def test_carried_inverses_match_mat_inv(final_checks, factor, seed):
 @pytest.mark.parametrize("factor", [factor_commutators_gl, factor_commutators_e])
 def test_inversions_do_not_grow_with_pairs(monkeypatch, factor):
     """No emitted witness is inverted.  A factor call inverts the
-    instance's gamma twice (for the element and in prescribed_gauss),
-    the conjugator gamma once and the corner factor v' once, whether it
-    emits 2 or 4 pairs."""
+    instance's gamma once and the corner factor v' once, whether it
+    emits 2 or 4 pairs: the conjugator and its inverse are made from
+    inst.gamma^-1 and inst.gamma by the transvection word."""
     calls = []
     real = matrix.mat_inv
 
@@ -158,7 +151,7 @@ def test_inversions_do_not_grow_with_pairs(monkeypatch, factor):
         cert = factor(inst)
         counts.append((len(cert), len(calls)))
     assert [pairs for pairs, _ in counts] == [2, 4]
-    assert counts[0][1] == counts[1][1] == 4
+    assert counts[0][1] == counts[1][1] == 2
 
 
 def test_decoded_certificate_carries_no_inverse():
@@ -270,9 +263,12 @@ def test_corner_inverse_off_shape_is_refused(monkeypatch):
     """A v'^-1 that is not lower unitriangular fails the shape check that
     makes P and Q invertible, before single_commutator multiplies
     anything."""
+    _, inst = make_instance(4, *FACTOR["gl"][1:])
     handed_back = []
 
     def off_shape(g):
+        if g is inst.gamma:
+            return mat_inv(g)
         bad = _shift_entry(mat_inv(g), 0, g.n - 1)
         handed_back.append(bad)
         return bad
@@ -285,7 +281,6 @@ def test_corner_inverse_off_shape_is_refused(monkeypatch):
 
     monkeypatch.setattr(certify, "mat_inv", off_shape)
     monkeypatch.setattr(MatD, "__mul__", mul)
-    _, inst = make_instance(4, *FACTOR["gl"][1:])
     with pytest.raises(InternalInvariantError, match="lost its unitriangular shape"):
         factor_commutators_gl(inst)
     assert len(handed_back) == 1
@@ -305,16 +300,80 @@ def test_wrong_corner_solve_is_caught(monkeypatch):
         factor_commutators_gl(inst)
 
 
+def _scaled(m: MatD) -> MatD:
+    return MatD(m.alg, [[e.scale(2) for e in row] for row in m.rows])
+
+
+def _edit_frame(monkeypatch, edit):
+    """Pass the (P, Q, R_P, R_Q, a, b) that the pair builder returns
+    through edit."""
+    real = certify._commutator_frame
+    monkeypatch.setattr(certify, "_commutator_frame", lambda *a, **k: edit(*real(*a, **k)))
+
+
 def test_scaled_witness_leaves_elementary_group(monkeypatch):
     """2 is central, so [2P, Q] = [P, Q] passes the product check, but
-    nrd det(2P) = 2^(2n) puts 2P outside E(n, D)."""
-    real = certify.single_commutator
-
-    def scaled(*args, **kwargs):
-        p, q = real(*args, **kwargs)
-        return MatD(p.alg, [[e.scale(2) for e in row] for row in p.rows]), q
-
-    monkeypatch.setattr(certify, "single_commutator", scaled)
+    nrd det(2P) = 2^(2n) puts 2P outside E(n, D): c (2P) is not R_P."""
+    _edit_frame(monkeypatch, lambda p, *rest: (_scaled(p), *rest))
     _, inst = make_instance(4, *FACTOR["e"][1:])
     with pytest.raises(InternalInvariantError, match="a witness left the elementary group"):
         factor_commutators_e(inst)
+
+
+def test_scaled_second_witness_leaves_elementary_group(monkeypatch):
+    """[P, 2Q] = [P, Q] as well; c (2Q) is not R_Q."""
+    _edit_frame(monkeypatch, lambda p, q, *rest: (p, _scaled(q), *rest))
+    _, inst = make_instance(4, *FACTOR["e"][1:])
+    with pytest.raises(InternalInvariantError, match="c Q is not R_Q"):
+        factor_commutators_e(inst)
+
+
+@pytest.mark.parametrize("which", ["P", "Q"])
+def test_consistently_scaled_last_pair_is_refused(monkeypatch, which):
+    """One witness of the last pair, its frame matrix and its diagonal
+    scaled by 2 together: c P = R_P (or c Q = R_Q) still holds and the
+    commutator is unchanged, but nrd of the diagonal is 2^(2n)."""
+    def edit(p, q, r_p, r_q, a, b):
+        if which == "P":
+            return _scaled(p), q, _scaled(r_p), r_q, [e.scale(2) for e in a], b
+        return p, _scaled(q), r_p, _scaled(r_q), a, [e.scale(2) for e in b]
+
+    _edit_frame(monkeypatch, edit)
+    _, inst = make_instance(4, *FACTOR["e"][1:])
+    with pytest.raises(InternalInvariantError, match="nrd of its diagonal"):
+        factor_commutators_e(inst)
+
+
+def test_consistently_scaled_layer_is_refused(monkeypatch):
+    """A diagonal layer's a scaled by 2: its witness c^-1 diag(2a) c
+    passes c G = diag(2a) c and [2G, H] = [G, H], but nrd(prod 2a) is
+    2^(2n)."""
+    real = certify._elementary_layers
+
+    def scaled(rest, one):
+        (a, b), *more = real(rest, one)
+        return [([e.scale(2) for e in a], b), *more]
+
+    monkeypatch.setattr(certify, "_elementary_layers", scaled)
+    _, inst = make_instance(4, *FACTOR["e"][1:])
+    with pytest.raises(InternalInvariantError, match="nrd of a layer"):
+        factor_commutators_e(inst)
+
+
+def test_elementary_factor_runs_no_determinant(monkeypatch):
+    """e mode reads every witness's class from its frame and its
+    diagonal, so factor_commutators_e and the stable padding run no
+    Dieudonne determinant."""
+    calls = []
+    real = matrix.dieudonne_det
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(matrix, "dieudonne_det", counted)
+    for seed in range(3):
+        _, inst = make_instance(seed, 5, 9)
+        assert len(factor_commutators_e(inst)) == 3
+        stable_single_commutator(make_instance(seed, 3, 4)[1])
+    assert calls == []

@@ -46,7 +46,16 @@ def test_bench_kernels_twisted_cell():
     assert row["kernel"] == "twisted" and row["bits"] == 64 and row["min_s"] > 0
 
 
-@pytest.mark.parametrize("rung", [("gl", 3, 3), ("stable", 3, 4), ("roundtrip", 3, 6)])
+def test_bench_kernels_mul_cells():
+    proc = run_script("bench_kernels.py", "--kernels", "mul", "--sizes", "3", "--bits", "64")
+    assert proc.returncode == 0, proc.stderr
+    rows = json_rows(proc.stdout)
+    assert sorted(row["shape"] for row in rows) == ["dense", "unitriangular"]
+    assert all(row["kernel"] == "mul" and row["n"] == 3 and row["min_s"] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("rung", [("gl", 3, 3), ("stable", 3, 4), ("roundtrip", 3, 6),
+                                  ("e", 4, 4)])
 def test_bench_scaling_child_rung(rung):
     kind, n, c = rung
     proc = run_script("bench_scaling.py", "--child", kind, str(n), str(c), "-1", "-1",
