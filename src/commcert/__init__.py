@@ -56,7 +56,6 @@ from .normalform import (
 from .quaternion import (
     Quat,
     QuaternionAlgebra,
-    commutator,
     random_quat,
     solve_twisted,
 )

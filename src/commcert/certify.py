@@ -11,43 +11,34 @@ checked once, where it is made: a moved slot value against its
 certificate, the conjugator's inverse by one product in _factor_head,
 the normal form's residual in extract_H.
 
-`factor` builds its witnesses already conjugated by c = gamma^-1 and,
-in e mode, reads each emitted witness's class from how it was built.
-In both modes one single_commutator pair (P, Q) absorbs the unipotent
-parts, and every earlier pair is a diagonal layer (a, b), emitted as
-(c^-1 diag(a) c, c^-1 diag(b) c).  _check_emitted checks the emitted
-certificate once, against the instance element X, and inverts no
-witness:
-  - c gamma = I, checked in _factor_head, makes c invertible;
-  - c G = diag(a) c for each diagonal witness G, with units on the
-    diagonal, gives G = c^-1 diag(a) c, so
-    [G, H] = c^-1 diag([a_i, b_i]) c, and the earlier pairs multiply
-    out to R = c^-1 diag(r) c with r_i the slotwise product of the
-    [a_i, b_i];
-  - R P Q = X Q P is then R [P, Q] = X, as P and Q are invertible.
-P and Q are invertible by their shape.  P = c^-1 R_P and
-Q = c^-1 R_Q with R_P = v' diag(a) (V c) and R_Q = u' diag(b) (V c),
-where v' and V, the matrix used as v'^-1, are lower unitriangular and
-u' is upper unitriangular (a shape check in single_commutator), and a
-and b are units.  So P and Q are products of invertible matrices,
-whether or not V is the true inverse of v', and a wrong factor breaks
-the identity.  A singular factor cannot pass the shape check.
-single_commutator does not check its pair.
-
+`factor` builds its witnesses already conjugated by c = gamma^-1.  In
+both modes the last pair (P, Q) is built from v~ = [v', A] and
+u = [H2^-1, u'] with A = diag(a), B = diag(b) and H2 = B A^-1 B^-1, and
+every earlier pair is a diagonal layer, emitted as
+(c^-1 diag(a) c, c^-1 diag(b) c).  The certificate is checked once,
+link by link, against the instance element X; no witness is inverted.
+Each link names its check:
+  1. c gamma = I (_factor_head): c is invertible.
+  2. V v' = I, v' lower and u' upper unitriangular (_commutator_frame):
+     V = v'^-1, and v', V and u' lie in E(n, D).
+  3. v' A = v~ A v' and u' H2 = W H2 u' with W = H2 u H2^-1
+     (_solve_corner): v' A v'^-1 = v~ A and u' H2 u'^-1 = H2 u.
+  4. c P = R_P and c Q = R_Q (_check_emitted), R_P = v' A V c and
+     R_Q = u' B V c the frame's products: by 1-3,
+     [P, Q] = c^-1 v~ A H2 u c = c^-1 v~ diag(eps) u c, eps_i = [a_i, b_i].
+  5. c G = diag(a) c for each diagonal witness G (_check_emitted): the
+     earlier pairs multiply out to R = c^-1 diag(r) c, r_i the slotwise
+     product of their [a_i, b_i].
+  6. c X = Y c with Y = diag(r) v~ diag(eps) u (_check_emitted): by 4
+     and 5, R [P, Q] = c^-1 Y c = X.
 In e mode the class of each witness in D*/[D*, D*] (its Dieudonne
-determinant) is read from its frame, with no determinant:
-  1. c gamma = I makes c invertible;
-  2. the shape check puts v', V and u' in E(n, D), as unitriangular
-     matrices are products of transvections;
-  3. factor_commutators_e checks c P = R_P, so P = c^-1 v' diag(a) V c
-     and class(P) = class(diag(a)) = prod a_i; likewise c Q = R_Q gives
-     class(Q) = prod b_i, and c G = diag(a) c (checked in
-     _check_emitted) gives class(G) = prod a_i for a diagonal witness;
-  4. SK_1 of D is trivial, the model assumption that DetClass records,
-     so a witness lies in E(n, D) iff nrd of its product is 1, which
-     factor_commutators_e checks for the last pair's a and b and for
-     every layer.
-A P scaled by a central 2 keeps [P, Q] but fails c (2P) = R_P.
+determinant) follows from links 2, 4 and 5, with no determinant:
+class(P) = prod a_i, class(Q) = prod b_i and class(G) = prod a_i.  SK_1
+of D is trivial, the model assumption that DetClass records, so a
+witness lies in E(n, D) iff nrd of its product is 1, which
+factor_commutators_e checks for the last pair's a and b and for every
+layer.  A P scaled by a central 2 keeps [P, Q] but fails c (2P) = R_P.
+single_commutator does not check its pair.
 """
 
 from __future__ import annotations
@@ -572,8 +563,9 @@ def single_commutator(
     h1 = diag(a), tau = diag(b), h2 = tau h1^-1 tau^-1 and solve
     v = [v', h1], u = [h2^-1, u'] entrywise.  With M = c^-1 v' and
     K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1, where M^-1 = v'^-1 c.
-    v', v'^-1 and u' must be unitriangular (InternalInvariantError
-    otherwise), which makes P and Q invertible when c is.
+    v' and u' must be unitriangular and v'^-1 v' = I
+    (InternalInvariantError otherwise), which makes P and Q invertible
+    when c is.
 
     In mode "e" the first two eps must be 1; the witnesses there are
     renormalized with a_2, b_1 central and a_1, b_2 compensating
@@ -581,7 +573,8 @@ def single_commutator(
 
     The pair is built, not checked: comm(P, Q) is not multiplied out and
     the class of P and Q is not tested.  The factor pipelines check the
-    certificate they emit, without inverting P or Q; an outside caller
+    certificate they emit through its frame, without inverting P or Q
+    (module docstring); an outside caller
     checks the pair with CommutatorCert(((P, Q),), target).check(),
     which inverts P and Q with mat_inv.
     """
@@ -621,11 +614,12 @@ def _commutator_frame(v, u, witnesses, mode, *, c):
     v_pr = _solve_corner(v, a)
     # [diag(h2)^-1, u'] = u is [u', diag(h2)] = diag(h2) u diag(h2)^-1
     u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in h2]), h2)
-    v_pr_inv = mat_inv(v_pr)
-    # the shapes make P and Q invertible; see the module docstring
-    if not (v_pr.is_lower_unitriangular() and v_pr_inv.is_lower_unitriangular()
-            and u_pr.is_upper_unitriangular()):
+    # link 2 of the module docstring's chain
+    if not (v_pr.is_lower_unitriangular() and u_pr.is_upper_unitriangular()):
         raise InternalInvariantError("a corner factor lost its unitriangular shape")
+    v_pr_inv = mat_inv(v_pr)
+    if not (v_pr_inv * v_pr).is_identity():
+        raise InternalInvariantError("the corner inverse fails V v' = I")
     c, c_inv = c if c is not None else (MatD.identity(alg, n),) * 2
     vc = v_pr_inv * c
     r_p = v_pr * MatD.diagonal(alg, a) * vc
@@ -686,41 +680,47 @@ def _factor_head(inst: BasedInstance, support: int):
     return element, (c, gamma), v, u, slots
 
 
-def _check_emitted(c, layers, pairs, element: MatD) -> None:
-    """The emitted pairs multiply out to element, checked without
-    inverting a witness (see the module docstring): c G = diag(a) c for
-    each witness G of a diagonal layer (a, b), then R P Q = element Q P
-    with (P, Q) the last pair and R = c^-1 diag(r) c the product of the
-    diagonal pairs' commutators.  c is the pair (c, c^-1); comm inverts
-    every a_i and b_i, so a layer entry that is not a unit raises."""
-    c, c_inv = c
+def _check_emitted(c: MatD, layers, pairs, element: MatD, frame, v_tilde: MatD,
+                   u: MatD) -> None:
+    """The emitted pairs multiply out to element, checked by links 4-6 of
+    the module docstring's chain, without inverting a witness: c G =
+    diag(a) c for each witness G of a diagonal layer (a, b), c P = R_P and
+    c Q = R_Q for the last pair (P, Q), frame being (R_P, R_Q, a, b), and
+    c element = diag(r) v_tilde diag(eps) u c.  comm inverts every a_i
+    and b_i, so a layer or frame entry that is not a unit raises."""
     alg, n = element.alg, element.n
     *diagonal, (p, q) = pairs
     for layer, pair in zip(layers, diagonal, strict=True):
         for d, g in zip(layer, pair):
             if c * g != MatD.diagonal(alg, d) * c:
                 raise VerificationError("an emitted witness is not its diagonal layer")
-    lhs = p * q
-    if layers:
-        r = [product((comm(a[i], b[i]) for a, b in layers), alg.one) for i in range(n)]
-        lhs = c_inv * MatD.diagonal(alg, r) * c * lhs
-    if lhs != element * q * p:
+    r_p, r_q, a, b = frame
+    if c * p != r_p:
+        raise VerificationError("the last pair fails c P = R_P")
+    if c * q != r_q:
+        raise VerificationError("the last pair fails c Q = R_Q")
+    r = [product((comm(x[i], y[i]) for x, y in layers), alg.one) for i in range(n)]
+    eps = MatD.diagonal(alg, [comm(x, y) for x, y in zip(a, b)])
+    if c * element != MatD.diagonal(alg, r) * v_tilde * eps * u * c:
         raise VerificationError("emitted pairs do not multiply out to the instance element")
 
 
-def _factor_tail(inst: BasedInstance, element: MatD, c, layers, last, support: int):
+def _factor_tail(inst: BasedInstance, element: MatD, c, layers, frame, v_tilde, u,
+                 support: int):
     """Emit each diagonal layer (a, b) as (c^-1 diag(a) c, c^-1 diag(b) c),
-    then the last pair, as a certificate for the instance element with
-    at most ceil(inst.c/support) pairs; the upward pipeline's one
-    product check of its pairs runs here.  c is the pair (c, c^-1)."""
+    then the last pair of frame = (P, Q, R_P, R_Q, a, b), as a certificate
+    for the instance element with at most ceil(inst.c/support) pairs; the
+    upward pipeline's one check of its pairs runs here.  c is the pair
+    (c, c^-1), and v_tilde and u are the matrices the last pair was built
+    from."""
     c_mat, c_inv = c
     pairs = tuple(tuple(c_inv * MatD.diagonal(inst.alg, d) * c_mat for d in layer)
                   for layer in layers)
-    cert = CommutatorCert(pairs + (last,), element)
+    cert = CommutatorCert(pairs + (frame[:2],), element)
     bound = _ceil_div(inst.c, support)
     if len(cert) > bound:
         raise VerificationError(f"emitted {len(cert)} pairs, bound is {bound}")
-    _check_emitted(c, layers, cert.pairs, element)
+    _check_emitted(c_mat, layers, cert.pairs, element, frame[2:], v_tilde, u)
     return cert
 
 
@@ -733,7 +733,7 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
     element, c, v, u, slots = _factor_head(inst, n)
     witnesses, slots = _peel_last_pairs(slots, alg)
     v_tilde = v.conjugate_by_diagonal([val for val, _ in slots])
-    last = single_commutator(v_tilde, u, witnesses, mode="gl", c=c)
+    frame = _commutator_frame(v_tilde, u, witnesses, "gl", c=c)
     layers = []
     while any(len(cert) for _, cert in slots):
         witnesses, slots = _peel_last_pairs(slots, alg)
@@ -743,7 +743,7 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
                        [b for _, b in witnesses]))
     if any(not val.is_one() for val, _ in slots):
         raise InternalInvariantError("certificates exhausted but diagonal remains")
-    return _factor_tail(inst, element, c, layers[::-1], last, n)
+    return _factor_tail(inst, element, c, layers[::-1], frame, v_tilde, u, n)
 
 
 def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
@@ -762,19 +762,14 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
 
     witnesses, rest = _peel_last_pairs(slots, alg)
     v_tilde = v.conjugate_by_diagonal([val for val, _ in rest])
-    p, q, r_p, r_q, a, b = _commutator_frame(v_tilde, u, witnesses, "e", c=c)
+    frame = _commutator_frame(v_tilde, u, witnesses, "e", c=c)
     layers = _elementary_layers(rest, one)
     # the class of each witness, read from its frame (module docstring)
-    if not (_nrd_is_one(a) and _nrd_is_one(b)):
+    if not (_nrd_is_one(frame[4]) and _nrd_is_one(frame[5])):
         raise InternalInvariantError("a witness left the elementary group: nrd of its diagonal")
     if any(not _nrd_is_one(d) for layer in layers for d in layer):
         raise InternalInvariantError("a witness left the elementary group: nrd of a layer")
-    c_mat = c[0]
-    if c_mat * p != r_p:
-        raise InternalInvariantError("a witness left the elementary group: c P is not R_P")
-    if c_mat * q != r_q:
-        raise InternalInvariantError("a witness left the elementary group: c Q is not R_Q")
-    return _factor_tail(inst, element, c, layers, (p, q), n - 2)
+    return _factor_tail(inst, element, c, layers, frame, v_tilde, u, n - 2)
 
 
 def _elementary_layers(rest, one):
@@ -823,7 +818,9 @@ def embed_instance(inst: BasedInstance, n2: int) -> BasedInstance:
     u2 = perm * _pad_matrix(inst.u, n2) * perm
     gamma2 = perm * _pad_matrix(inst.gamma, n2)
     out = BasedInstance(alg, n2, v2, u2, inst.delta, inst.delta_cert, gamma2)
-    if out.element() != _pad_matrix(inst.element(), n2):
+    # out.element() = pad(inst.element()), as perm^2 = I and
+    # gamma2 = perm pad(gamma)
+    if out.core() * perm != perm * _pad_matrix(inst.core(), n2):
         raise InternalInvariantError("instance embedding changed the element")
     return out
 

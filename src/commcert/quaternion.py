@@ -327,7 +327,7 @@ def comm(x, y):
     return Quat(x.alg, *num, k[0] * nx * ny)
 
 
-# the package's name for comm on units: a zero operand raises ZeroInputError
+# the name perfbench's down workload calls; the library and its tests use comm
 commutator = comm
 
 

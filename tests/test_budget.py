@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commcert import MatD, QuaternionAlgebra, commutator, kappa_p, lambda_vec, mu_vec, s_of
+from commcert import MatD, QuaternionAlgebra, kappa_p, lambda_vec, mu_vec, s_of
+from commcert.quaternion import comm
 from commcert.budget import (
     HFactor,
     HFactorList,
@@ -122,7 +123,7 @@ class TestHCommutatorFactors:
         h1 = MatD.diagonal(alg, [xi, alg.one])
         h2 = MatD.diagonal(alg, [zeta, alg.one])
         hf = h_commutator_factors(h1, h2)
-        assert hf.evaluate() == MatD.diagonal(alg, [commutator(xi, zeta), alg.one])
+        assert hf.evaluate() == MatD.diagonal(alg, [comm(xi, zeta), alg.one])
         args = [f.eps for f in hf.factors]
         assert args == [xi, zeta, xi.inverse() * zeta.inverse()]
 

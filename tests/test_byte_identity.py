@@ -15,6 +15,7 @@ an output changes; a change that alters outputs on purpose re-pins the
 digests and says why.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -164,13 +165,19 @@ def _padded_gamma():
 # ad * bd = 14 != 1, so the normal form's denominators are not those of (-1, -1)
 HALVES = QuaternionAlgebra(Fraction(-1, 2), Fraction(-3, 7))
 
-CASES = {
-    "factor-gl": lambda: _factor("gl", 1, 4, 5),
-    "factor-e": lambda: _factor("e", 2, 4, 3),
+# (mode, seed, n, c[, algebra]) of each pinned factor case
+FACTOR_CASES = {
+    "factor-gl": ("gl", 1, 4, 5),
+    "factor-e": ("e", 2, 4, 3),
     # three diagonal layers before (P, Q), so a change of layer order shows
-    "factor-gl-layers": lambda: _factor("gl", 1, 4, 13),
-    "factor-e-layers": lambda: _factor("e", 2, 4, 7),
-    "factor-stable": lambda: _factor("stable", 3, 3, 2),
+    "factor-gl-layers": ("gl", 1, 4, 13),
+    "factor-e-layers": ("e", 2, 4, 7),
+    "factor-stable": ("stable", 3, 3, 2),
+    "factor-gl-(-1,-3)": ("gl", 4, 3, 4, QuaternionAlgebra(-1, -3)),
+}
+
+CASES = {
+    **{name: functools.partial(_factor, *args) for name, args in FACTOR_CASES.items()},
     "lower-extract": lambda: _round_trip(QuaternionAlgebra(), 3, 3, 5),
     "lower-extract-n4-(-1,-3)": lambda: _round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1),
     "normal-form": lambda: _normal_form(QuaternionAlgebra()),
@@ -179,7 +186,6 @@ CASES = {
     "absorption-cases-(-1/2,-3/7)": lambda: _absorptions(HALVES),
     "v-side-move": lambda: _v_side(QuaternionAlgebra()),
     "v-side-move-(-1,-3)": lambda: _v_side(QuaternionAlgebra(-1, -3)),
-    "factor-gl-(-1,-3)": lambda: _factor("gl", 4, 3, 4, QuaternionAlgebra(-1, -3)),
     "huvu-pivot-fix": lambda: _zero_corner_decomposition(QuaternionAlgebra()),
     "huvu-pivot-fix-(-1,-3)": lambda: _zero_corner_decomposition(QuaternionAlgebra(-1, -3)),
     "lower-factorization-exhaustive": _lower_factorizations,

@@ -12,7 +12,6 @@ from commcert import (
     QuaternionAlgebra,
     VerificationError,
     balanced_partition,
-    commutator,
     dstar_length_bound,
     embed_instance,
     factor_commutators_e,
@@ -36,7 +35,7 @@ from commcert import (
 from commcert import certify, wordcalc
 from commcert.budget import HFactor, HFactorList
 from commcert.certify import _ceil_div, _pad_matrix
-from commcert.quaternion import random_quat
+from commcert.quaternion import comm, random_quat
 
 from conftest import diagonal_round_trip, mat_comm, rand_lower, rand_unit, rand_upper
 
@@ -45,7 +44,7 @@ def quat_cert(alg, rng, c):
     pairs = tuple((rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(c))
     target = alg.one
     for a, b in pairs:
-        target = target * commutator(a, b)
+        target = target * comm(a, b)
     return CommutatorCert(pairs, target)
 
 
@@ -117,7 +116,7 @@ class TestScalarCertExtraction:
             (HFactor(1, xi), HFactor(1, zeta), HFactor(1, zeta.inverse() * xi.inverse())),
         )
         tau = hf.diagonal()[1]
-        assert tau == commutator(xi.inverse(), zeta.inverse())
+        assert tau == comm(xi.inverse(), zeta.inverse())
         cert = scalar_cert_from_hfactors(hf, tau)
         assert cert.verify()
         assert len(cert) <= s_of((3,)) == 1
@@ -160,7 +159,7 @@ class TestLowerExtract:
     def test_diagonal_commutator_d1(self, alg, rng):
         for n in (2, 3, 4):
             a, b = rand_unit(alg, rng), rand_unit(alg, rng)
-            tau = commutator(a, b)
+            tau = comm(a, b)
             x = MatD.diagonal(alg, [alg.one] * (n - 1) + [a])
             y = MatD.diagonal(alg, [alg.one] * (n - 1) + [b])
             cert = lower_extract([(x, y)], tau)
@@ -179,7 +178,7 @@ def _corrupted(pair):
     or None when h is central."""
     g, h = pair
     for k in g.alg.basis()[1:]:
-        if commutator(g * k, h) != commutator(g, h):
+        if comm(g * k, h) != comm(g, h):
             return (g * k, h)
     return None
 
@@ -276,7 +275,7 @@ class TestPrescribedGaussBase:
     def test_already_decomposed_gives_identity_gamma(self, alg, rng):
         n = 3
         a, b = rand_unit(alg, rng), rand_unit(alg, rng)
-        delta = commutator(a, b)
+        delta = comm(a, b)
         v = rand_lower(alg, n, rng)
         u = rand_upper(alg, n, rng)
         g = v * MatD.diagonal(alg, [alg.one, alg.one, delta]) * u
@@ -475,7 +474,7 @@ class TestSingleCommutator:
             v = rand_lower(alg, n, rng)
             u = rand_upper(alg, n, rng)
             wit = [(rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(n)]
-            eps = [commutator(a, b) for a, b in wit]
+            eps = [comm(a, b) for a, b in wit]
             p, q = single_commutator(v, u, wit, mode="gl")
             assert mat_comm(p, q) == v * MatD.diagonal(alg, eps) * u
 
@@ -487,7 +486,7 @@ class TestSingleCommutator:
             wit = [(alg.one, alg.one), (alg.one, alg.one)] + [
                 (rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(n - 2)
             ]
-            eps = [commutator(a, b) for a, b in wit]
+            eps = [comm(a, b) for a, b in wit]
             p, q = single_commutator(v, u, wit, mode="e")
             assert mat_comm(p, q) == v * MatD.diagonal(alg, eps) * u
             assert is_elementary(p) and is_elementary(q)
@@ -583,7 +582,7 @@ class TestFactorCommutatorsE:
         h_b = MatD.diagonal(alg, [alg.one, prod_b.inverse()] + b_col)
         expected = MatD.diagonal(
             alg,
-            [alg.one, alg.one] + [commutator(x, y) for x, y in zip(a_col, b_col)],
+            [alg.one, alg.one] + [comm(x, y) for x, y in zip(a_col, b_col)],
         )
         assert mat_comm(h_a, h_b) == expected
         assert is_elementary(h_a) and is_elementary(h_b)
@@ -620,6 +619,22 @@ class TestStable:
         g, inst = make_instance(905, 3, 2)
         inst2 = embed_instance(inst, 5)
         assert inst2.element() == _pad_matrix(g, 5)
+
+    def test_corrupted_embedding_is_refused(self, monkeypatch, alg):
+        """A padded v with one subdiagonal entry off by 1 keeps the based
+        shape, but the padded core no longer conjugates to pad(core)."""
+        _, inst = make_instance(905, 3, 2)
+        padded = []
+
+        def pad(m, n2):
+            out = _pad_matrix(m, n2)
+            padded.append(m)
+            return out.add_row(2, 1, alg.one) if m is inst.v else out
+
+        monkeypatch.setattr(certify, "_pad_matrix", pad)
+        with pytest.raises(InternalInvariantError, match="instance embedding changed the element"):
+            embed_instance(inst, 5)
+        assert padded[0] is inst.v
 
 
 class TestMakeInstance:

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from commcert import MatD, certify, commutator, make_instance
+from commcert import MatD, certify, make_instance
+from commcert.quaternion import comm
 from commcert import normalform
 from commcert import serialize as ser
 from commcert.certify import _pad_matrix
@@ -144,7 +145,7 @@ def test_certify_lower(tmp_path, capsys, alg, rng):
     a, b = rand_unit(alg, rng), rand_unit(alg, rng)
     one = alg.one
     pairs = [(MatD.diagonal(alg, [one, one, a]), MatD.diagonal(alg, [one, one, b]))]
-    path = _lower_input(tmp_path, alg, pairs, commutator(a, b))
+    path = _lower_input(tmp_path, alg, pairs, comm(a, b))
     out_file = tmp_path / "cert.json"
     rc, _ = run(capsys, "certify-lower", str(path), "--out", str(out_file))
     assert rc == 0
@@ -160,14 +161,14 @@ def test_certify_lower_unverified_certificate_exits_2(tmp_path, capsys, monkeypa
     a, b = rand_unit(alg, rng), rand_unit(alg, rng)
     one = alg.one
     pairs = [(MatD.diagonal(alg, [one, one, a]), MatD.diagonal(alg, [one, one, b]))]
-    path = _lower_input(tmp_path, alg, pairs, commutator(a, b))
+    path = _lower_input(tmp_path, alg, pairs, comm(a, b))
     real = certify.cert_inverse_product
 
     def swapped(elements):
         # [h, g] = [g, h]^-1, which differs from [g, h] here
         cert = real(elements)
         (g, h), *rest = cert.pairs
-        assert commutator(g, h) != commutator(h, g)
+        assert comm(g, h) != comm(h, g)
         return CommutatorCert(((h, g), *rest), cert.target)
 
     monkeypatch.setattr(certify, "cert_inverse_product", swapped)

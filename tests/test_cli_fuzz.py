@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commcert import MatD, QuaternionAlgebra, commutator, factor_commutators_gl, make_instance
+from commcert import MatD, QuaternionAlgebra, factor_commutators_gl, make_instance
+from commcert.quaternion import comm
 from commcert import serialize as ser
 from commcert.cli import main
 
@@ -42,7 +43,7 @@ def _inputs():
         "certify-lower": {
             "algebra": ser.algebra_to_json(alg),
             "pairs": [[ser.mat_to_json(x), ser.mat_to_json(y)]],
-            "tau": ser.quat_to_json(commutator(a, b)),
+            "tau": ser.quat_to_json(comm(a, b)),
         },
         "verify": {
             "algebra": ser.algebra_to_json(alg),

@@ -1,20 +1,20 @@
 """The inverses the upward pipeline keeps, of the instance's gamma and
 of the corner factor v', and the inverse-free check of the certificate
-it emits.
+it emits, link by link through the last pair's frame.
 
 _factor_head makes the conjugator gamma and c = gamma^-1 from the
 instance's gamma, its inverse and the transvection word of
 prescribed_gauss, checks c * gamma = I by one product and hands the
-pair (c, gamma) on.  Every pair that factor emits before the last is a
-diagonal layer (a, b), emitted as (c^-1 diag(a) c, c^-1 diag(b) c);
-_check_emitted checks each such witness G as c G = diag(a) c and the
-whole certificate as R P Q = X Q P, with R = c^-1 diag(r) c.  No
-emitted witness is inverted, and a corrupted witness or layer must
-never get through.  The invertibility of the last pair (P, Q) rests on
-a shape check that must refuse a corner factor that is not
-unitriangular.  In e mode the class of each witness is read from its
-frame, c P = R_P and c Q = R_Q, and from the reduced norm of its
-diagonal, with no determinant.
+pair (c, gamma) on.  _commutator_frame checks V v' = I for the matrix V
+it uses as v'^-1, and the shapes of v' and u'.  Every pair that factor
+emits before the last is a diagonal layer (a, b), emitted as
+(c^-1 diag(a) c, c^-1 diag(b) c).  _check_emitted checks, in both
+modes, each such witness G as c G = diag(a) c, the last pair (P, Q) as
+c P = R_P and c Q = R_Q against its frame, and the instance element X
+as c X = Y c with Y = diag(r) v~ diag(eps) u.  No emitted witness is
+inverted, and a corrupted witness, layer or corner inverse must never
+get through.  In e mode the class of each witness is read from the same
+links and from the reduced norm of its diagonal, with no determinant.
 """
 
 import pytest
@@ -71,8 +71,8 @@ def test_wrong_inverse_is_refused(monkeypatch):
 
 
 def test_true_inverse_is_kept(monkeypatch):
-    """The checked pair (c, gamma) reaches the pair builder and the final
-    check as it is, in both modes: gamma is the conjugator that
+    """The checked pair (c, gamma) reaches the pair builder as it is, and
+    its c the final check, in both modes: gamma is the conjugator that
     prescribed_gauss returns, and c its Gauss-Jordan inverse."""
     for factor, n, c in FACTOR.values():
         _, inst = make_instance(4, n, c)
@@ -80,8 +80,8 @@ def test_true_inverse_is_kept(monkeypatch):
         checked = _spy(monkeypatch, "_check_emitted")
         factor(inst)
         (((_, kwargs),), ((args, _),)) = built, checked
-        assert kwargs["c"] is args[0]
         c_mat, gamma = kwargs["c"]
+        assert args[0] is c_mat
         support = n if factor is factor_commutators_gl else n - 2
         assert gamma == prescribed_gauss(inst, balanced_partition(inst.c, n, support))[0]
         assert c_mat == mat_inv(gamma)
@@ -96,9 +96,9 @@ def final_checks(monkeypatch):
     real_emitted = certify._check_emitted
     real_check = CommutatorCert.check
 
-    def emitted(c, layers, pairs, element):
+    def emitted(c, layers, pairs, element, *frame):
         seen["emitted"].append((c, layers, pairs, element))
-        return real_emitted(c, layers, pairs, element)
+        return real_emitted(c, layers, pairs, element, *frame)
 
     def check(self):
         if isinstance(self.target, MatD):
@@ -120,7 +120,8 @@ def test_carried_inverses_match_mat_inv(final_checks, factor, seed):
     g, inst = make_instance(seed, 6, 8)
     cert = factor(inst)
     assert final_checks["check"] == []
-    (((c, c_inv), layers, pairs, element),) = final_checks["emitted"]
+    ((c, layers, pairs, element),) = final_checks["emitted"]
+    c_inv = mat_inv(c)
     assert pairs == cert.pairs and element == g and cert.target == g
     assert len(cert) == 2 and len(layers) == 1
     for layer, pair in zip(layers, cert.pairs):
@@ -152,6 +153,26 @@ def test_inversions_do_not_grow_with_pairs(monkeypatch, factor):
         counts.append((len(cert), len(calls)))
     assert [pairs for pairs, _ in counts] == [2, 4]
     assert counts[0][1] == counts[1][1] == 2
+
+
+def test_stable_factor_inverts_the_padded_gamma_and_v_prime(monkeypatch):
+    """The embedding is checked as core2 perm = perm pad(core), with no
+    inverse, so a stable factor call inverts the padded gamma once, in
+    _factor_head, and the corner factor v' once."""
+    calls = []
+    real = matrix.mat_inv
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(matrix, "mat_inv", counted)
+    monkeypatch.setattr(certify, "mat_inv", counted)
+    _, inst = make_instance(1, 3, 5)
+    n2, _, _ = stable_single_commutator(inst)
+    padded, v_prime = calls
+    assert padded == certify.embed_instance(inst, n2).gamma
+    assert v_prime.n == n2 and v_prime.is_lower_unitriangular()
 
 
 def test_decoded_certificate_carries_no_inverse():
@@ -194,13 +215,13 @@ def _transvect(pair, which: int):
 def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, stale):
     """One emitted witness is corrupted.  The last pair has no layer: its
     witness is right-multiplied by the transvection t_{n-1,n}(1), which
-    keeps its class in E(n, D), so only a product check can see it.  A
+    keeps its class in E(n, D); c P = R_P (or c Q = R_Q) sees it.  A
     diagonal witness is corrupted either fresh, through its layer (slot
     n gains one and the witness is built from the new layer, so only
-    R P Q = X Q P can see it), or stale, by the same transvection,
-    keeping the true witness's layer, which implied its inverse.  Slot
-    n carries the longest certificate, so neither change commutes with
-    the partner witness.
+    c X = Y c can see it), or stale, by the same transvection, keeping
+    the true witness's layer, which implied its inverse.  Slot n carries
+    the longest certificate, so neither change commutes with the
+    partner witness.
 
     Stage "core" corrupts a layer or the last pair as the builders hand
     them to _factor_tail; no diagonal witness is built yet, so there a
@@ -211,31 +232,32 @@ def test_corrupted_witness_is_caught(monkeypatch, mode, stage, index, which, sta
     if stage == "core":
         real_tail = certify._factor_tail
 
-        def tail(inst, element, c, layers, last, support):
+        def tail(inst, element, c, layers, frame, *rest):
             if index < len(layers):
                 layers = _bump(layers, index, which, inst.alg)
             else:
-                last = _transvect(last, which)
-            return real_tail(inst, element, c, layers, last, support)
+                frame = _transvect(frame[:2], which) + frame[2:]
+            return real_tail(inst, element, c, layers, frame, *rest)
 
         monkeypatch.setattr(certify, "_factor_tail", tail)
     else:
         real_emitted = certify._check_emitted
 
-        def emitted(c, layers, pairs, element):
+        def emitted(c, layers, pairs, element, *frame):
             pairs = list(pairs)
             if index < len(layers) and not stale:
                 layers = _bump(layers, index, which, element.alg)
-                c_mat, c_inv = c
-                pairs[index] = tuple(c_inv * MatD.diagonal(element.alg, d) * c_mat
+                pairs[index] = tuple(mat_inv(c) * MatD.diagonal(element.alg, d) * c
                                      for d in layers[index])
             else:
                 pairs[index] = _transvect(pairs[index], which)
-            return real_emitted(c, layers, tuple(pairs), element)
+            return real_emitted(c, layers, tuple(pairs), element, *frame)
 
         monkeypatch.setattr(certify, "_check_emitted", emitted)
     _, inst = make_instance(4, n, c)
-    if stage == "conjugated" and index < 2 and stale:
+    if index == 2:
+        caught = "the last pair fails c P = R_P" if which == 0 else "c Q = R_Q"
+    elif stage == "conjugated" and stale:
         caught = "an emitted witness is not its diagonal layer"
     else:
         caught = "emitted pairs do not multiply out to the instance element"
@@ -248,10 +270,10 @@ def test_scaled_diagonal_witness_is_refused(monkeypatch):
     multiplies out to X, but 2G is not its layer c^-1 diag(a) c."""
     real_emitted = certify._check_emitted
 
-    def emitted(c, layers, pairs, element):
+    def emitted(c, layers, pairs, element, *frame):
         (g, h), *rest = pairs
         scaled = MatD(g.alg, [[e.scale(2) for e in row] for row in g.rows])
-        return real_emitted(c, layers, ((scaled, h), *rest), element)
+        return real_emitted(c, layers, ((scaled, h), *rest), element, *frame)
 
     monkeypatch.setattr(certify, "_check_emitted", emitted)
     _, inst = make_instance(4, *FACTOR["gl"][1:])
@@ -260,9 +282,8 @@ def test_scaled_diagonal_witness_is_refused(monkeypatch):
 
 
 def test_corner_inverse_off_shape_is_refused(monkeypatch):
-    """A v'^-1 that is not lower unitriangular fails the shape check that
-    makes P and Q invertible, before single_commutator multiplies
-    anything."""
+    """A v'^-1 that is not lower unitriangular fails V v' = I, and that
+    product is the only one after the corner inverse is made."""
     _, inst = make_instance(4, *FACTOR["gl"][1:])
     handed_back = []
 
@@ -274,16 +295,60 @@ def test_corner_inverse_off_shape_is_refused(monkeypatch):
         return bad
 
     real_mul = MatD.__mul__
+    after = []
 
     def mul(self, other):
-        assert not handed_back, "a product after the shape check failed"
+        if handed_back:
+            after.append((self, other))
         return real_mul(self, other)
 
     monkeypatch.setattr(certify, "mat_inv", off_shape)
     monkeypatch.setattr(MatD, "__mul__", mul)
-    with pytest.raises(InternalInvariantError, match="lost its unitriangular shape"):
+    with pytest.raises(InternalInvariantError, match="fails V v' = I"):
         factor_commutators_gl(inst)
     assert len(handed_back) == 1
+    assert after == [(handed_back[0], after[0][1])]
+
+
+@pytest.mark.parametrize("which", ["v'", "u'"])
+def test_corner_factor_off_shape_is_refused(monkeypatch, which):
+    """A corner factor with an entry in the wrong triangle, handed on
+    after its corner solve's own check; V is made from it, so only the
+    shape check refuses it, before V is made."""
+    real = certify._solve_corner
+    solved = []
+
+    def off_shape(w, a):
+        x = real(w, a)
+        solved.append(x)
+        if len(solved) == (1 if which == "v'" else 2):  # v' is solved first
+            return _shift_entry(x, *((0, x.n - 1) if which == "v'" else (x.n - 1, 0)))
+        return x
+
+    monkeypatch.setattr(certify, "_solve_corner", off_shape)
+    inverted = _spy(monkeypatch, "mat_inv")
+    _, inst = make_instance(4, *FACTOR["gl"][1:])
+    with pytest.raises(InternalInvariantError, match="lost its unitriangular shape"):
+        factor_commutators_gl(inst)
+    assert len(solved) == 2 and len(inverted) == 1  # inst.gamma only
+
+
+def test_wrong_lower_corner_inverse_is_caught(monkeypatch):
+    """A v'^-1 that keeps its lower unitriangular shape but has one
+    subdiagonal entry off by 1 still makes P and Q invertible; V v' = I
+    refuses it before the pair is built, in both modes."""
+    for factor, n, c in FACTOR.values():
+        _, inst = make_instance(4, n, c)
+        built = _spy(monkeypatch, "_check_emitted")
+
+        def wrong(g):
+            return mat_inv(g) if g is inst.gamma else _shift_entry(mat_inv(g), g.n - 1, 0)
+
+        monkeypatch.setattr(certify, "mat_inv", wrong)
+        with pytest.raises(InternalInvariantError, match="fails V v' = I"):
+            factor(inst)
+        assert built == []
+        monkeypatch.undo()
 
 
 def test_wrong_corner_solve_is_caught(monkeypatch):
@@ -312,11 +377,12 @@ def _edit_frame(monkeypatch, edit):
 
 
 def test_scaled_witness_leaves_elementary_group(monkeypatch):
-    """2 is central, so [2P, Q] = [P, Q] passes the product check, but
-    nrd det(2P) = 2^(2n) puts 2P outside E(n, D): c (2P) is not R_P."""
+    """2 is central, so [2P, Q] = [P, Q] and the certificate multiplies
+    out to X, but nrd det(2P) = 2^(2n) puts 2P outside E(n, D): c (2P)
+    is not R_P."""
     _edit_frame(monkeypatch, lambda p, *rest: (_scaled(p), *rest))
     _, inst = make_instance(4, *FACTOR["e"][1:])
-    with pytest.raises(InternalInvariantError, match="a witness left the elementary group"):
+    with pytest.raises(VerificationError, match="the last pair fails c P = R_P"):
         factor_commutators_e(inst)
 
 
@@ -324,7 +390,7 @@ def test_scaled_second_witness_leaves_elementary_group(monkeypatch):
     """[P, 2Q] = [P, Q] as well; c (2Q) is not R_Q."""
     _edit_frame(monkeypatch, lambda p, q, *rest: (p, _scaled(q), *rest))
     _, inst = make_instance(4, *FACTOR["e"][1:])
-    with pytest.raises(InternalInvariantError, match="c Q is not R_Q"):
+    with pytest.raises(VerificationError, match="the last pair fails c Q = R_Q"):
         factor_commutators_e(inst)
 
 

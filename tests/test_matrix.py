@@ -6,7 +6,6 @@ from commcert import (
     MatD,
     PreconditionError,
     SingularMatrixError,
-    commutator,
     dieudonne_det,
     h_elem,
     is_central_in_E,
@@ -16,8 +15,8 @@ from commcert import (
     transvection,
     verify_relation,
 )
-
 from commcert.normalform import rewrite_relation3
+from commcert.quaternion import comm
 
 from conftest import mat_comm, rand_invertible, rand_unit
 
@@ -172,7 +171,7 @@ class TestDieudonneDet:
     def test_class_equality_is_by_invariant(self, alg):
         one, i, j, k = alg.basis()
         # [i, j] = -1 and 1 have equal nrd, so their classes agree
-        assert dieudonne_det(MatD.diagonal(alg, [one, commutator(i, j)])) == dieudonne_det(
+        assert dieudonne_det(MatD.diagonal(alg, [one, comm(i, j)])) == dieudonne_det(
             MatD.identity(alg, 2)
         )
 
@@ -183,7 +182,7 @@ class TestElementaryMembership:
 
     def test_commutator_tail(self, alg, rng):
         a, b = rand_unit(alg, rng), rand_unit(alg, rng)
-        tau = commutator(a, b)
+        tau = comm(a, b)
         g = MatD.diagonal(alg, [alg.one, alg.one, tau])
         assert is_elementary(g)
 

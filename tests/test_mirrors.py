@@ -15,6 +15,11 @@ transvection kernel that reduces the product and then the sum is the
 oracle for MatD.add_row/add_col (tests/test_kernel_oracles.py compares
 them).  The quaternion codec on Fraction coordinates is the oracle for
 the integer-native one in serialize.py.
+
+The upward pipeline checks its certificate link by link through the
+last pair's frame.  The product check it replaced, R P Q = X Q P with R
+the product of the earlier pairs' commutators, is kept here as the
+oracle for the certificate behind every pinned factor digest.
 """
 
 import itertools
@@ -28,7 +33,10 @@ from hypothesis import strategies as st
 
 from commcert import serialize as ser
 from commcert import MatD, QuaternionAlgebra, random_quat, solve_twisted, transvection
-from commcert.certify import _move_v_side, _solve_corner, _try_ldu, random_unitriangular
+from commcert.certify import (
+    _move_v_side, _solve_corner, _try_ldu, embed_instance, factor_commutators_e,
+    factor_commutators_gl, random_unitriangular, stable_single_commutator,
+)
 from commcert.errors import (
     AlgebraMismatchError,
     InternalInvariantError,
@@ -45,6 +53,7 @@ from commcert.quaternion import Quat, int_nrd, zero_divisor_error
 from commcert.wordcalc import comm
 
 from conftest import with_entry
+from test_byte_identity import FACTOR_CASES, _noncentral_instance
 from test_kernel_oracles import ALGEBRAS, matrix_cases, outcome
 
 PARAMS = [(-1, -1), (-1, -3), (Fraction(-1, 2), Fraction(-3, 7))]
@@ -231,6 +240,17 @@ def oracle_comm(x, y):
     return x * y * x.inverse() * y.inverse()
 
 
+def oracle_product_check(pairs, x) -> bool:
+    """Check A, R P Q = X Q P: R is the product of the commutators of
+    every pair before the last, each by oracle_comm, and (P, Q) is the
+    last pair.  With P and Q invertible it is R [P, Q] = X."""
+    *head, (p, q) = pairs
+    r = MatD.identity(x.alg, x.n)
+    for g, h in head:
+        r = r * oracle_comm(g, h)
+    return r * p * q == x * q * p
+
+
 def oracle_conjugate_by_diagonal(m, d):
     """d_i^-1 * x_ij * d_j entry by entry: the inverses of the factors
     other than 1 first, in slot order, then two Quat products for every
@@ -384,6 +404,25 @@ class TestMirrorsMatchOracles:
         a = [unit(any_alg, rng).scale(t) for t in (1, 2, 3)]
         with pytest.raises(InternalInvariantError):
             _solve_corner(w, a)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_pinned_factor_certificate_passes_the_product_check(name):
+    """The certificate behind each pinned factor digest passes check A
+    against the instance element, made with the Gauss-Jordan inverse of
+    the instance's gamma; with its last pair swapped it fails."""
+    mode, seed, n, c, *alg = FACTOR_CASES[name]
+    inst = _noncentral_instance(seed, n, c, *alg)
+    if mode == "stable":
+        n2, p, q = stable_single_commutator(inst)
+        pairs, x = ((p, q),), embed_instance(inst, n2).element()
+    else:
+        cert = {"gl": factor_commutators_gl, "e": factor_commutators_e}[mode](inst)
+        pairs, x = cert.pairs, inst.element()
+        assert cert.target == x
+    assert oracle_product_check(pairs, x)
+    *head, (p, q) = pairs
+    assert not oracle_product_check((*head, (q, p)), x)
 
 
 # -- the eliminations on the transvection kernel ------------------------------

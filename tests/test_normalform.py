@@ -239,13 +239,13 @@ class TestCommutatorNormalForm:
         assert len(form.hfactors) == 0
 
     def test_diagonal_pair(self, alg, rng):
-        from commcert import commutator
+        from commcert.quaternion import comm
 
         a, b = rand_unit(alg, rng), rand_unit(alg, rng)
         x = MatD.diagonal(alg, [a, alg.one, alg.one])
         y = MatD.diagonal(alg, [b, alg.one, alg.one])
         form = commutator_normal_form([(x, y)])
-        assert form.evaluate() == MatD.diagonal(alg, [commutator(a, b), alg.one, alg.one])
+        assert form.evaluate() == MatD.diagonal(alg, [comm(a, b), alg.one, alg.one])
         assert vec_leq(form.hfactors.kappa(), kappa_p(1, 3))
 
     @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commcert import CommutatorCert, MatD, PreconditionError, commutator, make_instance
+from commcert import CommutatorCert, MatD, PreconditionError, make_instance
 from commcert import serialize as ser
 from commcert.budget import HFactor, HFactorList
 from commcert.normalform import decompose_huvu
-from commcert.quaternion import QuaternionAlgebra
+from commcert.quaternion import QuaternionAlgebra, comm
 from commcert.wordcalc import product
 
 from conftest import rand_invertible, rand_unit
@@ -81,12 +81,12 @@ def test_matrix_cert_elements_distinguished(alg, rng):
 
 def test_cert_roundtrip_past_the_int_str_limit(alg):
     # 5000 decimal digits: over the interpreter's default 4300-digit cap
-    from commcert import CommutatorCert, commutator
+    from commcert import CommutatorCert
 
     big = 10**4999 + 3
     g = alg.quat(Fraction(big, 7), 1, -2, 0)
     h = alg.basis()[2]
-    cert = CommutatorCert(((g, h),), commutator(g, h))
+    cert = CommutatorCert(((g, h),), comm(g, h))
     text = json.dumps(ser.cert_to_json(cert))
     assert '"' + "1" + "0" * 4998 + "3/7" + '"' in text
     back = ser.cert_from_json(json.loads(text), alg)
@@ -215,7 +215,7 @@ def test_certificate_json_roundtrip(data):
     alg = data.draw(ALGEBRAS)
     unit = quats(alg).filter(lambda q: not q.is_zero())
     pairs = tuple((data.draw(unit), data.draw(unit)) for _ in range(data.draw(st.integers(0, 3))))
-    cert = CommutatorCert(pairs, product((commutator(g, h) for g, h in pairs), alg.one))
+    cert = CommutatorCert(pairs, product((comm(g, h) for g, h in pairs), alg.one))
     back = ser.cert_from_json(through_json(ser.cert_to_json(cert)), alg)
     assert back == cert and back.verify()
 
@@ -225,5 +225,5 @@ def test_certificate_json_roundtrip(data):
 def test_huge_coordinates_roundtrip(alg, num, den):
     q = alg.quat(Fraction(num, den), 1, 0, Fraction(-1, 3))
     assert ser.quat_from_json(through_json(ser.quat_to_json(q)), alg) == q
-    cert = CommutatorCert(((q, alg.basis()[2]),), commutator(q, alg.basis()[2]))
+    cert = CommutatorCert(((q, alg.basis()[2]),), comm(q, alg.basis()[2]))
     assert ser.cert_from_json(through_json(ser.cert_to_json(cert)), alg) == cert

@@ -8,7 +8,6 @@ from commcert import (
     PreconditionError,
     VerificationError,
     cert_inverse_product,
-    commutator,
     move_letter_end,
     move_letter_front,
     transfer_cert,
@@ -35,18 +34,18 @@ class TestCertVerify:
 
     def test_single_pair(self, alg, rng):
         x, y = rand_unit(alg, rng), rand_unit(alg, rng)
-        assert CommutatorCert(((x, y),), commutator(x, y)).verify()
+        assert CommutatorCert(((x, y),), comm(x, y)).verify()
 
     def test_wrong_target_fails(self, alg, rng):
         x, y = alg.basis()[1], alg.basis()[2]
-        assert not commutator(x, y).is_one()
+        assert not comm(x, y).is_one()
         assert not CommutatorCert(((x, y),), alg.one).verify()
 
     def test_conjugation_preserves_validity_and_length(self, alg, rng):
         pairs = tuple((rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(3))
         target = alg.one
         for g, h in pairs:
-            target = target * commutator(g, h)
+            target = target * comm(g, h)
         cert = CommutatorCert(pairs, target)
         conj = cert.conjugated(rand_unit(alg, rng))
         assert conj.verify() and len(conj) == len(cert)
@@ -55,7 +54,7 @@ class TestCertVerify:
         pairs = tuple((rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(3))
         target = alg.one
         for g, h in pairs:
-            target = target * commutator(g, h)
+            target = target * comm(g, h)
         inv = CommutatorCert(pairs, target).inverse()
         assert inv.verify() and inv.target == target.inverse()
 
@@ -262,7 +261,7 @@ def _cert(alg, rng, k=3):
     pairs = tuple((rand_unit(alg, rng), rand_unit(alg, rng)) for _ in range(k))
     target = alg.one
     for g, h in pairs:
-        target = target * commutator(g, h)
+        target = target * comm(g, h)
     return CommutatorCert(pairs, target)
 
 
