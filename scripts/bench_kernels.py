@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Layer timings of the dense matrix kernels: product, inverse and
 Dieudonne determinant, at fixed coefficient heights, the matrix
-commutator on pipeline witnesses, the twisted quaternion solve, and the
-JSON codec of quaternions and matrices.
+commutator on pipeline witnesses, the twisted quaternion solve, the V
+absorption of the normal form, and the JSON codec of quaternions and
+matrices.
 
 Each cell is one (kernel, n, shape, bits) over the algebra (-1, -1):
 REPS seeded matrices (pairs for the product) whose entries have
@@ -21,6 +22,12 @@ COMM_SIZES; both inverses run mat_inv.
 
 The twisted cells time quaternion.solve_twisted(p, q, r) on REPS
 seeded triples whose coordinates have about `bits` bits, at HEIGHTS.
+
+The absorb cells time normalform.absorb_V on the (form, V) arguments
+of every call that one commutator_normal_form makes, for p seeded
+pairs at n drawn as the normal-form workload draws them, at (n, p) in
+ABSORB_CELLS; in_bits is the largest coordinate bit length of those
+arguments.
 
 The encode and decode cells time serialize.quat_to_json/mat_to_json
 and quat_from_json/mat_from_json (on the parsed JSON of the encoding)
@@ -44,9 +51,10 @@ import sys
 import time
 from pathlib import Path
 
-KERNELS = ("mul", "inv", "det", "comm", "twisted", "encode", "decode")
+KERNELS = ("mul", "inv", "det", "comm", "twisted", "absorb", "encode", "decode")
 SIZES = (3, 6)
 COMM_SIZES = (6, 8)
+ABSORB_CELLS = ((5, 3), (6, 2))
 SHAPES = ("dense", "unitriangular")
 HEIGHTS = (64, 300, 1000, 3000)
 CODEC_N, LONG_BITS = 6, 12000
@@ -128,6 +136,32 @@ def twisted_cell(lib, alg, bits):
     return {"kernel": "twisted", "bits": bits, **summary(*timed(calls))}
 
 
+def form_height(form):
+    return max(height(form.u1), height(form.v), height(form.u2))
+
+
+def absorb_cell(lib, alg, n, p):
+    rng = random.Random(f"absorb|{n}|{p}")
+    pairs = [tuple(lib.matrix.random_invertible(alg, n, rng, lib.random_quat) for _ in "xy")
+             for _ in range(p)]
+    nf, calls = lib.normalform, []
+    real = nf.absorb_V
+
+    def record(form, v):
+        calls.append((real, form, v))
+        return real(form, v)
+
+    nf.absorb_V = record  # commutator_normal_form looks absorb_V up at each call
+    try:
+        nf.commutator_normal_form(pairs)
+    finally:
+        nf.absorb_V = real
+    passes, outs = timed(calls)
+    return {"kernel": "absorb", "n": n, "p": p, "calls": len(calls),
+            "in_bits": max(max(form_height(form), height(v)) for _, form, v in calls),
+            **stats(passes), "out_bits": max(map(form_height, outs))}
+
+
 def codec_cells(lib, alg, kernel, bits):
     ser = lib.serialize
     rng = random.Random(f"{kernel}|{bits}")
@@ -163,6 +197,10 @@ def main(argv=None) -> int:
         if kernel == "comm":
             for n in COMM_SIZES:
                 print(json.dumps(comm_cell(lib, n)), flush=True)
+            continue
+        if kernel == "absorb":
+            for n, p in ABSORB_CELLS:
+                print(json.dumps(absorb_cell(lib, alg, n, p)), flush=True)
             continue
         if kernel == "twisted":
             for bits in args.bits or HEIGHTS:

@@ -138,11 +138,21 @@ def scalar_cert_from_hfactors(hf: HFactorList, tau: Quat) -> CommutatorCert:
     in O(1) products each; the check() at the end is the pipeline's one
     full multiplication of the certificate.
     """
-    n = hf.n
-    diag = hf.diagonal()
-    one = hf.alg.one
-    if any(not e.is_one() for e in diag[:-1]) or diag[-1] != tau:
+    if not _evaluates_to(hf, tau):
         raise PreconditionError("factor list does not evaluate to diag(1, ..., 1, tau)")
+    return _scalar_cert(hf, tau)
+
+
+def _evaluates_to(hf: HFactorList, tau: Quat) -> bool:
+    """Whether the h ledger evaluates to diag(1, ..., 1, tau)."""
+    return hf.diagonal() == (hf.alg.one,) * (hf.n - 1) + (tau,)
+
+
+def _scalar_cert(hf: HFactorList, tau: Quat) -> CommutatorCert:
+    """scalar_cert_from_hfactors for a ledger known to evaluate to
+    diag(1, ..., 1, tau)."""
+    n = hf.n
+    one = hf.alg.one
     kappa = hf.kappa()
     if kappa[-1] == 0:
         if not tau.is_one():
@@ -185,9 +195,9 @@ def lower_extract(pairs: list[tuple[MatD, MatD]], tau: Quat) -> CommutatorCert:
     if target != expected:
         raise PreconditionError("commutator product is not diag(1, ..., 1, tau)")
     hf = extract_H(commutator_normal_form(pairs))
-    if hf.evaluate() != target:
+    if not _evaluates_to(hf, tau):  # target is diag(1, ..., 1, tau)
         raise InternalInvariantError("normal form does not evaluate to its input")
-    cert = scalar_cert_from_hfactors(hf, tau)
+    cert = _scalar_cert(hf, tau)
     if len(cert) > s_of(kappa_p(len(pairs), n)):
         raise VerificationError("extracted certificate exceeded s(kappa^d)")
     return cert

@@ -42,6 +42,14 @@ class MatD:
     # -- constructors --------------------------------------------------
 
     @staticmethod
+    def _shaped(alg: QuaternionAlgebra, rows: tuple[tuple[Quat, ...], ...]) -> "MatD":
+        """A MatD from rows a kernel has already shaped: a nonempty tuple
+        of n tuples of length n, which is not checked or copied."""
+        m = object.__new__(MatD)
+        m.alg, m.n, m.rows = alg, len(rows), rows
+        return m
+
+    @staticmethod
     def identity(alg: QuaternionAlgebra, n: int) -> "MatD":
         one, zero = alg.one, alg.zero
         return MatD(alg, [[one if i == j else zero for j in range(n)] for i in range(n)])
@@ -77,16 +85,18 @@ class MatD:
         for i, row in enumerate(self.rows):
             if not row[i].is_one():
                 return False
-            if any(not row[j].is_zero() for j in range(i)):
-                return False
+            for q in row[:i]:
+                if q.wn or q.xn or q.yn or q.zn:
+                    return False
         return True
 
     def is_lower_unitriangular(self) -> bool:
         for i, row in enumerate(self.rows):
             if not row[i].is_one():
                 return False
-            if any(not row[j].is_zero() for j in range(i + 1, self.n)):
-                return False
+            for q in row[i + 1:]:
+                if q.wn or q.xn or q.yn or q.zn:
+                    return False
         return True
 
     def diagonal_entries(self) -> tuple[Quat, ...]:
@@ -112,7 +122,7 @@ class MatD:
         gcd = math.gcd
         # the nonzero entries of each column of other, with their numerators
         cols = [[(j, b.wn, b.xn, b.yn, b.zn, b.den, b) for j, b in enumerate(col)
-                 if not b.is_zero()] for col in zip(*other.rows)]
+                 if b.wn or b.xn or b.yn or b.zn] for col in zip(*other.rows)]
         out = []
         for arow in self.rows:
             # None for a zero entry, True for a unit, else the products of
@@ -161,8 +171,8 @@ class MatD:
                     row.append(only)
                 else:
                     row.append(Quat(alg, sw, sx, sy, sz, lcm))
-            out.append(row)
-        return MatD(alg, out)
+            out.append(tuple(row))
+        return MatD._shaped(alg, tuple(out))
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,12 +227,13 @@ class MatD:
         rows = list(self.rows)
         for i, e, nrd in moved:
             cw, cx, cy, cz, ei = e.wn, -e.xn, -e.yn, -e.zn, e.den
-            out = rows[i] = list(rows[i])
+            out = list(rows[i])
             for j, q in enumerate(out):
-                if q.is_zero() or (i == j and q.is_one()):
+                qw, qx, qy, qz, qd = q.wn, q.xn, q.yn, q.zn, q.den
+                if not (qw or qx or qy or qz) or (i == j and q.is_one()):
                     continue
-                w, x, y, z = int_mul(k, cw, cx, cy, cz, q.wn, q.xn, q.yn, q.zn)
-                den = nrd * q.den
+                w, x, y, z = int_mul(k, cw, cx, cy, cz, qw, qx, qy, qz)
+                den = nrd * qd
                 r = right.get(j)
                 if r is not None:
                     w, x, y, z = int_mul(k, w, x, y, z, r[0], r[1], r[2], r[3])
@@ -230,6 +241,7 @@ class MatD:
                 if ei != 1:
                     w, x, y, z = w * ei, x * ei, y * ei, z * ei
                 out[j] = Quat(alg, w, x, y, z, den)
+            rows[i] = tuple(out)
         # the rows whose factor is 1 change only in the moved columns
         for i, row in enumerate(rows):
             if i in right:
@@ -237,12 +249,14 @@ class MatD:
             out = None
             for j, (dw, dx, dy, dz, dd) in right.items():
                 q = row[j]
-                if not q.is_zero():
+                qw, qx, qy, qz = q.wn, q.xn, q.yn, q.zn
+                if qw or qx or qy or qz:
                     if out is None:
-                        out = rows[i] = list(row)
-                    out[j] = Quat(alg, *int_mul(k, q.wn, q.xn, q.yn, q.zn, dw, dx, dy, dz),
-                                  q.den * dd)
-        return MatD(alg, rows)
+                        out = list(row)
+                    out[j] = Quat(alg, *int_mul(k, qw, qx, qy, qz, dw, dx, dy, dz), q.den * dd)
+            if out is not None:
+                rows[i] = tuple(out)
+        return MatD._shaped(alg, tuple(rows))
 
     def _check_factor(self, q: Quat) -> None:
         if q.alg is not self.alg and q.alg != self.alg:
@@ -264,10 +278,10 @@ class MatD:
         rows = list(self.rows)
         row = list(rows[i - 1])
         for c, q in enumerate(rows[j - 1]):
-            if not q.is_zero():
+            if q.wn or q.xn or q.yn or q.zn:
                 row[c] = _plus_product(row[c], xi, q)
-        rows[i - 1] = row
-        return MatD(self.alg, rows)
+        rows[i - 1] = tuple(row)
+        return MatD._shaped(self.alg, tuple(rows))
 
     def add_col(self, i: int, j: int, xi: Quat) -> "MatD":
         """self * t_{i,j}(xi): column j gains column i * xi, as add_row."""
@@ -279,11 +293,12 @@ class MatD:
         rows = []
         for row in self.rows:
             q = row[i]
-            if not q.is_zero():
+            if q.wn or q.xn or q.yn or q.zn:
                 row = list(row)
                 row[j] = _plus_product(row[j], q, xi)
+                row = tuple(row)
             rows.append(row)
-        return MatD(self.alg, rows)
+        return MatD._shaped(self.alg, tuple(rows))
 
     def conj_t(self, i: int, j: int, xi: Quat) -> "MatD":
         """t_{i,j}(xi)^-1 * self * t_{i,j}(xi), using t_{i,j}(xi)^-1 = t_{i,j}(-xi)."""
@@ -292,25 +307,26 @@ class MatD:
 
 def _plus_product(cur: Quat, a: Quat, b: Quat) -> Quat:
     """cur + a * b, reduced once: a factor 1 costs no product and a zero
-    cur no sum."""
-    if a.is_one() or b.is_one():
-        p = b if a.is_one() else a
-        if cur.is_zero():
-            return p
-        w, x, y, z, d = p.wn, p.xn, p.yn, p.zn, p.den
+    cur no sum.  Each Quat's integers are read once; a stored Quat is 1
+    exactly when its w and den are 1 and x, y, z are 0."""
+    w, x, y, z, d = a.wn, a.xn, a.yn, a.zn, a.den
+    bw, bx, by, bz, bd = b.wn, b.xn, b.yn, b.zn, b.den
+    if w == 1 and d == 1 and not (x or y or z):
+        p, w, x, y, z, d = b, bw, bx, by, bz, bd
+    elif bw == 1 and bd == 1 and not (bx or by or bz):
+        p = a
     else:
         k = a.alg.consts
-        w, x, y, z = int_mul(k, a.wn, a.xn, a.yn, a.zn, b.wn, b.xn, b.yn, b.zn)
-        d = k[0] * a.den * b.den
-        if cur.is_zero():
-            return Quat(a.alg, w, x, y, z, d)
-    cd = cur.den
+        w, x, y, z = int_mul(k, w, x, y, z, bw, bx, by, bz)
+        d *= k[0] * bd
+        p = None
+    cw, cx, cy, cz, cd = cur.wn, cur.xn, cur.yn, cur.zn, cur.den
+    if not (cw or cx or cy or cz):
+        return p if p is not None else Quat(a.alg, w, x, y, z, d)
     if cd != d:
         w, x, y, z = w * cd, x * cd, y * cd, z * cd
-        cw, cx, cy, cz = cur.wn * d, cur.xn * d, cur.yn * d, cur.zn * d
+        cw, cx, cy, cz = cw * d, cx * d, cy * d, cz * d
         d *= cd
-    else:
-        cw, cx, cy, cz = cur.wn, cur.xn, cur.yn, cur.zn
     return Quat(a.alg, cw + w, cx + x, cy + y, cz + z, d)
 
 

@@ -96,35 +96,71 @@ def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
       4. zeta xi = -1 and eta zeta = -1: the braid identity applies and
          the whole move is free.
 
-    The cases are exhaustive; the h ledger grows by at most 2 e_k.
+    The cases are exhaustive; the h ledger grows by at most 2 e_k.  This
+    is _absorb_step with no pending diagonal.
     """
     alg, n = form.alg, form.n
     if not (1 <= k <= n - 1):
         raise PreconditionError(f"index k={k} out of range for n={n}")
     if xi.is_zero():
         return form
+    return _twisted(*_absorb_step(form, (alg.one,) * n, k, xi))
+
+
+def _twisted(form: UVUForm, p: tuple[Quat, ...]) -> UVUForm:
+    """The form with the pending diagonal p applied to u1 and v."""
+    return UVUForm(form.alg, form.n, form.hfactors, form.u1.conjugate_by_diagonal(p),
+                   form.v.conjugate_by_diagonal(p), form.u2)
+
+
+def _carried(p: tuple[Quat, ...], k: int, xi: Quat) -> Quat:
+    """p_{k+1} xi p_k^-1: diag(p) t_{k+1,k}(xi) diag(p)^-1 = t_{k+1,k} of it."""
+    if not p[k].is_one():
+        xi = p[k] * xi
+    return xi if p[k - 1].is_one() else xi * p[k - 1].inverse()
+
+
+def _absorb_step(form: UVUForm, p: tuple[Quat, ...], k: int,
+                 xi: Quat) -> tuple[UVUForm, tuple[Quat, ...]]:
+    """The four cases of absorb_lower_transvection (k in range, xi != 0)
+    on a form held under the pending diagonal p: its value is
+    H * u1^p * v^p * u2 with x^p = diag(p)^-1 x diag(p), entrywise
+    p_i^-1 x_ij p_j as conjugate_by_diagonal.  Returns the new form and
+    pending diagonal.
+
+    A twist keeps unitriangular shape exactly, so the shape check on the
+    stored matrices is the check on the twisted ones.  Case 2's twist of
+    u1 and v by d moves into p (x^p twisted by d is x^(p d), slotwise
+    p_i d_i); a column move on v^p is the move by _carried(p, k, xi) on
+    the stored v.  Cases 3 and 4 apply p first and return p = 1.
+    """
+    alg, n = form.alg, form.n
     one = alg.one
     u1, v, u2, hf = form.u1, form.v, form.u2, form.hfactors
 
     zeta = u2.entry(k, k + 1)
     if zeta.is_zero():
         # Case 1: u2 already misses the (k, k+1) slot.
-        out = UVUForm(alg, n, hf, u1, v.add_col(k + 1, k, xi), u2.conj_t(k + 1, k, xi))
+        out = UVUForm(alg, n, hf, u1, v.add_col(k + 1, k, _carried(p, k, xi)),
+                      u2.conj_t(k + 1, k, xi))
         out.shape_check()
-        return out
+        return out, p
 
     if not (one + zeta * xi).is_zero():
         # Case 2: u2 t_{k+1,k}(xi) = diag(d) t_{k+1,k}(xi2) new_u2.
         d, r, xi2, new_u2 = rewrite_adjacent(u2, k, k + 1, xi)
         h2 = HFactorList(alg, n, (HFactor(k, zeta), HFactor(k, r)))
-        v_c = v.conjugate_by_diagonal(d).add_col(k + 1, k, xi2)
-        out = UVUForm(alg, n, hf.concat(h2), u1.conjugate_by_diagonal(d), v_c, new_u2)
+        p = (*p[:k - 1], p[k - 1] * d[k - 1], p[k] * d[k], *p[k + 1:])
+        v_c = v.add_col(k + 1, k, _carried(p, k, xi2))
+        out = UVUForm(alg, n, hf.concat(h2), u1, v_c, new_u2)
         out.shape_check()
-        return out
+        return out, p
 
     # zeta * xi = -1 from here on; u2 = u2' * t_{k,k+1}(zeta) with u2'
     # having a zero (k, k+1) entry, and u2' t_{k,k+1}(zeta) =
     # t_{k,k+1}(zeta) u2_dd.
+    form = _twisted(form, p)
+    u1, v, p = form.u1, form.v, (one,) * n
     eta = v.entry(k + 1, k)
     u2_dd = u2.add_col(k, k + 1, -zeta).conj_t(k, k + 1, zeta)
 
@@ -143,7 +179,7 @@ def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
         new_v = v_mid.add_col(k + 1, k, xi)
         out = UVUForm(alg, n, hf_new, u1_mid, new_v, u2_dd.conj_t(k + 1, k, xi))
         out.shape_check()
-        return out
+        return out, p
 
     # Case 4: eta = xi and zeta = -xi^-1; v = v' * t_{k+1,k}(eta) with v'
     # having a zero (k+1, k) entry.
@@ -155,7 +191,7 @@ def absorb_lower_transvection(form: UVUForm, k: int, xi: Quat) -> UVUForm:
     new_u2 = u2_dd.conj_t(k + 1, k, xi).add_row(k, k + 1, neg)
     out = UVUForm(alg, n, hf, u1.add_col(k, k + 1, neg), new_v, new_u2)
     out.shape_check()
-    return out
+    return out, p
 
 
 def factor_lower_unitriangular(v: MatD) -> list[tuple[int, Quat]]:
@@ -222,13 +258,15 @@ def factor_lower_unitriangular(v: MatD) -> list[tuple[int, Quat]]:
 
 def absorb_V(form: UVUForm, v: MatD) -> UVUForm:
     """Fold a lower unitriangular factor into the form; the h ledger
-    grows by at most lambda(n)."""
+    grows by at most lambda(n).  The steps carry one pending diagonal
+    for u1 and v (_absorb_step), applied once at the end."""
     if v.is_identity():
         return form
     before = form.hfactors.kappa()
-    out = form
+    out, p = form, (form.alg.one,) * form.n
     for k, xi in factor_lower_unitriangular(v):
-        out = absorb_lower_transvection(out, k, xi)
+        out, p = _absorb_step(out, p, k, xi)
+    out = _twisted(out, p)
     growth = tuple(a - b for a, b in zip(out.hfactors.kappa(), before))
     if not vec_leq(growth, lambda_vec(form.n)):
         raise InternalInvariantError(f"V absorption exceeded lambda: {growth}")

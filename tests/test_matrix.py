@@ -104,6 +104,48 @@ class TestTransvectionKernel:
             done += 1
 
 
+def assert_shaped(m):
+    """rows is a tuple of n tuples of length n, as MatD(...) stores it."""
+    assert type(m.rows) is tuple and len(m.rows) == m.n >= 1
+    assert all(type(row) is tuple and len(row) == m.n for row in m.rows)
+
+
+class TestShapedRows:
+    """The kernels build their results through MatD._shaped, which takes
+    their rows as they are.  MatD.__eq__ compares rows, so a list row
+    would make two equal matrices compare unequal without any error."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_kernel_results_are_shaped(self, alg, rng, n):
+        a, b = rand_invertible(alg, n, rng), rand_invertible(alg, n, rng)
+        d = [rand_unit(alg, rng) for _ in range(n)]
+        partial = [alg.one] * n
+        partial[n - 1] = rand_unit(alg, rng)
+        xi = rand_unit(alg, rng)
+        outs = [a * b, a.conjugate_by_diagonal(d), a.conjugate_by_diagonal(partial)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    outs += [a.add_row(i, j, xi), a.add_col(i, j, xi), a.conj_t(i, j, xi)]
+        for out in outs:
+            assert_shaped(out)
+            assert out == MatD(alg, [list(row) for row in out.rows])
+
+    def test_public_constructor_copies_rows_into_tuples(self, alg):
+        rows = [[alg.one, alg.zero], [alg.zero, alg.one]]
+        m = MatD(alg, rows)
+        rows[0][0] = alg.zero
+        assert_shaped(m)
+        assert m.is_identity() and m == MatD.identity(alg, 2)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2,), (2, 1), (2, 2, 2)])
+    def test_public_constructor_refuses_empty_and_non_square(self, alg, shape):
+        """shape lists the row lengths."""
+        rows = [[alg.one] * length for length in shape]
+        with pytest.raises(PreconditionError, match="square and nonempty"):
+            MatD(alg, rows)
+
+
 class TestHElem:
     def test_unit_argument(self, alg):
         assert h_elem(alg, 3, 1, 2, alg.one).is_identity()

@@ -16,6 +16,11 @@ oracle for MatD.add_row/add_col (tests/test_kernel_oracles.py compares
 them).  The quaternion codec on Fraction coordinates is the oracle for
 the integer-native one in serialize.py.
 
+absorb_V carries the diagonal twists of its steps as one pending
+diagonal for u1 and v and applies it once at the end.  The fold as one
+absorb_lower_transvection per factor, each twisting u1 and v at once,
+is kept here as its oracle.
+
 The upward pipeline checks its certificate link by link through the
 last pair's frame.  The product check it replaced, R P Q = X Q P with R
 the product of the earlier pairs' commutators, is kept here as the
@@ -45,9 +50,11 @@ from commcert.errors import (
     SingularMatrixError,
     ZeroInputError,
 )
+from commcert.budget import HFactor, HFactorList
 from commcert.matrix import _ONE, _eliminate, _int_row, mat_inv, random_invertible
 from commcert.normalform import (
-    decompose_huvu, factor_lower_unitriangular, rewrite_adjacent, rewrite_relation3,
+    UVUForm, absorb_lower_transvection, absorb_V, decompose_huvu, factor_lower_unitriangular,
+    rewrite_adjacent, rewrite_relation3,
 )
 from commcert.quaternion import Quat, int_nrd, zero_divisor_error
 from commcert.wordcalc import comm
@@ -298,6 +305,13 @@ def oracle_add_col(m, i, j, xi):
     return MatD(m.alg, rows)
 
 
+def oracle_absorb_V(form, v):
+    """The fold as one absorb_lower_transvection per factor."""
+    for k, xi in factor_lower_unitriangular(v):
+        form = absorb_lower_transvection(form, k, xi)
+    return form
+
+
 # -- conjugate transpose -----------------------------------------------------
 
 
@@ -404,6 +418,74 @@ class TestMirrorsMatchOracles:
         a = [unit(any_alg, rng).scale(t) for t in (1, 2, 3)]
         with pytest.raises(InternalInvariantError):
             _solve_corner(w, a)
+
+
+# -- the fold under one pending diagonal ----------------------------------------
+
+
+def random_form(alg, n, rng):
+    ledger = tuple(HFactor(rng.randrange(1, n), unit(alg, rng)) for _ in range(3))
+    return UVUForm(alg, n, HFactorList(alg, n, ledger),
+                   random_unitriangular(alg, n, rng, lower=False, span=2),
+                   random_unitriangular(alg, n, rng, lower=True, span=2),
+                   random_unitriangular(alg, n, rng, lower=False, span=2))
+
+
+def assert_same_form(got, want):
+    assert (got.hfactors, got.u1, got.v, got.u2) == (want.hfactors, want.u1, want.v, want.u2)
+
+
+def fold_through_case(alg, rng, case):
+    """A form and V = t_{2,1}(a) t_{3,2}(b) t_{4,3}(c) at n = 4 whose fold
+    takes case 2 at k = 1, so that the pending diagonal is not 1, then
+    `case` at k = 2 ("3", "3 eta=0" or "4"), then k = 3."""
+    one, n = alg.one, 4
+    while True:
+        u2 = with_entry(random_unitriangular(alg, n, rng, lower=False, span=2), 1, 2,
+                        unit(alg, rng))
+        a = unit(alg, rng)
+        if (one + u2.entry(1, 2) * a).is_zero():
+            continue
+        d, _, _, u2_next = rewrite_adjacent(u2, 1, 2, a)
+        zeta = u2_next.entry(2, 3)  # u2[2, 3] after the first step
+        if zeta.is_zero():
+            continue
+        b = -zeta.inverse()
+        # the first step twists v by d at slots 1 and 2: v[3, 2] becomes v32 d_2
+        v32 = {"3 eta=0": alg.zero, "3": unit(alg, rng), "4": b * d[1].inverse()}[case]
+        eta = v32 * d[1]
+        if case == "3" and (one + eta * zeta).is_zero():
+            continue
+        form = random_form(alg, n, rng)
+        form = UVUForm(alg, n, form.hfactors, form.u1, with_entry(form.v, 3, 2, v32), u2)
+        c = unit(alg, rng)
+        v = with_entry(with_entry(with_entry(MatD.identity(alg, n), 2, 1, a), 3, 2, b), 4, 3, c)
+        assert factor_lower_unitriangular(v) == [(1, a), (2, b), (3, c)]
+        first = absorb_lower_transvection(form, 1, a)
+        assert len(first.hfactors) == len(form.hfactors) + 2  # case 2
+        assert (first.u2.entry(2, 3), first.v.entry(3, 2)) == (zeta, eta)
+        assert (one + zeta * b).is_zero()  # so case 3 or 4 at k = 2
+        assert (one + eta * zeta).is_zero() == (case == "4")
+        return form, v
+
+
+class TestAbsorbVMatchesOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_folds(self, any_alg, n):
+        rng = random.Random(8 + n)
+        for _ in range(10):
+            form = random_form(any_alg, n, rng)
+            v = random_unitriangular(any_alg, n, rng, lower=True, span=2)
+            assert_same_form(absorb_V(form, v), oracle_absorb_V(form, v))
+
+    @pytest.mark.parametrize("case", ["3", "3 eta=0", "4"])
+    def test_case_3_or_4_after_a_pending_twist(self, any_alg, case):
+        rng = random.Random(case)
+        for _ in range(4):
+            form, v = fold_through_case(any_alg, rng, case)
+            out = absorb_V(form, v)
+            assert_same_form(out, oracle_absorb_V(form, v))
+            assert out.evaluate() == form.evaluate() * v
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_CASES))

@@ -54,6 +54,15 @@ def test_bench_kernels_mul_cells():
     assert all(row["kernel"] == "mul" and row["n"] == 3 and row["min_s"] > 0 for row in rows)
 
 
+def test_bench_kernels_absorb_cells():
+    proc = run_script("bench_kernels.py", "--kernels", "absorb")
+    assert proc.returncode == 0, proc.stderr
+    rows = json_rows(proc.stdout)
+    assert [(row["n"], row["p"]) for row in rows] == [(5, 3), (6, 2)]
+    assert all(row["kernel"] == "absorb" and row["calls"] > 0 and row["min_s"] > 0
+               for row in rows)
+
+
 @pytest.mark.parametrize("rung", [("gl", 3, 3), ("stable", 3, 4), ("roundtrip", 3, 6),
                                   ("e", 4, 4)])
 def test_bench_scaling_child_rung(rung):
