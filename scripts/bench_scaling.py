@@ -5,6 +5,9 @@ BENCH_scaling.json.
 Rungs, each over the algebras (-1,-1), (-1,-3) and (-2,-5):
 
   gl, e       factor_commutators_gl / _e at n = c in 6, 8, 10, 12, 16
+  gl3n        factor_commutators_gl at c = 3n, n in 6, 8, 12: two
+              diagonal layers before the last pair, which no n = c
+              rung builds
   stable      stable_single_commutator from n = 3 at c in 4, 8, 10, 14
   roundtrip   factor_commutators_gl then lower_extract at
               (n, c) in (3, 6), (4, 8), (5, 10), (6, 12), with v = u = 1
@@ -50,6 +53,7 @@ ALGEBRAS = ((-1, -1), (-1, -3), (-2, -5))
 LADDERS = {
     "gl": [(n, n) for n in (6, 8, 10, 12, 16)],
     "e": [(n, n) for n in (6, 8, 10, 12, 16)],
+    "gl3n": [(n, 3 * n) for n in (6, 8, 12)],
     "stable": [(3, c) for c in (4, 8, 10, 14)],
     "roundtrip": [(3, 6), (4, 8), (5, 10), (6, 12)],
 }
@@ -90,8 +94,8 @@ def run_rung(kind: str, n: int, c: int, a: int, b: int) -> dict:
         seed += 1
     row = {"seed": seed}
     t0 = time.process_time()
-    if kind in ("gl", "e"):
-        cert = (factor_commutators_gl if kind == "gl" else factor_commutators_e)(inst)
+    if kind in ("gl", "gl3n", "e"):
+        cert = (factor_commutators_e if kind == "e" else factor_commutators_gl)(inst)
         bound = width_upper_bounds(n, c)[kind == "e"]
         payload = ser.cert_to_json(cert)
     elif kind == "stable":

@@ -9,7 +9,9 @@ ceil(c/(n-2)) pairs with elementary witnesses.  Every certificate is
 verified by multiplication before it is returned.  Every fact is
 checked once, where it is made: a moved slot value against its
 certificate, the conjugator's inverse by one product in _factor_head,
-the normal form's residual in extract_H.
+the normal form's residual in extract_H, the redistribution's slot
+certificates and reassembly by link 6 below in factor (prescribed_gauss
+multiplies them out itself).
 
 `factor` builds its witnesses already conjugated by c = gamma^-1.  In
 both modes the last pair (P, Q) is built from v~ = [v', A] and
@@ -30,7 +32,8 @@ Each link names its check:
      earlier pairs multiply out to R = c^-1 diag(r) c, r_i the slotwise
      product of their [a_i, b_i].
   6. c X = Y c with Y = diag(r) v~ diag(eps) u (_check_emitted): by 4
-     and 5, R [P, Q] = c^-1 Y c = X.
+     and 5, R [P, Q] = c^-1 Y c = X.  As v~ = diag(r)^-1 v diag(r), Y =
+     v diag(r_i eps_i) u is also the redistribution's reassembly.
 In e mode the class of each witness in D*/[D*, D*] (its Dieudonne
 determinant) follows from links 2, 4 and 5, with no determinant:
 class(P) = prod a_i, class(Q) = prod b_i and class(G) = prod a_i.  SK_1
@@ -47,6 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .budget import HFactorList, kappa_p, s_of
 from .errors import (
@@ -55,7 +59,7 @@ from .errors import (
     VerificationError,
     ZeroInputError,
 )
-from .matrix import MatD, is_central_in_E, is_elementary, mat_inv
+from .matrix import MatD, _plus_product, is_central_in_E, is_elementary, mat_inv
 from .normalform import commutator_normal_form, extract_H, rewrite_adjacent
 from .quaternion import Quat, QuaternionAlgebra, random_quat, solve_twisted
 from .wordcalc import (
@@ -253,15 +257,10 @@ class BasedInstance:
 
 
 def _split_cert(cert: CommutatorCert, at: int, alg) -> tuple[CommutatorCert, CommutatorCert]:
-    """cert = prefix * suffix split at pair index `at`, with recomputed
-    targets."""
-    pre, suf = cert.pairs[:at], cert.pairs[at:]
-    e = alg.one
-    pre_t = product((comm(g, h) for g, h in pre), e)
-    suf_t = product((comm(g, h) for g, h in suf), e)
-    if pre_t * suf_t != cert.target:
-        raise InternalInvariantError("certificate split lost its product")
-    return CommutatorCert(pre, pre_t), CommutatorCert(suf, suf_t)
+    """cert = prefix * suffix split at pair index `at`; each half's
+    target is the product of its own pairs."""
+    return tuple(CommutatorCert(half, product((comm(g, h) for g, h in half), alg.one))
+                 for half in (cert.pairs[:at], cert.pairs[at:]))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +332,24 @@ def prescribed_gauss(
     Returns (gamma, v, u, slots) with
     gamma^-1 * element * gamma = v * diag(eps_1, ..., eps_n) * u and a
     verified certificate of length at most partition[i] for each eps_i;
-    gamma is inst.gamma^-1 times the word of _gauss_word.
+    gamma is inst.gamma^-1 times the word of _gauss_word.  The slot
+    certificates and the reassembly are multiplied out here.
     """
-    word, v, u, slots = _gauss_word(inst, partition, inst.core())
+    word, v, u, slots = _gauss_word(inst, partition)
+    for _, cert in slots:
+        cert.check()
+    diag = MatD.diagonal(inst.alg, [eps for eps, _ in slots])
+    if _word_inverse_times(word, _times_word(inst.core(), word)) != v * diag * u:
+        raise InternalInvariantError("prescribed decomposition failed to reassemble")
     return _times_word(mat_inv(inst.gamma), word), v, u, slots
 
 
-def _gauss_word(inst: BasedInstance, partition: tuple[int, ...], core: MatD):
-    """prescribed_gauss on the instance's core: returns (word, v, u,
-    slots) with word^-1 * core * word = v * diag(eps_1, ..., eps_n) * u,
-    the conjugator kept as its word of transvections (see _times_word).
+def _gauss_word(inst: BasedInstance, partition: tuple[int, ...]):
+    """The redistribution of prescribed_gauss: (word, v, u, slots) with
+    word^-1 * core * word = v * diag(eps_1, ..., eps_n) * u, the
+    conjugator kept as its word of transvections (see _times_word).  It
+    multiplies out neither the slot certificates nor the reassembly;
+    its callers check both (module docstring).
 
     Walking k = n-1 down to 1, the overweight suffix (u side) or prefix
     (v side) theta of the slot k+1 certificate is moved into slot k by
@@ -404,12 +411,8 @@ def _gauss_word(inst: BasedInstance, partition: tuple[int, ...], core: MatD):
 
     if not v.is_lower_unitriangular() or not u.is_upper_unitriangular():
         raise InternalInvariantError("prescribed decomposition lost its shape")
-    for d_i, cert in zip(partition, certs):
-        if len(cert) > d_i:
-            raise InternalInvariantError("a slot certificate exceeded its budget")
-        cert.check()
-    if _word_inverse_times(word, _times_word(core, word)) != v * MatD.diagonal(alg, diag) * u:
-        raise InternalInvariantError("prescribed decomposition failed to reassemble")
+    if any(len(cert) > d_i for d_i, cert in zip(partition, certs)):
+        raise InternalInvariantError("a slot certificate exceeded its budget")
     return word, v, u, list(zip(diag, certs))
 
 
@@ -526,7 +529,7 @@ def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
             rhs = y.entry(i, j)
             for m in range(lo + 1, lo + depth):
                 if not y.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
-                    rhs = rhs + y.entry(i, m) * rows[m - 1][j - 1]
+                    rhs = _plus_product(rhs, y.entry(i, m), rows[m - 1][j - 1])
             if rhs.is_zero():
                 continue
             rows[i - 1][j - 1] = solve_twisted(a[i - 1], a_inv[j - 1], rhs * a_inv[j - 1])
@@ -650,28 +653,23 @@ def balanced_partition(c: int, n: int, support: int | None = None) -> tuple[int,
     return tuple([0] * (n - width) + [base] * (width - r) + [base + 1] * r)
 
 
-def _peel_last_pairs(slots, alg):
-    """Take the final witness pair of every slot certificate (identity
-    witnesses where a slot is exhausted); return (witnesses, remainder)."""
-    one = alg.one
-    witnesses = []
-    rest = []
-    for value, cert in slots:
-        if len(cert) == 0:
-            witnesses.append((one, one))
-            rest.append((value, cert))
-        else:
-            head, _last = _split_cert(cert, len(cert) - 1, alg)
-            witnesses.append(cert.pairs[-1])
-            rest.append((head.target, head))
-    return witnesses, rest
+def _peel_last_pairs(slots, one):
+    """Split every slot certificate into its last pair ((1, 1) where the
+    slot is empty) and the pairs before it; returns one
+    (last, before, value of before) per slot, one product per slot."""
+    peeled = []
+    for _, cert in slots:
+        *before, last = cert.pairs or ((one, one),)
+        peeled.append((last, tuple(before), product((comm(g, h) for g, h in before), one)))
+    return peeled
 
 
 def _factor_head(inst: BasedInstance, support: int):
-    """Spread the certificate over the last `support` slots; returns
-    (element, (c, gamma), v, u, slots) with c = gamma^-1, checked by
-    c * gamma = I, and c * element * c^-1 = v * diag(slot values) * u.
-    inst.gamma is inverted once, and the core is made once."""
+    """Spread the certificate over the last `support` slots and peel
+    them; returns (element, (c, gamma), v~, u, _peel_last_pairs' list)
+    with c = gamma^-1, checked by c * gamma = I, and v~ = diag(r)^-1 v
+    diag(r), r the values of the pairs before the last.  inst.gamma is
+    inverted once, and the core is made once."""
     if inst.c < 1:
         raise PreconditionError("need a certificate of length >= 1")
     core = inst.core()
@@ -679,7 +677,7 @@ def _factor_head(inst: BasedInstance, support: int):
     element = gamma_inv * core * inst.gamma
     if is_central_in_E(element):
         raise PreconditionError("instance element is central")
-    word, v, u, slots = _gauss_word(inst, balanced_partition(inst.c, inst.n, support), core)
+    word, v, u, slots = _gauss_word(inst, balanced_partition(inst.c, inst.n, support))
     # gamma = inst.gamma^-1 word and c = word^-1 inst.gamma, by row and
     # column operations; over a division ring a one-sided inverse of a
     # square matrix is two-sided
@@ -687,7 +685,9 @@ def _factor_head(inst: BasedInstance, support: int):
     c = _word_inverse_times(word, inst.gamma)
     if not (c * gamma).is_identity():
         raise InternalInvariantError("the conjugator fails c * gamma = I")
-    return element, (c, gamma), v, u, slots
+    peeled = _peel_last_pairs(slots, inst.alg.one)
+    v_tilde = v.conjugate_by_diagonal([value for _, _, value in peeled])
+    return element, (c, gamma), v_tilde, u, peeled
 
 
 def _check_emitted(c: MatD, layers, pairs, element: MatD, frame, v_tilde: MatD,
@@ -739,21 +739,21 @@ def factor_commutators_gl(inst: BasedInstance) -> CommutatorCert:
     GL(n, D): spread the certificate with a balanced partition, peel one
     witness layer off every slot into a single commutator, and peel the
     rest into diagonal layers, deepest first."""
-    alg, n = inst.alg, inst.n
-    element, c, v, u, slots = _factor_head(inst, n)
-    witnesses, slots = _peel_last_pairs(slots, alg)
-    v_tilde = v.conjugate_by_diagonal([val for val, _ in slots])
-    frame = _commutator_frame(v_tilde, u, witnesses, "gl", c=c)
-    layers = []
-    while any(len(cert) for _, cert in slots):
-        witnesses, slots = _peel_last_pairs(slots, alg)
+    n, one = inst.n, inst.alg.one
+    element, c, v_tilde, u, peeled = _factor_head(inst, n)
+    frame = _commutator_frame(v_tilde, u, [last for last, _, _ in peeled], "gl", c=c)
+    # the diagonal layers, deepest first: layer l takes the l-th pair
+    # before the last of every slot, each slot padded with (1, 1) in
+    # front so that the slots line up at their end
+    depth = max(len(before) for _, before, _ in peeled)
+    layers = [
         # the rescaling that single_commutator gives its a_i, so the
         # emitted witnesses stay byte-identical
-        layers.append((_rescale_witnesses([a for a, _ in witnesses], "gl"),
-                       [b for _, b in witnesses]))
-    if any(not val.is_one() for val, _ in slots):
-        raise InternalInvariantError("certificates exhausted but diagonal remains")
-    return _factor_tail(inst, element, c, layers[::-1], frame, v_tilde, u, n)
+        (_rescale_witnesses([a for a, _ in col], "gl"), [b for _, b in col])
+        for col in zip(*(((one, one),) * (depth - len(before)) + before
+                         for _, before, _ in peeled))
+    ]
+    return _factor_tail(inst, element, c, layers, frame, v_tilde, u, n)
 
 
 def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
@@ -764,16 +764,12 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     layers with trivial determinant.  The class of every witness is read
     from its frame and its diagonal (module docstring), so no Dieudonne
     determinant runs."""
-    alg, n = inst.alg, inst.n
-    one = alg.one
+    n, one = inst.n, inst.alg.one
     if n < 3:
         raise PreconditionError("elementary factorization needs n >= 3")
-    element, c, v, u, slots = _factor_head(inst, n - 2)
-
-    witnesses, rest = _peel_last_pairs(slots, alg)
-    v_tilde = v.conjugate_by_diagonal([val for val, _ in rest])
-    frame = _commutator_frame(v_tilde, u, witnesses, "e", c=c)
-    layers = _elementary_layers(rest, one)
+    element, c, v_tilde, u, peeled = _factor_head(inst, n - 2)
+    frame = _commutator_frame(v_tilde, u, [last for last, _, _ in peeled], "e", c=c)
+    layers = _elementary_layers(peeled, one)
     # the class of each witness, read from its frame (module docstring)
     if not (_nrd_is_one(frame[4]) and _nrd_is_one(frame[5])):
         raise InternalInvariantError("a witness left the elementary group: nrd of its diagonal")
@@ -782,13 +778,13 @@ def factor_commutators_e(inst: BasedInstance) -> CommutatorCert:
     return _factor_tail(inst, element, c, layers, frame, v_tilde, u, n - 2)
 
 
-def _elementary_layers(rest, one):
+def _elementary_layers(peeled, one):
     """The diagonal layers of e mode, deepest first: layer l takes the
-    l-th pair (a_i, b_i) of each of slots 3..n and fills slots 1 and 2
-    with (prod a)^-1 and (prod b)^-1, so prod a = prod b = 1."""
+    l-th pair (a_i, b_i) before the last of each of slots 3..n, the
+    slots lined up at their start, and fills slots 1 and 2 with
+    (prod a)^-1 and (prod b)^-1, so prod a = prod b = 1."""
     layers = []
-    for layer in range(max((len(cert) for _, cert in rest), default=0)):
-        col = [cert.pairs[layer] if layer < len(cert) else (one, one) for _, cert in rest[2:]]
+    for col in zip_longest(*(before for _, before, _ in peeled[2:]), fillvalue=(one, one)):
         a_col, b_col = [a for a, _ in col], [b for _, b in col]
         layers.append(([product(a_col, one).inverse(), one] + a_col,
                        [one, product(b_col, one).inverse()] + b_col))

@@ -161,16 +161,16 @@ def cmd_factor(args) -> int:
     # VerificationError).  The stable pair was checked against the padded
     # instance's element, which embed_instance checked to be the padded
     # input element.
-    if args.mode == "gl":
-        cert = factor_commutators_gl(inst)
-        bound = width_upper_bounds(inst.n, inst.c)[0]
-    elif args.mode == "e":
-        cert = factor_commutators_e(inst)
-        bound = width_upper_bounds(inst.n, inst.c)[1]
-    else:
+    if args.mode == "stable":
         n2, p, q = stable_single_commutator(inst)
         cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
         bound = 1
+    else:
+        # the bound first: an instance it refuses (n = 1) never reaches
+        # the pipeline
+        bound = width_upper_bounds(inst.n, inst.c)[args.mode == "e"]
+        factor = factor_commutators_gl if args.mode == "gl" else factor_commutators_e
+        cert = factor(inst)
     _emit(
         {
             "algebra": ser.algebra_to_json(inst.alg),

@@ -386,7 +386,18 @@ class TestStandingChecks:
     """Each of these checks of prescribed_gauss and lower_extract is the
     only one that catches its fault, so each test corrupts one move's or
     one form's output and expects that check's own message; with the
-    check deleted, a later check or none fires instead."""
+    check deleted, a later check or none fires instead.
+
+    factor runs the redistribution (_gauss_word) without prescribed_gauss's
+    whole-certificate checks, the slot certificates multiplied out and the
+    reassembly: there link 6 of certify's chain, c X = Y c, must catch the
+    same faults, and a slot witness corrupted after the redistribution."""
+
+    # the factor function and the k of its last move on make_instance(5,
+    # 4, 8): gl's partition (2, 2, 2, 2) moves at k = 3, 2, 1, and e's
+    # (0, 0, 4, 4) only at k = 3
+    FACTOR = {"gl": (factor_commutators_gl, 1), "e": (factor_commutators_e, 3)}
+    LINK_6 = "emitted pairs do not multiply out to the instance element"
 
     @staticmethod
     def _edit_moves(monkeypatch, at, edit):
@@ -428,6 +439,69 @@ class TestStandingChecks:
         self._edit_moves(monkeypatch, 1, sheared)
         with pytest.raises(InternalInvariantError, match="failed to reassemble"):
             self._gauss()
+
+    @pytest.mark.parametrize("mode", sorted(FACTOR))
+    def test_reassembly_is_checked_by_factor(self, monkeypatch, alg, mode):
+        """The in-shape shear of test_reassembly_is_checked, at the last
+        move of each mode."""
+        factor, at = self.FACTOR[mode]
+
+        def sheared(v, diag, u):
+            return v, diag, u.add_row(1, 2, alg.scalar(2))
+
+        self._edit_moves(monkeypatch, at, sheared)
+        with pytest.raises(VerificationError, match=self.LINK_6):
+            factor(make_instance(5, 4, 8)[1])
+
+    @staticmethod
+    def _corrupt_slot_witness(monkeypatch, alg, half, pair):
+        """One witness g of one slot certificate becomes i g, i not
+        central, after the redistribution; the slot keeps its value and
+        its target.  Slot n keeps a half of delta's certificate, and the
+        first slot of the support holds only pairs moved into it,
+        conjugated.  In factor a slot's first pair goes into the deepest
+        diagonal layer, its last pair into the last pair (P, Q)."""
+        real = certify._gauss_word
+
+        def corrupted(inst, partition):
+            word, v, u, slots = real(inst, partition)
+            k = -1 if half == "kept" else next(i for i, d in enumerate(partition) if d)
+            value, cert = slots[k]
+            pairs = list(cert.pairs)
+            g, h = pairs[pair]
+            pairs[pair] = (alg.basis()[1] * g, h)
+            slots[k] = (value, CommutatorCert(tuple(pairs), cert.target))
+            return word, v, u, slots
+
+        monkeypatch.setattr(certify, "_gauss_word", corrupted)
+
+    @pytest.mark.parametrize("half", ["kept", "moved"])
+    def test_slot_witness_is_checked(self, monkeypatch, alg, half):
+        self._corrupt_slot_witness(monkeypatch, alg, half, 0)
+        with pytest.raises(VerificationError, match="certificate failed to verify"):
+            self._gauss()
+
+    @pytest.mark.parametrize("pair", [0, -1], ids=["first-pair", "last-pair"])
+    @pytest.mark.parametrize("half", ["kept", "moved"])
+    @pytest.mark.parametrize("mode", sorted(FACTOR))
+    def test_slot_witness_is_checked_by_factor(self, monkeypatch, alg, mode, half, pair):
+        self._corrupt_slot_witness(monkeypatch, alg, half, pair)
+        with pytest.raises(VerificationError, match=self.LINK_6):
+            self.FACTOR[mode][0](make_instance(5, 4, 8)[1])
+
+    @pytest.mark.parametrize("mode", sorted(FACTOR))
+    def test_factor_multiplies_out_no_slot_certificate(self, monkeypatch, mode):
+        inst = make_instance(5, 4, 8)[1]
+        calls = []
+        real = CommutatorCert.verify
+
+        def counted(cert):
+            calls.append(cert)
+            return real(cert)
+
+        monkeypatch.setattr(CommutatorCert, "verify", counted)
+        self.FACTOR[mode][0](inst)
+        assert calls == []
 
     def test_normal_form_value_is_checked(self, monkeypatch, alg):
         """An extra h factor leaves the triangular residual the identity

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from commcert import MatD, certify, make_instance
+from commcert import MatD, certify, cli, make_instance
 from commcert.quaternion import comm
 from commcert import normalform
 from commcert import serialize as ser
@@ -340,6 +340,21 @@ def test_instance_of_the_wrong_size_exits_3(tmp_path, capsys, edit):
     captured = capsys.readouterr()
     assert rc == 3 and "Traceback" not in captured.err
     assert _one_precondition_line(captured)
+
+
+@pytest.mark.parametrize("mode", ["gl", "e"])
+def test_one_by_one_instance_exits_3_before_the_pipeline(tmp_path, capsys, monkeypatch, mode):
+    """gen makes an instance at n = 1, whose bound ceil(c/n) the paper
+    does not state (n >= 2); factor refuses it before the pipeline runs."""
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "1", "--c", "2", "--seed", "1", "--out", str(path))
+    called = []
+    for name in ("factor_commutators_gl", "factor_commutators_e"):
+        monkeypatch.setattr(cli, name, lambda inst: called.append(inst))
+    rc = main(["factor", str(path), "--mode", mode])
+    captured = capsys.readouterr()
+    assert rc == 3 and called == []
+    assert captured.err.strip() == "precondition violation: need n >= 2 and c >= 1"
 
 
 @pytest.mark.parametrize("bound", ["x", [1], True, 1.5])

@@ -25,6 +25,11 @@ The upward pipeline checks its certificate link by link through the
 last pair's frame.  The product check it replaced, R P Q = X Q P with R
 the product of the earlier pairs' commutators, is kept here as the
 oracle for the certificate behind every pinned factor digest.
+
+factor reads its witnesses off the slot certificates in one pass: the
+last pair of every slot, and the diagonal layers as columns of the
+pairs before it.  The peel that split every slot certificate once per
+layer, and gl mode's loop over it, are kept here as the oracle.
 """
 
 import itertools
@@ -38,9 +43,11 @@ from hypothesis import strategies as st
 
 from commcert import serialize as ser
 from commcert import MatD, QuaternionAlgebra, random_quat, solve_twisted, transvection
+from commcert import certify
 from commcert.certify import (
-    _move_v_side, _solve_corner, _try_ldu, embed_instance, factor_commutators_e,
-    factor_commutators_gl, random_unitriangular, stable_single_commutator,
+    _move_v_side, _rescale_witnesses, _solve_corner, _try_ldu, embed_instance,
+    factor_commutators_e, factor_commutators_gl, make_instance, random_unitriangular,
+    stable_single_commutator,
 )
 from commcert.errors import (
     AlgebraMismatchError,
@@ -57,7 +64,7 @@ from commcert.normalform import (
     rewrite_adjacent, rewrite_relation3,
 )
 from commcert.quaternion import Quat, int_nrd, zero_divisor_error
-from commcert.wordcalc import comm
+from commcert.wordcalc import CommutatorCert, comm, product
 
 from conftest import with_entry
 from test_byte_identity import FACTOR_CASES, _noncentral_instance
@@ -505,6 +512,80 @@ def test_pinned_factor_certificate_passes_the_product_check(name):
     assert oracle_product_check(pairs, x)
     *head, (p, q) = pairs
     assert not oracle_product_check((*head, (q, p)), x)
+
+
+def oracle_peel(slots, one):
+    """Split off the final pair of every slot certificate ((1, 1) where
+    a slot is exhausted); return (witnesses, remainder), each remainder
+    valued by its own product."""
+    witnesses, rest = [], []
+    for value, cert in slots:
+        if len(cert) == 0:
+            witnesses.append((one, one))
+            rest.append((value, cert))
+        else:
+            head = cert.pairs[:-1]
+            target = product((comm(g, h) for g, h in head), one)
+            witnesses.append(cert.pairs[-1])
+            rest.append((target, CommutatorCert(head, target)))
+    return witnesses, rest
+
+
+def oracle_layers(slots, one, mode):
+    """(witnesses of the last pair, rest values, diagonal layers), the
+    layers peeled slot by slot as factor_commutators_gl and _e did."""
+    witnesses, rest = oracle_peel(slots, one)
+    layers = []
+    if mode == "gl":
+        left = rest
+        while any(len(cert) for _, cert in left):
+            peeled, left = oracle_peel(left, one)
+            layers.append((_rescale_witnesses([a for a, _ in peeled], "gl"),
+                           [b for _, b in peeled]))
+        assert all(value.is_one() for value, _ in left)
+        layers.reverse()
+    else:
+        for layer in range(max((len(cert) for _, cert in rest), default=0)):
+            col = [cert.pairs[layer] if layer < len(cert) else (one, one)
+                   for _, cert in rest[2:]]
+            a_col, b_col = [a for a, _ in col], [b for _, b in col]
+            layers.append(([product(a_col, one).inverse(), one] + a_col,
+                           [one, product(b_col, one).inverse()] + b_col))
+    return witnesses, [value for value, _ in rest], layers
+
+
+PEEL_CASES = (
+    [("gl", n, c) for n in (2, 3, 4, 6) for c in sorted({1, n - 1, n, n + 1, 3 * n})]
+    + [("e", n, c) for n in (3, 4, 6) for c in sorted({1, n - 2, 3 * (n - 2) + 1})]
+)
+
+
+@pytest.mark.parametrize("params", [(-1, -1), (-1, -3)], ids=str)
+@pytest.mark.parametrize("mode, n, c", PEEL_CASES)
+def test_layers_match_the_repeated_peel(monkeypatch, params, mode, n, c):
+    """The witnesses, rest values and layers that factor reads off the
+    slot certificates in one pass are those of the repeated peel.  A c
+    below the support leaves slots empty."""
+    alg = QuaternionAlgebra(*params)
+    seed = 0
+    while (inst := make_instance(seed, n, c, alg)[1]).delta.is_one():
+        seed += 1
+    seen = {}
+    for name in ("_gauss_word", "_peel_last_pairs", "_factor_tail"):
+        def spy(*args, name=name, real=getattr(certify, name)):
+            seen[name] = (args, real(*args))
+            return seen[name][1]
+
+        monkeypatch.setattr(certify, name, spy)
+    cert = (factor_commutators_gl if mode == "gl" else factor_commutators_e)(inst)
+    slots = seen["_gauss_word"][1][3]
+    peeled = seen["_peel_last_pairs"][1]
+    layers = seen["_factor_tail"][0][3]
+    witnesses, values, want = oracle_layers(slots, alg.one, mode)
+    assert [last for last, _, _ in peeled] == witnesses
+    assert [value for _, _, value in peeled] == values
+    assert [tuple(layer) for layer in layers] == [tuple(layer) for layer in want]
+    assert len(cert) == len(want) + 1
 
 
 # -- the eliminations on the transvection kernel ------------------------------

@@ -63,8 +63,8 @@ def test_bench_kernels_absorb_cells():
                for row in rows)
 
 
-@pytest.mark.parametrize("rung", [("gl", 3, 3), ("stable", 3, 4), ("roundtrip", 3, 6),
-                                  ("e", 4, 4)])
+@pytest.mark.parametrize("rung", [("gl", 3, 3), ("gl3n", 3, 9), ("stable", 3, 4),
+                                  ("roundtrip", 3, 6), ("e", 4, 4)])
 def test_bench_scaling_child_rung(rung):
     kind, n, c = rung
     proc = run_script("bench_scaling.py", "--child", kind, str(n), str(c), "-1", "-1",
