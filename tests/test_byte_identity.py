@@ -2,7 +2,8 @@
 
 A refactor that must keep the certificates byte-identical is checked
 here in seconds: factor in gl, e and stable mode, with one and with
-three diagonal layers before the last pair in gl and e, lower_extract round
+three diagonal layers before the last pair in gl and e, stable mode on
+delta = 1 with and without padding, lower_extract round
 trips at n = 3 and at n = 4 over (-1, -3) (two transfer slots), a
 commutator normal form with an HUVU decomposition and every case
 of the lower absorption, over (-1, -1) and over (-1/2, -3/7), whose
@@ -39,7 +40,7 @@ from commcert.certify import (
     random_unitriangular,
     stable_single_commutator,
 )
-from commcert.matrix import MatD, dieudonne_det, mat_inv, random_invertible
+from commcert.matrix import MatD, dieudonne_det, is_central_in_E, mat_inv, random_invertible
 from commcert.budget import HFactorList
 from commcert.normalform import (
     UVUForm,
@@ -61,6 +62,11 @@ def _noncentral_instance(seed, n, c, alg=None):
     raise AssertionError("no instance with delta != 1")
 
 
+def _stable_cert(inst):
+    n2, p, q = stable_single_commutator(inst)
+    return n2, CommutatorCert(((p, q),), comm(p, q))
+
+
 def _factor(mode, seed, n, c, alg=None):
     inst = _noncentral_instance(seed, n, c, alg)
     if mode == "gl":
@@ -68,8 +74,21 @@ def _factor(mode, seed, n, c, alg=None):
     elif mode == "e":
         cert = factor_commutators_e(inst)
     else:
-        _, p, q = stable_single_commutator(inst)
-        cert = CommutatorCert(((p, q),), comm(p, q))
+        _, cert = _stable_cert(inst)
+    return {"algebra": ser.algebra_to_json(inst.alg), "certificate": ser.cert_to_json(cert)}
+
+
+def _stable_delta_one(n):
+    """Stable mode on delta = 1 with an empty certificate, at the first
+    seed whose element is noncentral; the pipeline gives delta the
+    certificate [1, 1].  The pair is multiplied out here, outside the
+    pipeline, against the padded element."""
+    g, inst = next(x for x in (make_instance(s, n, 0) for s in itertools.count())
+                   if not is_central_in_E(x[0]))
+    n2, cert = _stable_cert(inst)
+    assert n2 == max(n, 3)
+    (p, q), = cert.pairs
+    assert comm(p, q) == certify._pad_matrix(g, n2)
     return {"algebra": ser.algebra_to_json(inst.alg), "certificate": ser.cert_to_json(cert)}
 
 
@@ -178,6 +197,9 @@ FACTOR_CASES = {
 
 CASES = {
     **{name: functools.partial(_factor, *args) for name, args in FACTOR_CASES.items()},
+    # delta = 1: n = 2 is padded to n' = 3, n = 3 is not padded
+    "factor-stable-delta-one-n2": lambda: _stable_delta_one(2),
+    "factor-stable-delta-one-n3": lambda: _stable_delta_one(3),
     "lower-extract": lambda: _round_trip(QuaternionAlgebra(), 3, 3, 5),
     "lower-extract-n4-(-1,-3)": lambda: _round_trip(QuaternionAlgebra(-1, -3), 4, 5, 1),
     "normal-form": lambda: _normal_form(QuaternionAlgebra()),
@@ -202,6 +224,10 @@ DIGESTS = {
     "factor-gl-(-1,-3)": "079964902fe4a8b2479423863b17adff2e8548ce2a102f9671aa929db5f665d2",
     "factor-gl-layers": "073a9987197096703cc3474c30d87496f9ad7c76cd2c2c5035876168b010dc1d",
     "factor-stable": "416fae952bc3d76ffeb7d27863979a24ebe687142e9cb9ea1e711c859f2e8c0c",
+    "factor-stable-delta-one-n2": (
+        "8f9dee47bfce94ac7f2a13fa8661976333b498530ca4dad1bc6ea739319e81bf"),
+    "factor-stable-delta-one-n3": (
+        "914d9f7ad11206c392d636ce0bce4148d2c6bb140aab76f39c28ab006095cd21"),
     "huvu-pivot-fix": "fa2c44bf88449e1fad7b3ee3428750ae8b40a165e8b2366191784cd9d368ca71",
     "huvu-pivot-fix-(-1,-3)": "574f855790ca6387a9f8ba5376b9f7e79a341fc2059da319bf8bb2aa4719b58c",
     "lower-extract": "36a7e87abf56ff6bd678b05d2c6ec35e01d85af8c6a061aa398e41d7c304eccb",
