@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -240,7 +240,8 @@ class BasedInstance:
             raise ZeroInputError("delta must be a unit")
         if self.delta_cert.target != self.delta:
             raise PreconditionError("certificate target is not delta")
-        self.delta_cert.check()
+        if not self.delta_cert.verify():
+            raise PreconditionError("certificate does not multiply out to delta")
 
     def h(self) -> MatD:
         return MatD.diagonal(self.alg, [self.alg.one] * (self.n - 1) + [self.delta])
@@ -565,20 +566,17 @@ def _rescale_witnesses(a: list[Quat], mode: str) -> list[Quat]:
 
 
 def single_commutator(
-    v: MatD, u: MatD, witnesses: list[tuple[Quat, Quat]], mode: str = "gl", *,
-    c: tuple[MatD, MatD] | None = None,
+    v: MatD, u: MatD, witnesses: list[tuple[Quat, Quat]], mode: str = "gl"
 ) -> tuple[MatD, MatD]:
-    """Express c^-1 * v * diag(eps_1, ..., eps_n) * u * c as one
-    commutator [P, Q], where eps_i = [a_i, b_i] for the supplied witness
-    pairs; c is given as the pair (c, c^-1) and defaults to the identity.
+    """Express v * diag(eps_1, ..., eps_n) * u as one commutator [P, Q],
+    where eps_i = [a_i, b_i] for the supplied witness pairs.
 
     After rescaling the a_i to pairwise distinct reduced norms, set
     h1 = diag(a), tau = diag(b), h2 = tau h1^-1 tau^-1 and solve
-    v = [v', h1], u = [h2^-1, u'] entrywise.  With M = c^-1 v' and
-    K = c^-1 u', P = M h1 M^-1 and Q = K tau M^-1, where M^-1 = v'^-1 c.
-    v' and u' must be unitriangular and v'^-1 v' = I
-    (InternalInvariantError otherwise), which makes P and Q invertible
-    when c is.
+    v = [v', h1], u = [h2^-1, u'] entrywise.  Then P = v' h1 v'^-1 and
+    Q = u' tau v'^-1.  v' and u' must be unitriangular and
+    v'^-1 v' = I (InternalInvariantError otherwise), which makes P and
+    Q invertible.
 
     In mode "e" the first two eps must be 1; the witnesses there are
     renormalized with a_2, b_1 central and a_1, b_2 compensating
@@ -591,14 +589,15 @@ def single_commutator(
     checks the pair with CommutatorCert(((P, Q),), target).check(),
     which inverts P and Q with mat_inv.
     """
-    return _commutator_frame(v, u, witnesses, mode, c=c)[:2]
+    return _commutator_frame(v, u, witnesses, mode, c=None)[:2]
 
 
 def _commutator_frame(v, u, witnesses, mode, *, c):
-    """single_commutator's pair with its frame: (P, Q, R_P, R_Q, a, b)
-    with P = c^-1 R_P, Q = c^-1 R_Q, R_P = v' diag(a) (V c) and
-    R_Q = u' diag(b) (V c), V the matrix used as v'^-1 and a, b the
-    witnesses after renormalization and rescaling."""
+    """single_commutator's pair for c^-1 v diag(eps) u c, c the pair
+    (c, c^-1) or None for I, with its frame (P, Q, R_P, R_Q, a, b):
+    P = c^-1 R_P, Q = c^-1 R_Q, R_P = v' diag(a) (V c) and R_Q = u'
+    diag(b) (V c), V the matrix used as v'^-1 and a, b the witnesses
+    after renormalization and rescaling."""
     alg, n = v.alg, v.n
     one = alg.one
     if mode not in ("gl", "e"):
@@ -831,30 +830,27 @@ def embed_instance(inst: BasedInstance, n2: int) -> BasedInstance:
     return out
 
 
-def stable_single_commutator(inst: BasedInstance) -> tuple[int, MatD, MatD]:
-    """Embed the instance into GL(n', D) with n' = max(n, d+2, 3) and
-    return one elementary commutator pair for the padded element."""
+def _stable_factor(inst: BasedInstance) -> tuple[int, CommutatorCert]:
+    """Embed the instance into GL(n', D) with n' = max(n, c+2, 3) and
+    return (n', the one-pair certificate that factor_commutators_e
+    checked against the padded instance's element).  embed_instance
+    checked that element to be the padded input element, and n' >= c+2
+    makes _factor_tail's bound ceil(c/(n'-2)) = 1.  delta = 1 with an
+    empty certificate is given the certificate [1, 1]."""
     if is_central_in_E(inst.core()):
         raise PreconditionError("instance element is central")
-    d = inst.c
-    n2 = max(inst.n, d + 2, 3)
-    inst2 = embed_instance(inst, n2)
-    if inst2.c == 0:
+    if inst.c == 0:
         one = inst.alg.one
-        inst2 = BasedInstance(
-            inst2.alg,
-            inst2.n,
-            inst2.v,
-            inst2.u,
-            inst2.delta,
-            CommutatorCert(((one, one),), inst2.delta),
-            inst2.gamma,
-        )
-    cert = factor_commutators_e(inst2)
-    if len(cert) != 1:
-        raise InternalInvariantError("stable factorization did not give one pair")
-    p, q = cert.pairs[0]
-    return n2, p, q
+        inst = replace(inst, delta_cert=CommutatorCert(((one, one),), inst.delta))
+    n2 = max(inst.n, inst.c + 2, 3)
+    return n2, factor_commutators_e(embed_instance(inst, n2))
+
+
+def stable_single_commutator(inst: BasedInstance) -> tuple[int, MatD, MatD]:
+    """(n', P, Q) with [P, Q] the padded instance element in E(n', D),
+    from _stable_factor's checked certificate."""
+    n2, cert = _stable_factor(inst)
+    return (n2, *cert.pairs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ from contextlib import contextmanager
 
 from . import serialize as ser
 from .certify import (
-    _pad_matrix,
+    _stable_factor,
     dstar_length_bound,
     factor_commutators_e,
     factor_commutators_gl,
     lower_extract,
     make_instance,
     single_commutator_necessary_bound,
-    stable_single_commutator,
     width_ratio_lower_bound,
     width_upper_bounds,
 )
@@ -36,7 +35,6 @@ from .normalform import decompose_huvu
 from .quaternion import QuaternionAlgebra
 from .selftest import run_selftest
 from .serialize import cert_from_json
-from .wordcalc import CommutatorCert
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -158,12 +156,11 @@ def cmd_factor(args) -> int:
     with _decoding():
         inst = ser.instance_from_json(_load_json(args.path))
     # every mode's pipeline checks what it returns (a failure raises
-    # VerificationError).  The stable pair was checked against the padded
-    # instance's element, which embed_instance checked to be the padded
-    # input element.
+    # VerificationError).  The stable certificate was checked against the
+    # padded instance's element, which embed_instance checked to be the
+    # padded input element.
     if args.mode == "stable":
-        n2, p, q = stable_single_commutator(inst)
-        cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
+        _, cert = _stable_factor(inst)
         bound = 1
     else:
         # the bound first: an instance it refuses (n = 1) never reaches

@@ -38,7 +38,6 @@ from commcert.certify import (
     prescribed_gauss,
     prescribed_gauss_base,
     random_unitriangular,
-    stable_single_commutator,
 )
 from commcert.matrix import MatD, dieudonne_det, is_central_in_E, mat_inv, random_invertible
 from commcert.budget import HFactorList
@@ -62,11 +61,6 @@ def _noncentral_instance(seed, n, c, alg=None):
     raise AssertionError("no instance with delta != 1")
 
 
-def _stable_cert(inst):
-    n2, p, q = stable_single_commutator(inst)
-    return n2, CommutatorCert(((p, q),), comm(p, q))
-
-
 def _factor(mode, seed, n, c, alg=None):
     inst = _noncentral_instance(seed, n, c, alg)
     if mode == "gl":
@@ -74,7 +68,7 @@ def _factor(mode, seed, n, c, alg=None):
     elif mode == "e":
         cert = factor_commutators_e(inst)
     else:
-        _, cert = _stable_cert(inst)
+        _, cert = certify._stable_factor(inst)
     return {"algebra": ser.algebra_to_json(inst.alg), "certificate": ser.cert_to_json(cert)}
 
 
@@ -85,7 +79,7 @@ def _stable_delta_one(n):
     pipeline, against the padded element."""
     g, inst = next(x for x in (make_instance(s, n, 0) for s in itertools.count())
                    if not is_central_in_E(x[0]))
-    n2, cert = _stable_cert(inst)
+    n2, cert = certify._stable_factor(inst)
     assert n2 == max(n, 3)
     (p, q), = cert.pairs
     assert comm(p, q) == certify._pad_matrix(g, n2)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from commcert import MatD, certify, cli, make_instance
+from commcert import MatD, certify, cli, make_instance, matrix
 from commcert.quaternion import comm
 from commcert import normalform
 from commcert import serialize as ser
@@ -90,6 +90,57 @@ def test_stable_certificate_is_checked_against_the_element(tmp_path, capsys, mon
     rc, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
     assert rc == 2
     assert out == ""
+
+
+def _patch_mat_inv(monkeypatch, wrap):
+    """Route every inversion, through MatD.inverse or certify's own
+    import, to wrap(real mat_inv, g)."""
+    real = matrix.mat_inv
+    for module in (matrix, certify):
+        monkeypatch.setattr(module, "mat_inv", lambda g: wrap(real, g))
+
+
+def test_stable_target_is_the_element_the_pipeline_checked(tmp_path, capsys, monkeypatch):
+    """A wrong inverse of the unpadded gamma, which no pipeline inverts,
+    leaves the emitted target the padded input element."""
+    inst_file = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--c", "4", "--seed", "2", "--out", str(inst_file))
+    gen = json.loads(inst_file.read_text())
+    alg = ser.algebra_from_json(gen["algebra"])
+    gamma = ser.mat_from_json(gen["gamma"], alg)
+    twice = MatD.diagonal(alg, [alg.scalar(2), alg.one, alg.one])
+    _patch_mat_inv(monkeypatch, lambda real, g: real(g) * twice if g == gamma else real(g))
+    assert gamma.inverse() * gamma != MatD.identity(alg, 3)
+    rc, out = run(capsys, "factor", str(inst_file), "--mode", "stable")
+    assert rc == 0
+    target = ser.mat_from_json(json.loads(out)["certificate"]["target"], alg)
+    assert target == _pad_matrix(ser.mat_from_json(gen["element"], alg), target.n)
+
+
+def test_stable_factor_inverts_the_padded_gamma_and_v_prime_only(tmp_path, capsys, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--c", "4", "--seed", "2", "--out", str(inst_file))
+    sizes = []
+    _patch_mat_inv(monkeypatch, lambda real, g: sizes.append(g.n) or real(g))
+    rc, _ = run(capsys, "factor", str(inst_file), "--mode", "stable")
+    assert rc == 0
+    assert sizes == [6, 6]
+
+
+def test_instance_whose_delta_certificate_fails_exits_3(tmp_path, capsys, alg):
+    """The input's own certificate is a precondition, not a pipeline
+    check: a witness scaled by i keeps the target but not the product."""
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--c", "2", "--seed", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    witness = ser.quat_from_json(payload["delta_cert"]["pairs"][0][0], alg)
+    payload["delta_cert"]["pairs"][0][0] = ser.quat_to_json(alg.basis()[1] * witness)
+    path.write_text(json.dumps(payload))
+    rc = main(["factor", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and _one_precondition_line(captured)
+    assert captured.err.strip() == (
+        "precondition violation: certificate does not multiply out to delta")
 
 
 def test_decompose(tmp_path, capsys, alg, rng):
