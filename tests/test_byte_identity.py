@@ -48,7 +48,7 @@ from commcert.normalform import (
     decompose_huvu,
     factor_lower_unitriangular,
 )
-from commcert.wordcalc import CommutatorCert, comm
+from commcert.wordcalc import comm
 
 from conftest import diagonal_round_trip, with_entry
 

@@ -677,6 +677,16 @@ class TestStable:
         assert mat_comm(p, q) == _pad_matrix(g, 6)
         assert is_elementary(p) and is_elementary(q)
 
+    def test_a_second_pair_is_refused_by_the_bound(self, monkeypatch):
+        """n' >= c + 2 makes the e-mode bound ceil(c/(n'-2)) = 1, so an
+        extra trivial layer, which multiplies out and keeps every
+        witness elementary, still fails the factor call."""
+        real = certify._elementary_layers
+        monkeypatch.setattr(certify, "_elementary_layers",
+                            lambda peeled, one: real(peeled, one) + [([one] * len(peeled),) * 2])
+        with pytest.raises(VerificationError, match="emitted 2 pairs, bound is 1"):
+            stable_single_commutator(make_instance(904, 3, 4)[1])
+
     def test_identity_instance_rejected(self, alg):
         inst = BasedInstance(
             alg,

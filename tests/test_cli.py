@@ -117,14 +117,19 @@ def test_stable_target_is_the_element_the_pipeline_checked(tmp_path, capsys, mon
     assert target == _pad_matrix(ser.mat_from_json(gen["element"], alg), target.n)
 
 
-def test_stable_factor_inverts_the_padded_gamma_and_v_prime_only(tmp_path, capsys, monkeypatch):
+def test_cli_stable_inverts_the_padded_gamma_and_v_prime_only(tmp_path, capsys, monkeypatch):
+    """The CLI inverts nothing outside the pipeline, which inverts the
+    padded gamma and the corner factor v' (n' = c + 2 = 6)."""
     inst_file = tmp_path / "inst.json"
     run(capsys, "gen", "--n", "3", "--c", "4", "--seed", "2", "--out", str(inst_file))
-    sizes = []
-    _patch_mat_inv(monkeypatch, lambda real, g: sizes.append(g.n) or real(g))
+    calls = []
+    _patch_mat_inv(monkeypatch, lambda real, g: calls.append(g) or real(g))
     rc, _ = run(capsys, "factor", str(inst_file), "--mode", "stable")
     assert rc == 0
-    assert sizes == [6, 6]
+    padded, v_prime = calls
+    inst = ser.instance_from_json(json.loads(inst_file.read_text()))
+    assert padded == certify.embed_instance(inst, 6).gamma
+    assert v_prime.n == 6 and v_prime.is_lower_unitriangular()
 
 
 def test_instance_whose_delta_certificate_fails_exits_3(tmp_path, capsys, alg):
