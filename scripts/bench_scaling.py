@@ -8,7 +8,9 @@ Rungs, each over the algebras (-1,-1), (-1,-3) and (-2,-5):
   gl3n        factor_commutators_gl at c = 3n, n in 6, 8, 12: two
               diagonal layers before the last pair, which no n = c
               rung builds
-  stable      stable_single_commutator from n = 3 at c in 4, 8, 10, 14
+  stable      the checked certificate of certify._stable_factor (the
+              pipeline of stable_single_commutator) from n = 3 at c in
+              4, 8, 10, 14
   roundtrip   factor_commutators_gl then lower_extract at
               (n, c) in (3, 6), (4, 8), (5, 10), (6, 12), with v = u = 1
 
@@ -82,11 +84,10 @@ def run_rung(kind: str, n: int, c: int, a: int, b: int) -> dict:
     from commcert import serialize as ser
     from commcert.budget import kappa_p, s_of
     from commcert import (
-        BasedInstance, CommutatorCert, MatD, QuaternionAlgebra, factor_commutators_e,
-        factor_commutators_gl, lower_extract, make_instance, stable_single_commutator,
-        width_upper_bounds,
+        BasedInstance, MatD, QuaternionAlgebra, factor_commutators_e, factor_commutators_gl,
+        lower_extract, make_instance, width_upper_bounds,
     )
-    from commcert.certify import _pad_matrix
+    from commcert.certify import _stable_factor
 
     alg = QuaternionAlgebra(a, b)
     seed = 0
@@ -99,8 +100,7 @@ def run_rung(kind: str, n: int, c: int, a: int, b: int) -> dict:
         bound = width_upper_bounds(n, c)[kind == "e"]
         payload = ser.cert_to_json(cert)
     elif kind == "stable":
-        n2, p, q = stable_single_commutator(inst)
-        cert = CommutatorCert(((p, q),), _pad_matrix(inst.element(), n2))
+        _, cert = _stable_factor(inst)
         bound = 1
         payload = ser.cert_to_json(cert)
     else:

@@ -18,14 +18,14 @@ both modes the last pair (P, Q) is built from v~ = [v', A] and
 u = [H2^-1, u'] with A = diag(a), B = diag(b) and H2 = B A^-1 B^-1, and
 every earlier pair is a diagonal layer, emitted as
 (c^-1 diag(a) c, c^-1 diag(b) c).  The certificate is checked once,
-link by link, against the instance element X; no witness is inverted.
+link by link, against the instance element X; only gamma is inverted.
 Each link names its check:
   1. c gamma = I (_factor_head): c is invertible.
-  2. V v' = I, v' lower and u' upper unitriangular (_commutator_frame):
-     V = v'^-1, and v', V and u' lie in E(n, D).
-  3. v' A = v~ A v' and u' H2 = W H2 u' with W = H2 u H2^-1
-     (_solve_corner): v' A v'^-1 = v~ A and u' H2 u'^-1 = H2 u.
-  4. c P = R_P and c Q = R_Q (_check_emitted), R_P = v' A V c and
+  2. V lower and u' upper unitriangular (_commutator_frame): V and u'
+     lie in E(n, D); v' = V^-1 is never built.
+  3. A V = V v~ A (_commutator_frame) and u' H2 = W H2 u' with W =
+     H2 u H2^-1 (_solve_corner): v' A V = v~ A and u' H2 u'^-1 = H2 u.
+  4. c P = R_P and c Q = R_Q (_check_emitted), R_P = v~ A c and
      R_Q = u' B V c the frame's products: by 1-3,
      [P, Q] = c^-1 v~ A H2 u c = c^-1 v~ diag(eps) u c, eps_i = [a_i, b_i].
   5. c G = diag(a) c for each diagonal witness G (_check_emitted): the
@@ -513,22 +513,21 @@ def prescribed_gauss_base(g: MatD, seed: int = 0) -> tuple[MatD, MatD, Quat, Mat
 
 
 def _solve_corner(w: MatD, a: list[Quat]) -> MatD:
-    """The x with w's unitriangular shape and [x, diag(a)] = w, entry by
-    entry away from the diagonal: with y = w diag(a), x diag(a) = y x
-    reads, at (i, j), x_ij a_j - a_i x_ij = y_ij + sum_m y_im x_mj over
-    the m strictly between i and j, one twisted solve; the result is
-    checked on that identity, which needs no inverse."""
+    """The upper unitriangular x with [x, diag(a)] = w, entry by entry
+    above the diagonal: with y = w diag(a), x diag(a) = y x reads, at
+    (i, j), x_ij a_j - a_i x_ij = y_ij + sum_m y_im x_mj over the m
+    strictly between i and j, one twisted solve; the result is checked
+    on that identity, which needs no inverse."""
     alg, n = w.alg, w.n
-    lower = w.is_lower_unitriangular()
     a_inv = [q.inverse() for q in a]
     d = MatD.diagonal(alg, a)
     y = w * d
     rows = [list(r) for r in MatD.identity(alg, n).rows]
     for depth in range(1, n):
-        for lo in range(1, n - depth + 1):
-            i, j = (lo + depth, lo) if lower else (lo, lo + depth)
+        for i in range(1, n - depth + 1):
+            j = i + depth
             rhs = y.entry(i, j)
-            for m in range(lo + 1, lo + depth):
+            for m in range(i + 1, j):
                 if not y.entry(i, m).is_zero() and not rows[m - 1][j - 1].is_zero():
                     rhs = _plus_product(rhs, y.entry(i, m), rows[m - 1][j - 1])
             if rhs.is_zero():
@@ -573,10 +572,10 @@ def single_commutator(
 
     After rescaling the a_i to pairwise distinct reduced norms, set
     h1 = diag(a), tau = diag(b), h2 = tau h1^-1 tau^-1 and solve
-    v = [v', h1], u = [h2^-1, u'] entrywise.  Then P = v' h1 v'^-1 and
-    Q = u' tau v'^-1.  v' and u' must be unitriangular and
-    v'^-1 v' = I (InternalInvariantError otherwise), which makes P and
-    Q invertible.
+    h1 V = V v h1 (V = v'^-1 for v = [v', h1]) and u = [h2^-1, u']
+    entrywise.  Then P = v h1 and Q = u' tau V.  V and u' must be
+    unitriangular and h1 V = V v h1 must hold (InternalInvariantError
+    otherwise), which makes P and Q invertible.
 
     In mode "e" the first two eps must be 1; the witnesses there are
     renormalized with a_2, b_1 central and a_1, b_2 compensating
@@ -585,9 +584,8 @@ def single_commutator(
     The pair is built, not checked: comm(P, Q) is not multiplied out and
     the class of P and Q is not tested.  The factor pipelines check the
     certificate they emit through its frame, without inverting P or Q
-    (module docstring); an outside caller
-    checks the pair with CommutatorCert(((P, Q),), target).check(),
-    which inverts P and Q with mat_inv.
+    (module docstring); an outside caller checks the pair with
+    CommutatorCert(((P, Q),), target).check(), which inverts them.
     """
     return _commutator_frame(v, u, witnesses, mode, c=None)[:2]
 
@@ -595,9 +593,9 @@ def single_commutator(
 def _commutator_frame(v, u, witnesses, mode, *, c):
     """single_commutator's pair for c^-1 v diag(eps) u c, c the pair
     (c, c^-1) or None for I, with its frame (P, Q, R_P, R_Q, a, b):
-    P = c^-1 R_P, Q = c^-1 R_Q, R_P = v' diag(a) (V c) and R_Q = u'
-    diag(b) (V c), V the matrix used as v'^-1 and a, b the witnesses
-    after renormalization and rescaling."""
+    P = c^-1 R_P, Q = c^-1 R_Q, R_P = v diag(a) c and R_Q = u' diag(b)
+    (V c), V = v'^-1 solved as the star of an upper corner solve, and
+    a, b the witnesses after renormalization and rescaling."""
     alg, n = v.alg, v.n
     one = alg.one
     if mode not in ("gl", "e"):
@@ -623,19 +621,21 @@ def _commutator_frame(v, u, witnesses, mode, *, c):
             raise InternalInvariantError("rescaling changed a commutator value")
 
     h2 = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
-    v_pr = _solve_corner(v, a)
+    # A V = V v A starred is V* A* = A* v* V*: [V*, A*] = A* v* A*^-1
+    a_s = [q.conj() for q in a]
+    big_v = _solve_corner(v.star().conjugate_by_diagonal([q.inverse() for q in a_s]), a_s).star()
     # [diag(h2)^-1, u'] = u is [u', diag(h2)] = diag(h2) u diag(h2)^-1
     u_pr = _solve_corner(u.conjugate_by_diagonal([e.inverse() for e in h2]), h2)
-    # link 2 of the module docstring's chain
-    if not (v_pr.is_lower_unitriangular() and u_pr.is_upper_unitriangular()):
+    # links 2 and 3 of the module docstring's chain; the V* solve checked V*, not V
+    if not (big_v.is_lower_unitriangular() and u_pr.is_upper_unitriangular()):
         raise InternalInvariantError("a corner factor lost its unitriangular shape")
-    v_pr_inv = mat_inv(v_pr)
-    if not (v_pr_inv * v_pr).is_identity():
-        raise InternalInvariantError("the corner inverse fails V v' = I")
+    d_a = MatD.diagonal(alg, a)
+    y = v * d_a
+    if d_a * big_v != big_v * y:
+        raise InternalInvariantError("the corner factor fails A V = V v~ A")
     c, c_inv = c if c is not None else (MatD.identity(alg, n),) * 2
-    vc = v_pr_inv * c
-    r_p = v_pr * MatD.diagonal(alg, a) * vc
-    r_q = u_pr * MatD.diagonal(alg, b) * vc
+    r_p = y * c
+    r_q = u_pr * MatD.diagonal(alg, b) * (big_v * c)
     return c_inv * r_p, c_inv * r_q, r_p, r_q, a, b
 
 

@@ -1,18 +1,20 @@
-"""The inverses the upward pipeline keeps, of the instance's gamma and
-of the corner factor v', and the inverse-free check of the certificate
-it emits, link by link through the last pair's frame.
+"""The one inverse the upward pipeline keeps, of the instance's gamma,
+and the inverse-free check of the certificate it emits, link by link
+through the last pair's frame.
 
 _factor_head makes the conjugator gamma and c = gamma^-1 from the
 instance's gamma, its inverse and the transvection word of
 prescribed_gauss, checks c * gamma = I by one product and hands the
-pair (c, gamma) on.  _commutator_frame checks V v' = I for the matrix V
-it uses as v'^-1, and the shapes of v' and u'.  Every pair that factor
+pair (c, gamma) on.  _commutator_frame solves the corner factor
+V = v'^-1 directly, as the conjugate transpose of an upper corner
+solve, and checks the shapes of V and u' and A V = V v~ A on V itself;
+nothing in the frame is inverted.  Every pair that factor
 emits before the last is a diagonal layer (a, b), emitted as
 (c^-1 diag(a) c, c^-1 diag(b) c).  _check_emitted checks, in both
 modes, each such witness G as c G = diag(a) c, the last pair (P, Q) as
 c P = R_P and c Q = R_Q against its frame, and the instance element X
 as c X = Y c with Y = diag(r) v~ diag(eps) u.  No emitted witness is
-inverted, and a corrupted witness, layer or corner inverse must never
+inverted, and a corrupted witness, layer or corner factor must never
 get through.  In e mode the class of each witness is read from the same
 links and from the reduced norm of its diagonal, with no determinant.
 """
@@ -133,9 +135,10 @@ def test_carried_inverses_match_mat_inv(final_checks, factor, seed):
 @pytest.mark.parametrize("factor", [factor_commutators_gl, factor_commutators_e])
 def test_inversions_do_not_grow_with_pairs(monkeypatch, factor):
     """No emitted witness is inverted.  A factor call inverts the
-    instance's gamma once and the corner factor v' once, whether it
-    emits 2 or 4 pairs: the conjugator and its inverse are made from
-    inst.gamma^-1 and inst.gamma by the transvection word."""
+    instance's gamma once and nothing else, whether it emits 2 or 4
+    pairs: the conjugator and its inverse are made from inst.gamma^-1
+    and inst.gamma by the transvection word, and the corner factor V is
+    solved, not inverted."""
     calls = []
     real = matrix.mat_inv
 
@@ -150,15 +153,15 @@ def test_inversions_do_not_grow_with_pairs(monkeypatch, factor):
         _, inst = make_instance(1, 4, c)
         del calls[:]
         cert = factor(inst)
-        counts.append((len(cert), len(calls)))
-    assert [pairs for pairs, _ in counts] == [2, 4]
-    assert counts[0][1] == counts[1][1] == 2
+        assert len(calls) == 1 and calls[0] is inst.gamma
+        counts.append(len(cert))
+    assert counts == [2, 4]
 
 
-def test_stable_factor_inverts_the_padded_gamma_and_v_prime(monkeypatch):
+def test_stable_factor_inverts_only_the_padded_gamma(monkeypatch):
     """The embedding is checked as core2 perm = perm pad(core), with no
     inverse, so a stable factor call inverts the padded gamma once, in
-    _factor_head, and the corner factor v' once."""
+    _factor_head, and nothing else."""
     calls = []
     real = matrix.mat_inv
 
@@ -170,9 +173,8 @@ def test_stable_factor_inverts_the_padded_gamma_and_v_prime(monkeypatch):
     monkeypatch.setattr(certify, "mat_inv", counted)
     _, inst = make_instance(1, 3, 5)
     n2, _, _ = stable_single_commutator(inst)
-    padded, v_prime = calls
+    (padded,) = calls
     assert padded == certify.embed_instance(inst, n2).gamma
-    assert v_prime.n == n2 and v_prime.is_lower_unitriangular()
 
 
 def test_decoded_certificate_carries_no_inverse():
@@ -281,48 +283,67 @@ def test_scaled_diagonal_witness_is_refused(monkeypatch):
         factor_commutators_gl(inst)
 
 
+def _corrupt_v(monkeypatch, i, j):
+    """Add 1 to entry (i, j) of the corner factor V as the frame makes
+    it, the conjugate transpose of its V* solve, the first corner solve
+    of the frame; returns the list of corrupted Vs handed on."""
+    real_solve, real_star = certify._solve_corner, MatD.star
+    solved, handed = [], []
+
+    def solve(w, a):
+        solved.append(real_solve(w, a))
+        return solved[-1]
+
+    def star(self):
+        out = real_star(self)
+        if solved and self is solved[0]:
+            out = _shift_entry(out, i, j)
+            handed.append(out)
+        return out
+
+    monkeypatch.setattr(certify, "_solve_corner", solve)
+    monkeypatch.setattr(MatD, "star", star)
+    return handed
+
+
 def test_corner_inverse_off_shape_is_refused(monkeypatch):
-    """A v'^-1 that is not lower unitriangular fails V v' = I, and that
-    product is the only one after the corner inverse is made."""
-    _, inst = make_instance(4, *FACTOR["gl"][1:])
-    handed_back = []
+    """A V with an entry above the diagonal, made after its V* solve
+    checked V*, fails the shape check in both modes, before any product
+    reads it and before the emitted pairs are checked."""
+    for factor, n, c in FACTOR.values():
+        _, inst = make_instance(4, n, c)
+        handed = _corrupt_v(monkeypatch, 0, n - 1)
+        built = _spy(monkeypatch, "_check_emitted")
+        real_mul = MatD.__mul__
+        read = []
 
-    def off_shape(g):
-        if g is inst.gamma:
-            return mat_inv(g)
-        bad = _shift_entry(mat_inv(g), 0, g.n - 1)
-        handed_back.append(bad)
-        return bad
+        def mul(self, other):
+            if any(self is g or other is g for g in handed):
+                read.append((self, other))
+            return real_mul(self, other)
 
-    real_mul = MatD.__mul__
-    after = []
-
-    def mul(self, other):
-        if handed_back:
-            after.append((self, other))
-        return real_mul(self, other)
-
-    monkeypatch.setattr(certify, "mat_inv", off_shape)
-    monkeypatch.setattr(MatD, "__mul__", mul)
-    with pytest.raises(InternalInvariantError, match="fails V v' = I"):
-        factor_commutators_gl(inst)
-    assert len(handed_back) == 1
-    assert after == [(handed_back[0], after[0][1])]
+        monkeypatch.setattr(MatD, "__mul__", mul)
+        with pytest.raises(InternalInvariantError, match="lost its unitriangular shape"):
+            factor(inst)
+        assert len(handed) == 1 and read == [] and built == []
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("which", ["v'", "u'"])
 def test_corner_factor_off_shape_is_refused(monkeypatch, which):
     """A corner factor with an entry in the wrong triangle, handed on
-    after its corner solve's own check; V is made from it, so only the
-    shape check refuses it, before V is made."""
+    after its corner solve's own check: on the v side the V* solve (the
+    first) gains an entry below its diagonal, so V one above it, and on
+    the u side u' (the second) one below.  Only the shape check refuses
+    it, and nothing in the frame is inverted."""
     real = certify._solve_corner
     solved = []
 
     def off_shape(w, a):
         x = real(w, a)
         solved.append(x)
-        if len(solved) == (1 if which == "v'" else 2):  # v' is solved first
-            return _shift_entry(x, *((0, x.n - 1) if which == "v'" else (x.n - 1, 0)))
+        if len(solved) == (1 if which == "v'" else 2):
+            return _shift_entry(x, x.n - 1, 0)
         return x
 
     monkeypatch.setattr(certify, "_solve_corner", off_shape)
@@ -334,20 +355,17 @@ def test_corner_factor_off_shape_is_refused(monkeypatch, which):
 
 
 def test_wrong_lower_corner_inverse_is_caught(monkeypatch):
-    """A v'^-1 that keeps its lower unitriangular shape but has one
-    subdiagonal entry off by 1 still makes P and Q invertible; V v' = I
-    refuses it before the pair is built, in both modes."""
+    """A V that keeps its lower unitriangular shape but has one
+    subdiagonal entry off by 1, made after its V* solve checked V*,
+    still makes P and Q invertible, and links 4-6 never read V;
+    A V = V v~ A refuses it before the pair is checked, in both modes."""
     for factor, n, c in FACTOR.values():
         _, inst = make_instance(4, n, c)
+        handed = _corrupt_v(monkeypatch, n - 1, 0)
         built = _spy(monkeypatch, "_check_emitted")
-
-        def wrong(g):
-            return mat_inv(g) if g is inst.gamma else _shift_entry(mat_inv(g), g.n - 1, 0)
-
-        monkeypatch.setattr(certify, "mat_inv", wrong)
-        with pytest.raises(InternalInvariantError, match="fails V v' = I"):
+        with pytest.raises(InternalInvariantError, match="fails A V = V v~ A"):
             factor(inst)
-        assert built == []
+        assert len(handed) == 1 and built == []
         monkeypatch.undo()
 
 

@@ -3,6 +3,10 @@ rewrite, the conjugate transpose, the v-side move (the u-side move seen
 through the conjugate transpose) and the corner solve (the upper one
 reduced to the lower one's equation).  The v-side move and the upper
 corner solve as they were written out by hand are kept here as oracles.
+So is the last pair's frame as it was built before V = v'^-1 was solved
+directly: the lower corner factor v' solved entry by entry below the
+diagonal, V its Gauss-Jordan inverse, R_P = v' A (V c) and
+R_Q = u' B (V c).
 
 So are the eliminations that now run on MatD.add_row/add_col and one
 unit-pivot rule: decompose_huvu, factor_lower_unitriangular and the
@@ -120,6 +124,43 @@ def oracle_solve_corner_upper(u, c):
     out = MatD(alg, rows)
     assert comm(MatD.diagonal(alg, c).inverse(), out) == u
     return out
+
+
+def oracle_solve_corner_lower(v, a):
+    """v' in L with [v', diag(a)] = v: with y = v diag(a), v' diag(a) =
+    y v' solved at each (i, j) below the diagonal, deepest last."""
+    alg, n = v.alg, v.n
+    y = v * MatD.diagonal(alg, a)
+    rows = [list(r) for r in MatD.identity(alg, n).rows]
+    for depth in range(1, n):
+        for j in range(1, n - depth + 1):
+            i = j + depth
+            rhs = y.entry(i, j)
+            for m in range(j + 1, i):
+                rhs = rhs + y.entry(i, m) * rows[m - 1][j - 1]
+            if rhs.is_zero():
+                continue
+            rows[i - 1][j - 1] = solve_twisted(a[i - 1], a[j - 1].inverse(),
+                                               rhs * a[j - 1].inverse())
+    out = MatD(alg, rows)
+    assert comm(out, MatD.diagonal(alg, a)) == v
+    return out
+
+
+def oracle_commutator_frame(v, u, a, b, c):
+    """(P, Q, R_P, R_Q) of the last pair for the rescaled witnesses a, b
+    and the pair c = (c, c^-1), through v' and its Gauss-Jordan inverse."""
+    alg, n = v.alg, v.n
+    v_pr = oracle_solve_corner_lower(v, a)
+    h2 = [b[i] * a[i].inverse() * b[i].inverse() for i in range(n)]
+    u_pr = oracle_solve_corner_upper(u, h2)
+    big_v = mat_inv(v_pr)
+    assert (big_v * v_pr).is_identity()
+    c_mat, c_inv = c
+    vc = big_v * c_mat
+    r_p = v_pr * MatD.diagonal(alg, a) * vc
+    r_q = u_pr * MatD.diagonal(alg, b) * vc
+    return c_inv * r_p, c_inv * r_q, r_p, r_q
 
 
 def oracle_decompose_huvu(g):
@@ -409,22 +450,37 @@ class TestMirrorsMatchOracles:
             w = u.conjugate_by_diagonal([e.inverse() for e in c])
             assert _solve_corner(w, c) == oracle_solve_corner_upper(u, c)
 
-    def test_lower_corner_solve(self, any_alg):
-        rng = random.Random(6)
-        v = random_unitriangular(any_alg, 4, rng, lower=True, span=2)
-        a = [unit(any_alg, rng).scale(t) for t in (1, 2, 3, 5)]
-        x = _solve_corner(v, a)
-        assert x.is_lower_unitriangular()
-        assert comm(x, MatD.diagonal(any_alg, a)) == v
+    def test_lower_corner_solve(self, monkeypatch, any_alg):
+        """The frame that factor builds from V, solved directly, is the
+        one the lower corner solve and the Gauss-Jordan inverse of v'
+        build, in gl and e mode and for gl with two diagonal layers."""
+        frames = []
+        real = certify._commutator_frame
+
+        def spy(v, u, witnesses, mode, *, c):
+            frames.append(((v, u, c), real(v, u, witnesses, mode, c=c)))
+            return frames[-1][1]
+
+        monkeypatch.setattr(certify, "_commutator_frame", spy)
+        for factor, n, c in ((factor_commutators_gl, 4, 5), (factor_commutators_e, 4, 5),
+                             (factor_commutators_gl, 3, 9)):
+            factor(_noncentral_instance(6, n, c, any_alg))
+        assert len(frames) == 3
+        for (v, u, c), (*pair_and_products, a, b) in frames:
+            assert v.is_lower_unitriangular() and not v.is_identity()
+            assert tuple(pair_and_products) == oracle_commutator_frame(v, u, a, b, c)
 
     def test_corner_solve_checks_its_commutator(self, any_alg):
-        """A w in neither triangle has no solution of that shape."""
+        """A w in neither triangle, or lower, has no upper solution."""
         rng = random.Random(7)
         w = with_entry(MatD.identity(any_alg, 3), 1, 3, unit(any_alg, rng))
         w = with_entry(w, 3, 1, unit(any_alg, rng))
+        lower = random_unitriangular(any_alg, 3, rng, lower=True, span=2)
+        lower = with_entry(lower, 3, 1, unit(any_alg, rng))
         a = [unit(any_alg, rng).scale(t) for t in (1, 2, 3)]
-        with pytest.raises(InternalInvariantError):
-            _solve_corner(w, a)
+        for bad in (w, lower):
+            with pytest.raises(InternalInvariantError, match="corner solve failed"):
+                _solve_corner(bad, a)
 
 
 # -- the fold under one pending diagonal ----------------------------------------

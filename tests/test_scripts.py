@@ -72,3 +72,7 @@ def test_bench_scaling_child_rung(rung):
     assert proc.returncode == 0, proc.stderr
     (row,) = json_rows(proc.stdout)
     assert len(row["sha256"]) == 64 and row["pairs"] <= row["bound"]
+    if kind == "stable":
+        # the pipeline's checked certificate: the bytes of the certificate
+        # rebuilt on the padded input element
+        assert row["sha256"] == "6292daa6cb0359cc2cf8f148f21f63e8390288056d662ecf1180909e6788f895"
